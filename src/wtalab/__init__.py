@@ -12,6 +12,7 @@ from .datagen import (
     denormalize_prediction,
     endpoint_ring_config,
     featurize,
+    featurize_split,
     generate,
     generate_scene,
     load_dataset,
@@ -40,19 +41,13 @@ from .harness import (
     train,
 )
 from .losses import (
-    AssignmentWeights,
     LossConfig,
-    ade_cost,
     assignment_weights,
     awta_weights,
     batch_objective,
-    cost_vector,
     dac_weights,
     ewta_weights,
     rwta_weights,
-    score_loss,
-    weighted_loss,
-    winner_index,
     wta_weights,
 )
 from .metrics import (
@@ -71,7 +66,6 @@ from .network import (
     ModelConfig,
     ModelParams,
     adam_step,
-    backward,
     forward,
     gradient_check,
     init_adam,

@@ -228,6 +228,19 @@ def featurize(scene: Scene) -> FeaturizedScene:
     )
 
 
+def featurize_split(scenes: list[Scene]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a split into (N, P*2) features and (N, L, 2) targets."""
+    feats = [featurize(s) for s in scenes]
+    widths = {f.features.size for f in feats}
+    horizons = {f.target.shape[0] for f in feats}
+    if len(widths) != 1 or len(horizons) != 1:
+        raise ConfigurationError(
+            "a split needs at least one scene, and its scenes must share one"
+            " past length and one future length"
+        )
+    return np.stack([f.features for f in feats]), np.stack([f.target for f in feats])
+
+
 def denormalize_prediction(trajectory: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Move a model-frame trajectory back into the scene frame."""
     trajectory = np.asarray(trajectory, dtype=float)

@@ -31,7 +31,9 @@ import numpy as np
 
 from . import schedulers
 from ._svgchart import line_chart
-from .datagen import GeneratorConfig, Scene, featurize, generate, load_dataset
+# featurize is not called here; perfbench/test_perfbench.py patches this binding.
+from .datagen import featurize  # noqa: F401
+from .datagen import GeneratorConfig, Scene, featurize_split, generate, load_dataset
 from .errors import ConfigurationError, InputError, NonFiniteError
 from .losses import LossConfig, batch_objective
 from .metrics import MetricsReport, evaluate, write_report_csv
@@ -47,7 +49,7 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .postselect import NMSConfig, nms_select
+from .postselect import NMSConfig
 from .schedulers import ScheduleState
 
 logger = logging.getLogger(__name__)
@@ -158,10 +160,21 @@ class ExperimentConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        # Post-selection runs only after the last epoch, so its sizes are
+        # checked here, before any training.
+        n_kept = self.model.n_heads
         if self.nms is not None:
             self.nms.validate()
-        if self.eval_top_k is not None and self.eval_top_k < 1:
-            raise ConfigurationError("eval_top_k must be >= 1")
+            if self.nms.k_out > n_kept:
+                raise ConfigurationError(
+                    f"nms.k_out={self.nms.k_out} exceeds model.n_heads={n_kept}"
+                )
+            n_kept = self.nms.k_out
+        if self.eval_top_k is not None and not 1 <= self.eval_top_k <= n_kept:
+            raise ConfigurationError(
+                f"eval_top_k must be in [1, {n_kept}], the hypotheses left"
+                f" after post-selection; got {self.eval_top_k}"
+            )
         variant = self.loss.variant
         kind = self.scheduler.kind
         if variant == "awta" and kind not in TEMPERATURE_KINDS:
@@ -427,24 +440,14 @@ def _schedule_control(
     return None, loss
 
 
-def _load_scenes(config: ExperimentConfig) -> tuple[list[Scene], list[Scene]]:
+def _load_split(config: ExperimentConfig, split: str) -> list[Scene]:
+    """The "train" or "val" scenes; generated val scenes follow the train range."""
     if config.generator is not None:
-        train = generate(config.generator, config.train_count, start_index=0)
-        val = generate(config.generator, config.val_count, start_index=config.train_count)
-        return train, val
+        if split == "train":
+            return generate(config.generator, config.train_count, start_index=0)
+        return generate(config.generator, config.val_count, start_index=config.train_count)
     assert config.dataset is not None
-    return load_dataset(config.dataset.train_path), load_dataset(config.dataset.val_path)
-
-
-def _featurize_split(scenes: list[Scene]) -> tuple[np.ndarray, np.ndarray]:
-    feats = [featurize(s) for s in scenes]
-    widths = {f.features.size for f in feats}
-    horizons = {f.target.shape[0] for f in feats}
-    if len(widths) != 1 or len(horizons) != 1:
-        raise ConfigurationError(
-            "scenes must share one past length and one future length"
-        )
-    return np.stack([f.features for f in feats]), np.stack([f.target for f in feats])
+    return load_dataset(getattr(config.dataset, f"{split}_path"))
 
 
 @dataclasses.dataclass
@@ -468,10 +471,14 @@ def train(config: ExperimentConfig, write_outputs: bool = True) -> TrainResult:
     gradient stops being finite.
     """
     config.validate()
-    train_scenes, val_scenes = _load_scenes(config)
-    features, targets = _featurize_split(train_scenes)
+    features, targets = featurize_split(_load_split(config, "train"))
+    val_features, val_targets = featurize_split(_load_split(config, "val"))
     n_scenes, input_dim = features.shape
     horizon = targets.shape[1]
+    if val_targets.shape[1:] != targets.shape[1:] or val_features.shape[1] != input_dim:
+        raise ConfigurationError(
+            "train and val scenes must share one past length and one future length"
+        )
 
     model_config = ModelConfig(
         input_dim=input_dim,
@@ -528,7 +535,7 @@ def train(config: ExperimentConfig, write_outputs: bool = True) -> TrainResult:
                     f"epoch {epoch} batch {batch_index}: {exc}"
                 ) from exc
             loss_sum += float(np.sum(objective.loss))
-        report = evaluate(params, val_scenes)
+        report = evaluate(params, val_features, val_targets)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -552,11 +559,8 @@ def train(config: ExperimentConfig, write_outputs: bool = True) -> TrainResult:
             "winner score clamped to the probability floor %d times", clamped_total
         )
 
-    select = None
-    if config.nms is not None:
-        select = lambda hyps: nms_select(hyps, config.nms)
     best_report = evaluate(
-        best_params, val_scenes, top_k=config.eval_top_k, select=select
+        best_params, val_features, val_targets, top_k=config.eval_top_k, nms=config.nms
     )
 
     result = TrainResult(
@@ -583,11 +587,10 @@ def evaluate_cmd(
     """Evaluate a saved checkpoint on the config's validation split."""
     config.validate()
     params = load_checkpoint(checkpoint_path)
-    _, val_scenes = _load_scenes(config)
-    select = None
-    if config.nms is not None:
-        select = lambda hyps: nms_select(hyps, config.nms)
-    report = evaluate(params, val_scenes, top_k=config.eval_top_k, select=select)
+    features, targets = featurize_split(_load_split(config, "val"))
+    report = evaluate(
+        params, features, targets, top_k=config.eval_top_k, nms=config.nms
+    )
     if out_path is not None:
         write_report_csv(report, out_path)
     return report

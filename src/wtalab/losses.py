@@ -18,17 +18,10 @@ the hard winner and is shared by every variant.
 from __future__ import annotations
 
 import dataclasses
-import logging
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-
-if TYPE_CHECKING:
-    from .network import HypothesisSet
-
-logger = logging.getLogger(__name__)
 
 VARIANTS = ("wta", "rwta", "ewta", "dac", "awta")
 
@@ -47,38 +40,6 @@ def max_dac_depth(n_heads: int) -> int:
     if n_heads < 1:
         raise InputError(f"need at least one head, got {n_heads}")
     return int(n_heads - 1).bit_length()
-
-
-@dataclasses.dataclass(frozen=True)
-class AssignmentWeights:
-    """Per-hypothesis weights over K heads.
-
-    values: K nonnegative reals summing to 1 within 1e-9.
-    variant: name of the kernel that produced them.
-    stop_gradient: always True. The weights are constants during
-        backpropagation; gradients flow only through the costs.
-    """
-
-    values: np.ndarray
-    variant: str
-    stop_gradient: bool = True
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 1:
-            raise InputError("weights must be a 1-d vector over K >= 1 heads")
-        if not np.all(np.isfinite(values)):
-            raise InputError("weights must be finite")
-        if np.any(values < 0.0):
-            raise InputError("weights must be nonnegative")
-        if abs(float(values.sum()) - 1.0) > 1e-9:
-            raise InputError("weights must sum to 1 within 1e-9")
-        if not self.stop_gradient:
-            raise InputError("assignment weights are gradient-stopped by contract")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclasses.dataclass
@@ -119,15 +80,6 @@ class LossConfig:
                 )
 
 
-def _check_costs(costs) -> np.ndarray:
-    arr = np.asarray(costs, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InputError("cost vector must be 1-d with K >= 1 entries")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("cost vector must be finite")
-    return arr
-
-
 def _check_epsilon(epsilon: float, n_heads: int) -> None:
     if n_heads < 2:
         raise InputError("rwta needs at least two heads")
@@ -138,50 +90,24 @@ def _check_epsilon(epsilon: float, n_heads: int) -> None:
         )
 
 
-def ade_cost(pred: np.ndarray, target: np.ndarray) -> float:
-    """Average squared displacement between a trajectory and its target.
-
-    Both arguments are (L, 2) waypoint arrays in the same frame. The cost is
-    the mean over the L steps of the squared 2-norm of the residual.
-    """
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise InputError(
-            f"trajectory shapes differ: {pred.shape} vs {target.shape}"
-        )
-    if pred.ndim != 2 or pred.shape[1] != 2 or pred.shape[0] < 1:
-        raise InputError(f"expected an (L, 2) trajectory, got shape {pred.shape}")
-    return float(np.mean(np.sum((pred - target) ** 2, axis=1)))
-
-
-def cost_vector(hypotheses: "HypothesisSet", target: np.ndarray) -> np.ndarray:
-    """Per-head ade_cost of every hypothesis against one target trajectory."""
-    return np.array(
-        [ade_cost(traj, target) for traj in hypotheses.trajectories], dtype=float
-    )
-
-
-def winner_index(costs) -> int:
-    """Index of the lowest-cost head. Ties resolve to the lowest index."""
-    return int(np.argmin(_check_costs(costs)))
-
-
 # ---------------------------------------------------------------------------
-# Weight kernels. The private functions act on the last axis of an arbitrary
-# batch of cost vectors; the public wrappers take one vector and return a
-# validated AssignmentWeights.
+# Weight kernels. Each acts on the last axis of a (..., K) array of costs and
+# returns weights of the same shape that sum to 1 over the heads.
 # ---------------------------------------------------------------------------
 
 
-def _wta_kernel(costs: np.ndarray) -> np.ndarray:
+def wta_weights(costs) -> np.ndarray:
+    """One-hot weights on the lowest-cost head, ties to the lowest index."""
+    costs = np.asarray(costs, dtype=float)
     weights = np.zeros_like(costs)
     winners = np.argmin(costs, axis=-1)
     np.put_along_axis(weights, winners[..., None], 1.0, axis=-1)
     return weights
 
 
-def _rwta_kernel(costs: np.ndarray, epsilon: float) -> np.ndarray:
+def rwta_weights(costs, epsilon: float = 0.05) -> np.ndarray:
+    """Relaxed winner weights: 1 - epsilon on the winner, the rest uniform."""
+    costs = np.asarray(costs, dtype=float)
     n_heads = costs.shape[-1]
     _check_epsilon(epsilon, n_heads)
     weights = np.full_like(costs, epsilon / (n_heads - 1))
@@ -190,7 +116,9 @@ def _rwta_kernel(costs: np.ndarray, epsilon: float) -> np.ndarray:
     return weights
 
 
-def _ewta_kernel(costs: np.ndarray, top_n: int) -> np.ndarray:
+def ewta_weights(costs, top_n: int) -> np.ndarray:
+    """Uniform weights over the top_n lowest-cost heads."""
+    costs = np.asarray(costs, dtype=float)
     n_heads = costs.shape[-1]
     if not 1 <= top_n <= n_heads:
         raise InputError(f"top_n must be in [1, {n_heads}], got {top_n}")
@@ -231,9 +159,10 @@ def dac_block_ids(n_heads: int, depth: int) -> np.ndarray:
     return ids
 
 
-def _dac_kernel(costs: np.ndarray, depth: int) -> np.ndarray:
-    n_heads = costs.shape[-1]
-    ids = dac_block_ids(n_heads, depth)
+def dac_weights(costs, depth: int) -> np.ndarray:
+    """Uniform weights over the winner's block at the given partition depth."""
+    costs = np.asarray(costs, dtype=float)
+    ids = dac_block_ids(costs.shape[-1], depth)
     block_sizes = np.bincount(ids)
     winners = np.argmin(costs, axis=-1)
     winner_blocks = ids[winners]
@@ -241,7 +170,9 @@ def _dac_kernel(costs: np.ndarray, depth: int) -> np.ndarray:
     return member / block_sizes[winner_blocks][..., None]
 
 
-def _awta_kernel(costs: np.ndarray, temperature: float) -> np.ndarray:
+def awta_weights(costs, temperature: float) -> np.ndarray:
+    """Softmin weights exp(-cost / T) normalized over heads."""
+    costs = np.asarray(costs, dtype=float)
     if not temperature > 0.0:
         raise InputError(f"temperature must be positive, got {temperature}")
     # Subtracting the row minimum keeps the largest exponent at exactly 0,
@@ -251,83 +182,21 @@ def _awta_kernel(costs: np.ndarray, temperature: float) -> np.ndarray:
     return weights / np.sum(weights, axis=-1, keepdims=True)
 
 
-def wta_weights(costs) -> AssignmentWeights:
-    """One-hot weights on the lowest-cost head, ties to the lowest index."""
-    return AssignmentWeights(_wta_kernel(_check_costs(costs)), "wta")
-
-
-def rwta_weights(costs, epsilon: float = 0.05) -> AssignmentWeights:
-    """Relaxed winner weights: 1 - epsilon on the winner, the rest uniform."""
-    return AssignmentWeights(_rwta_kernel(_check_costs(costs), epsilon), "rwta")
-
-
-def ewta_weights(costs, top_n: int) -> AssignmentWeights:
-    """Uniform weights over the top_n lowest-cost heads."""
-    return AssignmentWeights(_ewta_kernel(_check_costs(costs), top_n), "ewta")
-
-
-def dac_weights(costs, depth: int) -> AssignmentWeights:
-    """Uniform weights over the winner's block at the given partition depth."""
-    return AssignmentWeights(_dac_kernel(_check_costs(costs), depth), "dac")
-
-
-def awta_weights(costs, temperature: float) -> AssignmentWeights:
-    """Softmin weights exp(-cost / T) normalized over heads."""
-    return AssignmentWeights(_awta_kernel(_check_costs(costs), temperature), "awta")
-
-
-def assignment_weights(costs, config: LossConfig) -> AssignmentWeights:
+def assignment_weights(costs, config: LossConfig) -> np.ndarray:
     """Dispatch to the kernel selected by config.variant."""
-    arr = _check_costs(costs)
-    return AssignmentWeights(_weights_kernel(arr, config), config.variant)
-
-
-def _weights_kernel(costs: np.ndarray, config: LossConfig) -> np.ndarray:
     if config.variant == "wta":
-        return _wta_kernel(costs)
+        return wta_weights(costs)
     if config.variant == "rwta":
-        return _rwta_kernel(costs, config.epsilon)
+        return rwta_weights(costs, config.epsilon)
     if config.variant == "ewta":
-        return _ewta_kernel(costs, config.top_n)
+        return ewta_weights(costs, config.top_n)
     if config.variant == "dac":
-        return _dac_kernel(costs, config.depth)
+        return dac_weights(costs, config.depth)
     if config.variant == "awta":
-        return _awta_kernel(costs, config.temperature)
+        return awta_weights(costs, config.temperature)
     raise ConfigurationError(
         f"unknown loss variant {config.variant!r}, expected one of {VARIANTS}"
     )
-
-
-def weighted_loss(costs, weights) -> float:
-    """Dot product of the cost vector with gradient-stopped weights."""
-    arr = _check_costs(costs)
-    values = weights.values if isinstance(weights, AssignmentWeights) else weights
-    values = np.asarray(values, dtype=float)
-    if values.shape != arr.shape:
-        raise InputError(
-            f"weights length {values.shape} does not match costs {arr.shape}"
-        )
-    return float(arr @ values)
-
-
-def score_loss(scores, winner: int) -> float:
-    """Negative log confidence of the winning head.
-
-    The winner is the hard argmin head regardless of the weight variant.
-    A zero probability is clamped to SCORE_PROB_FLOOR before the log.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 1 or scores.size < 1:
-        raise InputError("scores must be a 1-d vector over K >= 1 heads")
-    if not 0 <= winner < scores.size:
-        raise InputError(f"winner index {winner} out of range for K={scores.size}")
-    p = float(scores[winner])
-    if p < SCORE_PROB_FLOOR:
-        logger.warning(
-            "winner probability %.3g clamped to %.0e before log", p, SCORE_PROB_FLOOR
-        )
-        p = SCORE_PROB_FLOOR
-    return float(-np.log(p))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +210,9 @@ class BatchObjective:
 
     loss is per sample: weighted trajectory cost plus the score term.
     d_trajectories and d_score_logits are the gradients of the batch MEAN
-    loss with respect to the raw network outputs, ready for backward().
+    loss with respect to the raw network outputs, ready for backward_batch().
+    costs[b, k] is the mean over the L steps of the squared distance between
+    head k's trajectory and the target.
     """
 
     loss: np.ndarray
@@ -389,7 +260,7 @@ def batch_objective(
 
     residual = preds - targets[:, None, :, :]
     costs = np.mean(np.sum(residual**2, axis=3), axis=2)
-    weights = _weights_kernel(costs, config)
+    weights = assignment_weights(costs, config)
     winners = np.argmin(costs, axis=1)
 
     probs = stable_softmax(logits, axis=1)

@@ -10,13 +10,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .datagen import Scene, featurize
+# featurize is not called here; perfbench/test_perfbench.py patches this binding.
+from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
 from .network import HypothesisSet, ModelParams, forward_batch, stable_softmax
+from .postselect import NMSConfig, nms_select, truncate_top_k
 
 MISS_THRESHOLD = 2.0
 
@@ -33,43 +35,52 @@ REPORT_COLUMNS = (
 )
 
 
-def _check_pair(hypotheses: HypothesisSet, target: np.ndarray) -> np.ndarray:
-    target = np.asarray(target, dtype=float)
-    if target.shape != (hypotheses.horizon, 2):
-        raise InputError(
-            f"target must be ({hypotheses.horizon}, 2), got {target.shape}"
-        )
-    return target
+def _scene_metrics(
+    trajectories: np.ndarray, scores: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-scene metrics of a batch of hypothesis sets.
+
+    Args:
+        trajectories: (B, K, L, 2) candidate trajectories.
+        scores: (B, K) confidence scores.
+        targets: (B, L, 2) ground-truth trajectories in the same frame.
+
+    Returns:
+        (minADE, minFDE, minFDE winner, Brier-FDE), each of shape (B,).
+        minADE is the lowest mean per-step distance over the heads. The
+        minFDE winner is the head with the closest endpoint, ties to the
+        lowest index. Brier-FDE is minFDE + (1 - delta)^2 with delta the
+        winner's score, penalizing low confidence on the best hypothesis.
+    """
+    batch, _, horizon, _ = trajectories.shape
+    if targets.shape != (batch, horizon, 2):
+        raise InputError(f"targets must be {(batch, horizon, 2)}, got {targets.shape}")
+    dists = np.linalg.norm(trajectories - targets[:, None, :, :], axis=3)
+    fde = dists[:, :, -1]
+    winners = np.argmin(fde, axis=1)
+    rows = np.arange(batch)
+    scene_min_fde = fde[rows, winners]
+    scene_brier = scene_min_fde + (1.0 - scores[rows, winners]) ** 2
+    return np.min(np.mean(dists, axis=2), axis=1), scene_min_fde, winners, scene_brier
+
+
+def _one_scene(hypotheses: HypothesisSet, target: np.ndarray) -> tuple:
+    return _scene_metrics(
+        hypotheses.trajectories[None],
+        hypotheses.scores[None],
+        np.asarray(target, dtype=float)[None],
+    )
 
 
 def min_ade(hypotheses: HypothesisSet, target: np.ndarray) -> float:
-    """Lowest average displacement error over the K hypotheses.
-
-    Args:
-        hypotheses: K candidate trajectories.
-        target: (L, 2) ground-truth trajectory in the same frame.
-
-    Returns:
-        min over heads of the mean per-step Euclidean distance.
-    """
-    target = _check_pair(hypotheses, target)
-    dists = np.linalg.norm(hypotheses.trajectories - target, axis=2)
-    return float(np.min(np.mean(dists, axis=1)))
+    """Lowest average displacement error of one scene's hypotheses."""
+    return float(_one_scene(hypotheses, target)[0][0])
 
 
 def min_fde(hypotheses: HypothesisSet, target: np.ndarray) -> tuple[float, int]:
-    """Lowest final displacement error and the head achieving it.
-
-    Ties resolve to the lowest head index.
-
-    Returns:
-        (distance between the winning endpoint and the target endpoint,
-         winning head index)
-    """
-    target = _check_pair(hypotheses, target)
-    endpoint_dists = np.linalg.norm(hypotheses.trajectories[:, -1] - target[-1], axis=1)
-    winner = int(np.argmin(endpoint_dists))
-    return float(endpoint_dists[winner]), winner
+    """Lowest final displacement error of one scene and the winning head."""
+    _, value, winner, _ = _one_scene(hypotheses, target)
+    return float(value[0]), int(winner[0])
 
 
 def miss_rate(final_errors: Sequence[float], threshold: float = MISS_THRESHOLD) -> float:
@@ -81,15 +92,8 @@ def miss_rate(final_errors: Sequence[float], threshold: float = MISS_THRESHOLD) 
 
 
 def brier_fde(hypotheses: HypothesisSet, target: np.ndarray) -> float:
-    """minFDE plus the squared confidence shortfall of the winning head.
-
-    With delta the score of the head that achieves minFDE, the value is
-    minFDE + (1 - delta)^2, penalizing models that put low confidence on
-    their best hypothesis.
-    """
-    value, winner = min_fde(hypotheses, target)
-    delta = float(hypotheses.scores[winner])
-    return value + (1.0 - delta) ** 2
+    """minFDE of one scene plus the squared confidence shortfall of its winner."""
+    return float(_one_scene(hypotheses, target)[3][0])
 
 
 def effective_hypotheses(
@@ -157,84 +161,41 @@ def read_report_csv(path: str | Path) -> MetricsReport:
     )
 
 
-def _order_by_score(scores: np.ndarray) -> np.ndarray:
-    # Stable sort on the negated scores keeps ties in index order.
-    return np.argsort(-scores, kind="stable")
-
-
-def truncate_top_k(hypotheses: HypothesisSet, top_k: int) -> HypothesisSet:
-    """Keep the top_k highest-score hypotheses, in descending score order.
-
-    Scores are renormalized over the kept subset, which equals a softmax
-    over the kept logits.
-    """
-    if not 1 <= top_k <= hypotheses.n_heads:
-        raise InputError(
-            f"top_k must be in [1, {hypotheses.n_heads}], got {top_k}"
-        )
-    keep = _order_by_score(hypotheses.scores)[:top_k]
-    return HypothesisSet.from_outputs(
-        hypotheses.trajectories[keep], hypotheses.score_logits[keep]
-    )
-
-
 def evaluate(
     params: ModelParams,
-    scenes: Sequence[Scene],
+    features: np.ndarray,
+    targets: np.ndarray,
     top_k: int | None = None,
-    select: Callable[[HypothesisSet], HypothesisSet] | None = None,
+    nms: NMSConfig | None = None,
     miss_threshold: float = MISS_THRESHOLD,
     tau: float = EFFECTIVE_TAU,
 ) -> MetricsReport:
-    """Run the model over a dataset and aggregate the metrics.
+    """Run the model over a featurized split and aggregate the metrics.
 
-    Each scene is featurized, predicted, optionally passed through `select`
-    (for example a non-maximum suppression stage) and optionally truncated
-    to the top_k highest-score hypotheses before scoring. The histogram
-    counts minFDE winners by their position in the evaluated hypothesis set.
+    features (N, D) and targets (N, L, 2) are a split as stacked by
+    datagen.featurize_split. The predictions optionally pass through
+    endpoint suppression (nms) and then truncation to the top_k
+    highest-score hypotheses before scoring. The histogram counts minFDE
+    winners by their position in the evaluated hypothesis set.
     """
-    if len(scenes) == 0:
+    if len(features) == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    feats = [featurize(scene) for scene in scenes]
-    features = np.stack([f.features for f in feats])
-    targets = np.stack([f.target for f in feats])
     if targets.shape[1] != params.horizon:
         raise ConfigurationError(
             f"dataset horizon {targets.shape[1]} does not match model horizon"
             f" {params.horizon}"
         )
     trajectories, logits, _ = forward_batch(params, features)
+    if nms is not None:
+        trajectories, logits = nms_select(trajectories, logits, nms)
+    if top_k is not None:
+        trajectories, logits = truncate_top_k(trajectories, logits, top_k)
     scores = stable_softmax(logits, axis=1)
-
-    if select is not None or top_k is not None:
-        kept_traj = []
-        kept_scores = []
-        for i in range(len(scenes)):
-            hyps = HypothesisSet(trajectories[i], logits[i], scores[i])
-            if select is not None:
-                hyps = select(hyps)
-            if top_k is not None:
-                hyps = truncate_top_k(hyps, top_k)
-            kept_traj.append(hyps.trajectories)
-            kept_scores.append(hyps.scores)
-        sizes = {t.shape[0] for t in kept_traj}
-        if len(sizes) != 1:
-            raise InputError(
-                f"post-selection hypothesis counts differ across scenes: {sorted(sizes)}"
-            )
-        trajectories = np.stack(kept_traj)
-        scores = np.stack(kept_scores)
-
-    n_scenes, n_eval = trajectories.shape[0], trajectories.shape[1]
-    dists = np.linalg.norm(trajectories - targets[:, None, :, :], axis=3)
-    ade = np.mean(dists, axis=2)
-    fde = dists[:, :, -1]
-    scene_min_ade = np.min(ade, axis=1)
-    winners = np.argmin(fde, axis=1)
-    rows = np.arange(n_scenes)
-    scene_min_fde = fde[rows, winners]
-    scene_brier = scene_min_fde + (1.0 - scores[rows, winners]) ** 2
-    histogram = np.bincount(winners, minlength=n_eval).tolist()
+    scene_min_ade, scene_min_fde, winners, scene_brier = _scene_metrics(
+        trajectories, scores, targets
+    )
+    n_scenes = len(winners)
+    histogram = np.bincount(winners, minlength=trajectories.shape[1]).tolist()
 
     return MetricsReport(
         n_scenes=n_scenes,

@@ -201,10 +201,7 @@ def forward_batch(
 
 def forward(params: ModelParams, context: np.ndarray) -> HypothesisSet:
     """Run the network on one context vector."""
-    context = np.asarray(context, dtype=float)
-    if context.ndim != 1:
-        raise ConfigurationError(f"context must be 1-d, got shape {context.shape}")
-    trajectories, logits, _ = forward_batch(params, context[None, :])
+    trajectories, logits, _ = forward_batch(params, np.asarray(context)[None, :])
     return HypothesisSet.from_outputs(trajectories[0], logits[0])
 
 
@@ -216,14 +213,15 @@ def backward_batch(
 ) -> GradientBuffer:
     """Backpropagate output gradients through the cached activations."""
     batch = d_trajectories.shape[0]
+    expected = (batch, params.n_heads, params.horizon, 2)
+    if d_trajectories.shape != expected or d_score_logits.shape != expected[:2]:
+        raise ConfigurationError(
+            f"upstream gradients must be {expected} and {expected[:2]}, got"
+            f" {d_trajectories.shape} and {d_score_logits.shape}"
+        )
     d_out = np.concatenate(
         [d_trajectories.reshape(batch, -1), d_score_logits], axis=1
     )
-    if d_out.shape[1] != params.weights[-1].shape[0]:
-        raise ConfigurationError(
-            f"upstream gradient width {d_out.shape[1]} does not match the"
-            f" output layer width {params.weights[-1].shape[0]}"
-        )
     grad_w: list[np.ndarray] = [np.empty(0)] * params.n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * params.n_layers
     delta = d_out
@@ -233,32 +231,6 @@ def backward_batch(
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (activations[layer] > 0.0)
     return GradientBuffer(weights=grad_w, biases=grad_b)
-
-
-def backward(
-    params: ModelParams,
-    context: np.ndarray,
-    d_trajectories: np.ndarray,
-    d_score_logits: np.ndarray,
-) -> GradientBuffer:
-    """Gradients of a scalar loss for one context, given the loss gradient
-    with respect to the trajectories and the score logits."""
-    context = np.asarray(context, dtype=float)
-    if context.ndim != 1:
-        raise ConfigurationError(f"context must be 1-d, got shape {context.shape}")
-    d_traj = np.asarray(d_trajectories, dtype=float)
-    d_logits = np.asarray(d_score_logits, dtype=float)
-    expected = (params.n_heads, params.horizon, 2)
-    if d_traj.shape != expected:
-        raise ConfigurationError(
-            f"d_trajectories must be {expected}, got {d_traj.shape}"
-        )
-    if d_logits.shape != (params.n_heads,):
-        raise ConfigurationError(
-            f"d_score_logits must be ({params.n_heads},), got {d_logits.shape}"
-        )
-    _, _, activations = forward_batch(params, context[None, :])
-    return backward_batch(params, activations, d_traj[None], d_logits[None])
 
 
 # ---------------------------------------------------------------------------

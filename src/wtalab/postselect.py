@@ -1,7 +1,9 @@
-"""Greedy non-maximum suppression over hypothesis endpoints.
+"""Post-selection: thin a batch of hypothesis sets before computing metrics.
 
-Used to thin an over-complete hypothesis set (train with many heads, keep a
-few diverse ones) before computing metrics.
+Used to evaluate an over-complete model (train with many heads, keep a few
+diverse ones). Both rules take (B, K, L, 2) trajectories with (B, K)
+confidence logits and return the kept trajectories and logits, in the order
+they were kept. The scores of a kept set are the softmax over its logits.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .network import HypothesisSet
+from .losses import stable_softmax
 
 ORDER_RULES = ("score",)
 
@@ -35,45 +37,61 @@ class NMSConfig:
             )
 
 
-def nms_select(hypotheses: HypothesisSet, config: NMSConfig) -> HypothesisSet:
-    """Pick up to k_out hypotheses with mutually distant endpoints.
+def _order_by_score(logits: np.ndarray) -> np.ndarray:
+    # Stable sort on the negated scores keeps ties in index order.
+    return np.argsort(-stable_softmax(logits, axis=-1), axis=-1, kind="stable")
+
+
+def _take(
+    trajectories: np.ndarray, logits: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(keep.shape[0])[:, None]
+    return trajectories[rows, keep], logits[rows, keep]
+
+
+def truncate_top_k(
+    trajectories: np.ndarray, logits: np.ndarray, top_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the top_k highest-score hypotheses, in descending score order."""
+    n_heads = logits.shape[-1]
+    if not 1 <= top_k <= n_heads:
+        raise InputError(f"top_k must be in [1, {n_heads}], got {top_k}")
+    return _take(trajectories, logits, _order_by_score(logits)[:, :top_k])
+
+
+def nms_select(
+    trajectories: np.ndarray, logits: np.ndarray, config: NMSConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick up to k_out hypotheses per scene with mutually distant endpoints.
 
     Candidates are visited in descending score order (ties by lowest index)
     and accepted when their endpoint lies at distance >= radius from every
     endpoint accepted so far. If fewer than k_out survive, the highest-score
-    suppressed candidates fill the remaining slots. Scores of the selected
-    set are renormalized to sum to 1, which equals a softmax over the
-    selected logits.
+    suppressed candidates fill the remaining slots.
 
     With radius 0 nothing is ever suppressed and the result is simply the
     k_out highest-score hypotheses in score order.
     """
     config.validate()
-    if config.k_out > hypotheses.n_heads:
+    n_heads = logits.shape[-1]
+    if config.k_out > n_heads:
         raise InputError(
-            f"k_out={config.k_out} exceeds the {hypotheses.n_heads} available"
-            " hypotheses"
+            f"k_out={config.k_out} exceeds the {n_heads} available hypotheses"
         )
-    endpoints = hypotheses.trajectories[:, -1, :]
-    order = np.argsort(-hypotheses.scores, kind="stable")
-    accepted: list[int] = []
-    suppressed: list[int] = []
-    for candidate in order:
-        if len(accepted) == config.k_out:
-            break
-        dists = [
-            float(np.linalg.norm(endpoints[candidate] - endpoints[kept]))
-            for kept in accepted
-        ]
-        if all(d >= config.radius for d in dists):
-            accepted.append(int(candidate))
-        else:
-            suppressed.append(int(candidate))
-    for candidate in suppressed:
-        if len(accepted) == config.k_out:
-            break
-        accepted.append(candidate)
-    keep = np.asarray(accepted, dtype=int)
-    return HypothesisSet.from_outputs(
-        hypotheses.trajectories[keep], hypotheses.score_logits[keep]
-    )
+    order = _order_by_score(logits)
+    endpoints = trajectories[np.arange(len(order))[:, None], order, -1]
+    diff = endpoints[:, :, None, :] - endpoints[:, None, :, :]
+    # A stacked matmul of 1x2 by 2x1 is a dot product, so the distances
+    # round exactly like np.linalg.norm of one difference vector; a
+    # reduction over the last axis can differ in the last bit and flip a
+    # decision at exactly `radius`.
+    dist = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    far = dist >= config.radius
+    accepted = np.zeros(order.shape, dtype=bool)
+    for rank in range(n_heads):
+        clear = np.all(far[:, rank, :rank] | ~accepted[:, :rank], axis=1)
+        accepted[:, rank] = clear & (accepted.sum(axis=1) < config.k_out)
+    # Accepted candidates come first. A scene with fewer than k_out of them
+    # had every candidate visited, so the rest back-fill in visiting order.
+    ranks = np.argsort(~accepted, axis=1, kind="stable")[:, : config.k_out]
+    return _take(trajectories, logits, np.take_along_axis(order, ranks, axis=1))

@@ -44,6 +44,7 @@ from wtalab import (
     evaluate,
     ewta_weights,
     featurize,
+    featurize_split,
     generate,
     gradient_check,
     init_params,
@@ -105,20 +106,20 @@ def test_weight_kernel_exactness():
         eps = 0.05
         temperature = float(10.0 ** rng.uniform(-3.0, 3.0))
 
-        hard = wta_weights(costs).values
-        relaxed = rwta_weights(costs, epsilon=eps).values
+        hard = wta_weights(costs)
+        relaxed = rwta_weights(costs, epsilon=eps)
         top_n = int(rng.integers(1, k + 1))
-        evolving = ewta_weights(costs, top_n=top_n).values
+        evolving = ewta_weights(costs, top_n=top_n)
         depth = int(rng.integers(0, max_dac_depth(k) + 1))
-        blocks = dac_weights(costs, depth=depth).values
-        soft = awta_weights(costs, temperature=temperature).values
+        blocks = dac_weights(costs, depth=depth)
+        soft = awta_weights(costs, temperature=temperature)
 
         for weights in (hard, relaxed, evolving, blocks, soft):
             max_sum_err = max(max_sum_err, abs(math.fsum(weights) - 1.0))
 
-        floor = awta_weights(costs, temperature=1e-8).values
+        floor = awta_weights(costs, temperature=1e-8)
         max_floor_err = max(max_floor_err, float(np.max(np.abs(floor - hard))))
-        hot = awta_weights(costs, temperature=1e9).values
+        hot = awta_weights(costs, temperature=1e9)
         max_uniform_err = max(
             max_uniform_err, float(np.max(np.abs(hot - 1.0 / k)))
         )
@@ -126,10 +127,10 @@ def test_weight_kernel_exactness():
         allowed = (relaxed == 1.0 - eps) | (relaxed == eps / (k - 1))
         rwta_exact = rwta_exact and bool(np.all(allowed))
         ewta_matches = ewta_matches and np.array_equal(
-            ewta_weights(costs, top_n=1).values, hard
+            ewta_weights(costs, top_n=1), hard
         )
         dac_matches = dac_matches and np.array_equal(
-            dac_weights(costs, depth=max_dac_depth(k)).values, hard
+            dac_weights(costs, depth=max_dac_depth(k)), hard
         )
 
     elapsed = time.perf_counter() - started
@@ -259,7 +260,7 @@ def test_quantization_oracle_and_clustered_collapse():
         )
         result = train(config, write_outputs=False)
         train_scenes = generate(config.generator, config.train_count)
-        report = evaluate(result.params, train_scenes)
+        report = evaluate(result.params, *featurize_split(train_scenes))
         endpoints = np.stack([featurize(s).target[-1] for s in train_scenes])
         oracle = lloyd_quantizer(endpoints, 6, seed)
         ratio = report.min_ade / oracle

@@ -1,5 +1,6 @@
 """Tests for synthetic scene generation, dataset files, and featurization."""
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from wtalab import (
     denormalize_prediction,
     endpoint_ring_config,
     featurize,
+    featurize_split,
     generate,
     generate_scene,
     load_dataset,
@@ -267,6 +269,26 @@ class TestFeaturize:
     def test_denormalize_rejects_bad_offset(self):
         with pytest.raises(InputError):
             denormalize_prediction(np.zeros((3, 2)), np.zeros(3))
+
+    def test_split_stacks_featurized_scenes_in_order(self):
+        scenes = generate(tiny_config(), 5)
+        features, targets = featurize_split(scenes)
+        assert features.shape == (5, 8)
+        for row, scene in enumerate(scenes):
+            feat = featurize(scene)
+            assert np.array_equal(features[row], feat.features)
+            assert np.array_equal(targets[row], feat.target)
+
+    @pytest.mark.parametrize("field", ["past_len", "future_len"])
+    def test_split_rejects_mixed_lengths(self, field):
+        cfg = tiny_config()
+        other = dataclasses.replace(cfg, **{field: getattr(cfg, field) + 1})
+        with pytest.raises(ConfigurationError):
+            featurize_split(generate(cfg, 2) + generate(other, 2))
+
+    def test_split_rejects_empty(self):
+        with pytest.raises(ConfigurationError):
+            featurize_split([])
 
 
 class TestSceneValidation:

@@ -9,6 +9,7 @@ import pytest
 
 from wtalab import (
     ConfigurationError,
+    DatasetParseError,
     ExperimentConfig,
     GeneratorConfig,
     InputError,
@@ -22,8 +23,10 @@ from wtalab import (
     emit_charts,
     evaluate,
     evaluate_cmd,
+    featurize_split,
     generate,
     load_config,
+    load_dataset,
     save_config,
     save_dataset,
     sweep,
@@ -183,6 +186,24 @@ class TestConfigValidation:
         )
         config.validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(eval_top_k=4),
+            dict(nms=NMSConfig(k_out=4)),
+            dict(nms=NMSConfig(k_out=2), eval_top_k=3),
+        ],
+    )
+    def test_post_selection_sizes_checked_before_training(self, tmp_path, overrides):
+        # tiny_config has 3 heads; post-selection runs only after training.
+        config = tiny_config(tmp_path, **overrides)
+        save_config(config, tmp_path / "config.json")
+        with pytest.raises(ConfigurationError):
+            load_config(tmp_path / "config.json")
+        with pytest.raises(ConfigurationError):
+            train(config)
+        assert not (tmp_path / "run").exists()
+
     def test_loss_checked_against_head_count(self, tmp_path):
         config = tiny_config(
             tmp_path,
@@ -219,8 +240,8 @@ class TestTraining:
     def test_report_matches_reevaluating_best_params(self, tmp_path):
         config = tiny_config(tmp_path, epochs=2)
         result = train(config, write_outputs=False)
-        _, val_scenes = harness._load_scenes(config)
-        direct = evaluate(result.best_params, val_scenes)
+        val_scenes = harness._load_split(config, "val")
+        direct = evaluate(result.best_params, *featurize_split(val_scenes))
         assert direct == result.report
 
     def test_best_checkpoint_tracks_lowest_val_fde(self, tmp_path):
@@ -277,9 +298,8 @@ class TestTraining:
         # reproduce the in-memory run exactly.
         config = tiny_config(tmp_path)
         from_gen = train(config, write_outputs=False)
-        train_scenes, val_scenes = harness._load_scenes(config)
-        save_dataset(train_scenes, tmp_path / "train.jsonl")
-        save_dataset(val_scenes, tmp_path / "val.jsonl")
+        save_dataset(harness._load_split(config, "train"), tmp_path / "train.jsonl")
+        save_dataset(harness._load_split(config, "val"), tmp_path / "val.jsonl")
         file_config = tiny_config(
             tmp_path,
             generator=None,
@@ -291,6 +311,23 @@ class TestTraining:
         from_files = train(file_config, write_outputs=False)
         for a, b in zip(from_gen.params.weights, from_files.params.weights):
             assert np.array_equal(a, b)
+
+    def test_val_split_shape_checked_before_training(self, tmp_path):
+        gen = tiny_generator()
+        longer_past = dataclasses.replace(gen, past_len=5)
+        save_dataset(generate(gen, 24), tmp_path / "train.jsonl")
+        save_dataset(generate(longer_past, 16, start_index=24), tmp_path / "val.jsonl")
+        config = tiny_config(
+            tmp_path,
+            generator=None,
+            dataset=DatasetPaths(
+                train_path=str(tmp_path / "train.jsonl"),
+                val_path=str(tmp_path / "val.jsonl"),
+            ),
+        )
+        with pytest.raises(ConfigurationError, match="train and val"):
+            train(config)
+        assert not (tmp_path / "run").exists()
 
     def test_non_finite_loss_names_epoch_and_batch(self, tmp_path):
         scenes = generate(tiny_generator(), 8)
@@ -397,6 +434,31 @@ class TestEvaluateCmd:
         )
         assert report == result.report
         assert out_csv.read_bytes() == (result.out_dir / "metrics.csv").read_bytes()
+
+    def test_only_the_val_split_is_read(self, tmp_path):
+        gen = tiny_generator()
+        save_dataset(generate(gen, 24), tmp_path / "train.jsonl")
+        save_dataset(generate(gen, 16, start_index=24), tmp_path / "val.jsonl")
+        (tmp_path / "broken.jsonl").write_text('{"scene_id": \n')
+        with pytest.raises(DatasetParseError):
+            load_dataset(tmp_path / "broken.jsonl")
+        good = tiny_config(
+            tmp_path,
+            generator=None,
+            dataset=DatasetPaths(
+                train_path=str(tmp_path / "train.jsonl"),
+                val_path=str(tmp_path / "val.jsonl"),
+            ),
+        )
+        broken = dataclasses.replace(
+            good,
+            dataset=DatasetPaths(
+                train_path=str(tmp_path / "broken.jsonl"),
+                val_path=str(tmp_path / "val.jsonl"),
+            ),
+        )
+        checkpoint = train(good).out_dir / "checkpoint_best.json"
+        assert evaluate_cmd(broken, checkpoint) == evaluate_cmd(good, checkpoint)
 
     def test_missing_checkpoint_raises(self, tmp_path):
         config = tiny_config(tmp_path)

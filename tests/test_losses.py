@@ -7,21 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtalab import (
-    AssignmentWeights,
     InputError,
     ConfigurationError,
     WtalabError,
     LossConfig,
-    ade_cost,
     assignment_weights,
     awta_weights,
     batch_objective,
     dac_weights,
     ewta_weights,
     rwta_weights,
-    score_loss,
-    weighted_loss,
-    winner_index,
     wta_weights,
 )
 from wtalab.losses import dac_block_ids, max_dac_depth, stable_softmax
@@ -36,28 +31,28 @@ def random_costs(k: int) -> np.ndarray:
 class TestWta:
     def test_one_hot_at_argmin(self):
         w = wta_weights([3.0, 1.0, 2.0])
-        assert w.values.tolist() == [0.0, 1.0, 0.0]
+        assert w.tolist() == [0.0, 1.0, 0.0]
 
     def test_tie_goes_to_lowest_index(self):
         w = wta_weights([2.0, 1.0, 1.0])
-        assert w.values.tolist() == [0.0, 1.0, 0.0]
+        assert w.tolist() == [0.0, 1.0, 0.0]
 
     def test_single_head(self):
-        assert wta_weights([7.5]).values.tolist() == [1.0]
+        assert wta_weights([7.5]).tolist() == [1.0]
 
     def test_winner_index_matches(self):
         costs = random_costs(6)
-        assert wta_weights(costs).values[winner_index(costs)] == 1.0
+        assert wta_weights(costs)[np.argmin(costs)] == 1.0
 
 
 class TestRwta:
     def test_exact_values(self):
         w = rwta_weights([5.0, 1.0, 3.0], epsilon=0.3)
-        np.testing.assert_allclose(w.values, [0.15, 0.7, 0.15], rtol=0, atol=0)
+        np.testing.assert_allclose(w, [0.15, 0.7, 0.15], rtol=0, atol=0)
 
     def test_two_heads_epsilon_half_is_uniform(self):
         w = rwta_weights([1.0, 2.0], epsilon=0.5)
-        assert w.values.tolist() == [0.5, 0.5]
+        assert w.tolist() == [0.5, 0.5]
 
     def test_epsilon_above_bound_rejected(self):
         with pytest.raises(InputError):
@@ -75,21 +70,21 @@ class TestRwta:
 class TestEwta:
     def test_uniform_over_lowest_n(self):
         w = ewta_weights([9.0, 1.0, 5.0, 3.0], top_n=2)
-        assert w.values.tolist() == [0.0, 0.5, 0.0, 0.5]
+        assert w.tolist() == [0.0, 0.5, 0.0, 0.5]
 
     def test_n_equals_one_matches_wta(self):
         for k in range(2, 9):
             costs = random_costs(k)
-            assert ewta_weights(costs, 1).values.tolist() == wta_weights(costs).values.tolist()
+            assert ewta_weights(costs, 1).tolist() == wta_weights(costs).tolist()
 
     def test_n_equals_k_is_uniform(self):
         w = ewta_weights([4.0, 2.0, 9.0], top_n=3)
-        np.testing.assert_array_equal(w.values, np.full(3, 1 / 3))
+        np.testing.assert_array_equal(w, np.full(3, 1 / 3))
 
     def test_ties_resolved_by_index(self):
         # both middle heads cost 2.0; the earlier one joins the top set
         w = ewta_weights([1.0, 2.0, 2.0, 5.0], top_n=2)
-        assert w.values.tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert w.tolist() == [0.5, 0.5, 0.0, 0.0]
 
     def test_bad_n_rejected(self):
         with pytest.raises(InputError):
@@ -99,18 +94,18 @@ class TestEwta:
 class TestDac:
     def test_depth_zero_is_uniform(self):
         w = dac_weights(random_costs(5), depth=0)
-        np.testing.assert_array_equal(w.values, np.full(5, 0.2))
+        np.testing.assert_array_equal(w, np.full(5, 0.2))
 
     def test_depth_one_covers_winner_half(self):
         # halves of 4 heads: [0, 1] and [2, 3]; winner in the second half
         w = dac_weights([5.0, 4.0, 1.0, 3.0], depth=1)
-        assert w.values.tolist() == [0.0, 0.0, 0.5, 0.5]
+        assert w.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     def test_max_depth_matches_wta(self):
         for k in range(2, 10):
             costs = random_costs(k)
             deep = dac_weights(costs, max_dac_depth(k))
-            assert deep.values.tolist() == wta_weights(costs).values.tolist()
+            assert deep.tolist() == wta_weights(costs).tolist()
 
     def test_odd_split_puts_extra_head_left(self):
         ids = dac_block_ids(5, 1)
@@ -141,25 +136,25 @@ class TestAwta:
         t = 2.0
         costs = [0.0, t * math.log(2.0)]
         w = awta_weights(costs, temperature=t)
-        np.testing.assert_allclose(w.values, [2 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(w, [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_floor_temperature_matches_wta(self):
         for k in range(2, 9):
             costs = random_costs(k)
             cold = awta_weights(costs, temperature=1e-8)
-            np.testing.assert_allclose(cold.values, wta_weights(costs).values, atol=1e-6)
+            np.testing.assert_allclose(cold, wta_weights(costs), atol=1e-6)
 
     def test_huge_temperature_is_uniform(self):
         for k in range(2, 9):
             costs = random_costs(k)
             hot = awta_weights(costs, temperature=1e9)
-            np.testing.assert_allclose(hot.values, np.full(k, 1 / k), atol=1e-6)
+            np.testing.assert_allclose(hot, np.full(k, 1 / k), atol=1e-6)
 
     def test_shift_invariance(self):
         costs = random_costs(6)
         w0 = awta_weights(costs, temperature=3.0)
         w1 = awta_weights(costs + 17.25, temperature=3.0)
-        np.testing.assert_allclose(w0.values, w1.values, rtol=1e-12)
+        np.testing.assert_allclose(w0, w1, rtol=1e-12)
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(InputError):
@@ -183,8 +178,8 @@ def cost_vectors(draw):
 @given(costs=cost_vectors(), t=st.floats(min_value=1e-3, max_value=1e6))
 def test_awta_weights_are_a_distribution(costs, t):
     w = awta_weights(costs, temperature=t)
-    assert np.all(w.values >= 0.0)
-    assert abs(w.values.sum() - 1.0) <= 1e-9
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-9
 
 
 @settings(max_examples=200, derandomize=True)
@@ -199,16 +194,16 @@ def test_every_variant_sums_to_one(costs):
         awta_weights(costs, 1.0),
     ]
     for w in variants:
-        assert abs(w.values.sum() - 1.0) <= 1e-9
-        assert np.all(w.values >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-9
+        assert np.all(w >= 0.0)
 
 
 @settings(max_examples=100, derandomize=True)
 @given(costs=cost_vectors(), t=st.floats(min_value=1e-2, max_value=1e3))
 def test_awta_permutation_equivariance(costs, t):
     perm = np.arange(len(costs))[::-1]
-    w = awta_weights(costs, temperature=t).values
-    wp = awta_weights(costs[perm], temperature=t).values
+    w = awta_weights(costs, temperature=t)
+    wp = awta_weights(costs[perm], temperature=t)
     np.testing.assert_allclose(w[perm], wp, rtol=1e-12, atol=1e-15)
 
 
@@ -216,7 +211,7 @@ def test_awta_permutation_equivariance(costs, t):
 @given(costs=cost_vectors(), t=st.floats(min_value=1e-2, max_value=1e4))
 def test_awta_ordering_follows_costs(costs, t):
     # lower cost never gets a smaller weight
-    w = awta_weights(costs, temperature=t).values
+    w = awta_weights(costs, temperature=t)
     order = np.argsort(costs, kind="stable")
     assert np.all(np.diff(w[order]) <= 1e-12)
 
@@ -229,23 +224,9 @@ class TestMaxDacDepth:
         assert max_dac_depth(k) == expected
 
 
-class TestAssignmentWeightsContainer:
-    def test_rejects_negative(self):
-        with pytest.raises(InputError):
-            AssignmentWeights(values=np.array([-0.1, 1.1]), variant="wta")
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(InputError):
-            AssignmentWeights(values=np.array([0.6, 0.6]), variant="wta")
-
-    def test_rejects_tracked_gradients(self):
-        with pytest.raises(InputError):
-            AssignmentWeights(
-                values=np.array([0.5, 0.5]), variant="wta", stop_gradient=False
-            )
-
+class TestAssignmentWeightsDispatch:
     def test_dispatch_matches_direct_calls(self):
-        costs = random_costs(4)
+        costs = RNG.uniform(0.0, 50.0, size=(3, 4))
         pairs = [
             (LossConfig(variant="wta"), wta_weights(costs)),
             (LossConfig(variant="rwta", epsilon=0.2), rwta_weights(costs, 0.2)),
@@ -254,35 +235,72 @@ class TestAssignmentWeightsContainer:
             (LossConfig(variant="awta", temperature=2.5), awta_weights(costs, 2.5)),
         ]
         for config, direct in pairs:
-            via = assignment_weights(costs, config)
-            assert via.variant == direct.variant
-            np.testing.assert_array_equal(via.values, direct.values)
+            np.testing.assert_array_equal(assignment_weights(costs, config), direct)
+
+    def test_batch_rows_match_single_vectors(self):
+        costs = RNG.uniform(0.0, 50.0, size=(2, 3, 5))
+        kernels = [
+            lambda c: wta_weights(c),
+            lambda c: rwta_weights(c, 0.1),
+            lambda c: ewta_weights(c, 3),
+            lambda c: dac_weights(c, 2),
+            lambda c: awta_weights(c, 4.0),
+        ]
+        for kernel in kernels:
+            batch = kernel(costs)
+            assert batch.shape == costs.shape
+            for index in np.ndindex(costs.shape[:-1]):
+                np.testing.assert_array_equal(batch[index], kernel(costs[index]))
+
+
+def one_scene_objective(preds, logits, target, config):
+    """batch_objective on a batch holding one scene."""
+    return batch_objective(
+        np.asarray(preds, dtype=float)[None],
+        np.asarray(logits, dtype=float)[None],
+        np.asarray(target, dtype=float)[None],
+        config,
+    )
 
 
 class TestCostsAndLoss:
     def test_ade_cost_is_mean_squared_norm(self):
-        pred = np.zeros((4, 2))
+        pred = np.zeros((1, 4, 2))
         target = np.tile([3.0, 4.0], (4, 1))
-        assert ade_cost(pred, target) == 25.0
+        out = one_scene_objective(pred, [0.0], target, LossConfig(variant="wta"))
+        assert out.costs.tolist() == [[25.0]]
 
     def test_ade_cost_shape_mismatch(self):
         with pytest.raises(InputError):
-            ade_cost(np.zeros((4, 2)), np.zeros((5, 2)))
+            one_scene_objective(
+                np.zeros((1, 4, 2)), [0.0], np.zeros((5, 2)), LossConfig(variant="wta")
+            )
 
     def test_weighted_loss_is_dot_product(self):
-        costs = np.array([1.0, 2.0, 4.0])
-        w = awta_weights(costs, 1.0)
-        expected = float(np.dot(costs, w.values))
-        assert weighted_loss(costs, w) == pytest.approx(expected, rel=1e-15)
+        # With the score term off, the loss is costs . weights.
+        rng = np.random.default_rng(4)
+        preds = rng.normal(size=(3, 2, 2))
+        target = rng.normal(size=(2, 2))
+        config = LossConfig(variant="awta", temperature=1.0, score_coef=0.0)
+        out = one_scene_objective(preds, np.zeros(3), target, config)
+        expected = float(np.dot(out.costs[0], awta_weights(out.costs[0], 1.0)))
+        assert out.loss[0] == pytest.approx(expected, rel=1e-15)
 
     def test_score_loss_is_negative_log(self):
-        assert score_loss(np.array([0.25, 0.75]), 1) == pytest.approx(
-            -math.log(0.75), rel=1e-15
-        )
+        # Head 1 matches the target exactly, so it wins at zero cost and the
+        # loss is the score term alone: -log(0.75).
+        preds = np.array([[[1.0, 0.0]], [[0.0, 0.0]]])
+        logits = [0.0, math.log(3.0)]
+        out = one_scene_objective(preds, logits, np.zeros((1, 2)), LossConfig(variant="wta"))
+        assert out.winners.tolist() == [1]
+        assert out.loss[0] == pytest.approx(-math.log(0.75), rel=1e-15)
 
     def test_score_loss_clamps_tiny_probabilities(self):
-        v = score_loss(np.array([1.0, 0.0]), 1)
-        assert v == pytest.approx(-math.log(1e-12))
+        preds = np.array([[[1.0, 0.0]], [[0.0, 0.0]]])
+        logits = [0.0, -1e4]
+        out = one_scene_objective(preds, logits, np.zeros((1, 2)), LossConfig(variant="wta"))
+        assert out.score_clamped == 1
+        assert out.loss[0] == pytest.approx(-math.log(1e-12))
 
     def test_stable_softmax_handles_large_logits(self):
         p = stable_softmax(np.array([1000.0, 1000.0]))
@@ -301,13 +319,25 @@ class TestBatchObjective:
         preds, logits, targets = self.make_batch()
         config = LossConfig(variant="awta", temperature=1.5)
         out = batch_objective(preds, logits, targets, config)
-        for i in range(preds.shape[0]):
-            costs = np.array(
-                [ade_cost(preds[i, k], targets[i]) for k in range(preds.shape[1])]
-            )
-            w = awta_weights(costs, 1.5)
-            scores = stable_softmax(logits[i])
-            expected = weighted_loss(costs, w) + score_loss(scores, winner_index(costs))
+        batch, n_heads, horizon, _ = preds.shape
+        for i in range(batch):
+            # Plain loops: squared-distance costs, softmin weights, and the
+            # negative log-softmax of the hard winner's logit.
+            costs = []
+            for k in range(n_heads):
+                total = 0.0
+                for step in range(horizon):
+                    dx = preds[i, k, step, 0] - targets[i, step, 0]
+                    dy = preds[i, k, step, 1] - targets[i, step, 1]
+                    total += dx * dx + dy * dy
+                costs.append(total / horizon)
+            low = min(costs)
+            soft = [math.exp(-(c - low) / 1.5) for c in costs]
+            weighted = sum(w * c for w, c in zip(soft, costs)) / sum(soft)
+            winner = costs.index(low)
+            top = max(logits[i])
+            log_norm = top + math.log(sum(math.exp(v - top) for v in logits[i]))
+            expected = weighted + (log_norm - logits[i, winner])
             assert out.loss[i] == pytest.approx(expected, rel=1e-12)
 
     def test_trajectory_gradient_shape_and_scaling(self):

@@ -15,6 +15,9 @@ from wtalab import (
     effective_hypotheses,
     endpoint_ring_config,
     evaluate,
+    featurize,
+    featurize_split,
+    forward,
     generate,
     init_params,
     min_ade,
@@ -22,11 +25,9 @@ from wtalab import (
     miss_rate,
     three_branch_config,
 )
-from wtalab.metrics import (
-    read_report_csv,
-    truncate_top_k,
-    write_report_csv,
-)
+from wtalab.losses import stable_softmax
+from wtalab.metrics import read_report_csv, write_report_csv
+from wtalab.postselect import truncate_top_k
 
 
 def make_set(trajectories, logits=None) -> HypothesisSet:
@@ -163,29 +164,37 @@ class TestEffectiveHypotheses:
             effective_hypotheses(histogram)
 
 
+def top_k_one_scene(trajectories, logits, k):
+    """truncate_top_k on a batch holding one scene."""
+    kept_traj, kept_logits = truncate_top_k(
+        np.asarray(trajectories, dtype=float)[None], np.asarray(logits, dtype=float)[None], k
+    )
+    return kept_traj[0], kept_logits[0]
+
+
 class TestTruncateTopK:
     def test_keeps_highest_scores_in_order(self):
         traj = np.arange(8.0).reshape(4, 1, 2)
         logits = np.array([0.0, 3.0, 1.0, 2.0])
-        kept = truncate_top_k(make_set(traj, logits), 2)
-        assert np.array_equal(kept.trajectories, traj[[1, 3]])
+        kept, _ = top_k_one_scene(traj, logits, 2)
+        assert np.array_equal(kept, traj[[1, 3]])
 
     def test_scores_renormalize_like_subset_softmax(self):
         logits = np.array([0.0, 3.0, 1.0, 2.0])
-        kept = truncate_top_k(make_set(np.zeros((4, 1, 2)), logits), 3)
+        _, kept_logits = top_k_one_scene(np.zeros((4, 1, 2)), logits, 3)
+        assert kept_logits.tolist() == [3.0, 2.0, 1.0]
         subset = np.exp([3.0, 2.0, 1.0])
-        assert np.allclose(kept.scores, subset / subset.sum(), atol=1e-12)
+        assert np.allclose(stable_softmax(kept_logits), subset / subset.sum(), atol=1e-12)
 
     def test_tied_scores_keep_index_order(self):
         traj = np.arange(6.0).reshape(3, 1, 2)
-        kept = truncate_top_k(make_set(traj, np.zeros(3)), 2)
-        assert np.array_equal(kept.trajectories, traj[[0, 1]])
+        kept, _ = top_k_one_scene(traj, np.zeros(3), 2)
+        assert np.array_equal(kept, traj[[0, 1]])
 
     def test_bad_k_rejected(self):
-        hyps = make_set(np.zeros((3, 1, 2)))
         for k in (0, 4):
             with pytest.raises(InputError):
-                truncate_top_k(hyps, k)
+                top_k_one_scene(np.zeros((3, 1, 2)), np.zeros(3), k)
 
 
 class TestShapes:
@@ -206,19 +215,17 @@ class TestEvaluate:
         return params, scenes
 
     def test_report_matches_per_scene_loop(self):
-        from wtalab import featurize, forward
-
         params, scenes = self.make_model_and_scenes()
-        report = evaluate(params, scenes)
+        report = evaluate(params, *featurize_split(scenes))
         ades, fdes, briers, winners = [], [], [], []
         for scene in scenes:
             feat = featurize(scene)
             hyps = forward(params, feat.features)
-            ades.append(min_ade(hyps, feat.target))
-            value, winner = min_fde(hyps, feat.target)
-            fdes.append(value)
+            ade, fde, winner = brute_force_metrics(hyps, feat.target)
+            ades.append(ade)
+            fdes.append(fde)
             winners.append(winner)
-            briers.append(brier_fde(hyps, feat.target))
+            briers.append(fde + (1.0 - hyps.scores[winner]) ** 2)
         assert report.n_scenes == len(scenes)
         assert report.min_ade == pytest.approx(np.mean(ades), abs=1e-12)
         assert report.min_fde == pytest.approx(np.mean(fdes), abs=1e-12)
@@ -233,8 +240,8 @@ class TestEvaluate:
         # fsum aggregation: averaging over scenes twice must reproduce the
         # single-pass result bit for bit.
         params, scenes = self.make_model_and_scenes(30)
-        once = evaluate(params, scenes)
-        twice = evaluate(params, list(scenes) + list(scenes))
+        once = evaluate(params, *featurize_split(scenes))
+        twice = evaluate(params, *featurize_split(list(scenes) + list(scenes)))
         assert twice.min_ade == once.min_ade
         assert twice.min_fde == once.min_fde
         assert twice.brier_fde == once.brier_fde
@@ -242,21 +249,22 @@ class TestEvaluate:
 
     def test_top_k_truncation_applies(self):
         params, scenes = self.make_model_and_scenes(10)
-        report = evaluate(params, scenes, top_k=2)
+        features, targets = featurize_split(scenes)
+        report = evaluate(params, features, targets, top_k=2)
         assert len(report.winner_histogram) == 2
-        full = evaluate(params, scenes)
+        full = evaluate(params, features, targets)
         assert report.min_ade >= full.min_ade - 1e-12
 
     def test_empty_dataset_rejected(self):
         params, _ = self.make_model_and_scenes(1)
         with pytest.raises(InputError):
-            evaluate(params, [])
+            evaluate(params, np.zeros((0, 8)), np.zeros((0, 6, 2)))
 
     def test_horizon_mismatch_rejected(self):
         params, _ = self.make_model_and_scenes(1)
         cfg = three_branch_config(seed=5, past_len=4, future_len=9)
         with pytest.raises(ConfigurationError):
-            evaluate(params, generate(cfg, 3))
+            evaluate(params, *featurize_split(generate(cfg, 3)))
 
     def test_quantization_task_evaluates(self):
         cfg = endpoint_ring_config(6, 2.5, seed=0)
@@ -264,7 +272,7 @@ class TestEvaluate:
         params = init_params(
             ModelConfig(input_dim=2, n_heads=6, horizon=1, hidden=()), seed=0
         )
-        report = evaluate(params, scenes)
+        report = evaluate(params, *featurize_split(scenes))
         assert report.n_scenes == 20
         assert sum(report.winner_histogram) == 20
 

@@ -16,7 +16,6 @@ from wtalab import (
     ModelParams,
     NonFiniteError,
     adam_step,
-    backward,
     forward,
     gradient_check,
     init_adam,
@@ -188,6 +187,12 @@ class TestForward:
             forward_batch(params, np.zeros((4, 5)))
 
 
+def backward_one(params, context, d_traj, d_logits):
+    """backward_batch for a batch holding one context."""
+    _, _, activations = forward_batch(params, np.asarray(context)[None, :])
+    return backward_batch(params, activations, d_traj[None], d_logits[None])
+
+
 class TestBackward:
     def test_single_linear_layer_matches_hand_outer_product(self):
         cfg = ModelConfig(input_dim=3, n_heads=2, horizon=1, hidden=())
@@ -195,7 +200,7 @@ class TestBackward:
         context = np.array([0.5, -1.0, 2.0])
         d_traj = np.arange(4.0).reshape(2, 1, 2) + 1.0
         d_logits = np.array([0.25, -0.75])
-        grads = backward(params, context, d_traj, d_logits)
+        grads = backward_one(params, context, d_traj, d_logits)
         d_out = np.concatenate([d_traj.reshape(-1), d_logits])
         assert np.allclose(grads.weights[0], np.outer(d_out, context), atol=1e-15)
         assert np.allclose(grads.biases[0], d_out, atol=1e-15)
@@ -210,7 +215,7 @@ class TestBackward:
         _, _, activations = forward_batch(params, contexts)
         whole = backward_batch(params, activations, d_traj, d_logits)
         parts = [
-            backward(params, contexts[i], d_traj[i], d_logits[i]) for i in range(4)
+            backward_one(params, contexts[i], d_traj[i], d_logits[i]) for i in range(4)
         ]
         for layer in range(params.n_layers):
             summed_w = sum(p.weights[layer] for p in parts)
@@ -220,10 +225,14 @@ class TestBackward:
 
     def test_gradient_shape_mismatches_rejected(self):
         params = init_params(small_config(), seed=0)
-        with pytest.raises(ConfigurationError):
-            backward(params, np.zeros(6), np.zeros((3, 4, 2)), np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            backward(params, np.zeros(6), np.zeros((2, 4, 2)), np.zeros(3))
+        # The last pair has the right total width but the wrong head split.
+        for d_traj, d_logits in (
+            (np.zeros((3, 4, 2)), np.zeros(2)),
+            (np.zeros((2, 4, 2)), np.zeros(3)),
+            (np.zeros((2, 4, 2)), np.zeros(11)),
+        ):
+            with pytest.raises(ConfigurationError):
+                backward_one(params, np.zeros(6), d_traj, d_logits)
 
 
 class TestAdam:
