@@ -15,6 +15,7 @@ from .datagen import (
     featurize_split,
     generate,
     generate_scene,
+    generate_split,
     load_dataset,
     save_dataset,
     three_branch_config,
@@ -33,6 +34,7 @@ from .harness import (
     OptimizerConfig,
     SweepCell,
     TrainResult,
+    build_splits,
     emit_charts,
     evaluate_cmd,
     load_config,

@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_text_atomic
 from .errors import ConfigurationError, DatasetParseError, InputError
+
+_SPLIT_SHAPE_MESSAGE = (
+    "a split needs at least one scene, and its scenes must share one"
+    " past length and one future length"
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,6 +77,8 @@ class GeneratorConfig:
             raise ConfigurationError(
                 f"expected {self.n_branches} probabilities, got {len(self.probabilities)}"
             )
+        if not all(math.isfinite(p) for p in self.probabilities):
+            raise ConfigurationError("branch probabilities must be finite")
         if any(p < 0 for p in self.probabilities):
             raise ConfigurationError("branch probabilities must be nonnegative")
         if abs(sum(self.probabilities) - 1.0) > 1e-9:
@@ -98,31 +106,75 @@ def branch_waypoints(config: GeneratorConfig, branch: int) -> np.ndarray:
     return np.cumsum(deltas, axis=0)
 
 
-def generate_scene(config: GeneratorConfig, index: int) -> Scene:
-    """Build scene `index` of the stream defined by config.seed."""
-    if index < 0:
-        raise InputError(f"scene index must be >= 0, got {index}")
-    rng = np.random.default_rng([config.seed, index])
-    branch = int(rng.choice(config.n_branches, p=np.asarray(config.probabilities)))
-    past_x = (np.arange(config.past_len) - (config.past_len - 1)) * config.speed
-    past = np.stack([past_x, np.zeros(config.past_len)], axis=1)
-    future = branch_waypoints(config, branch)
-    past = past + rng.normal(0.0, config.noise_std, size=past.shape)
-    future = future + rng.normal(0.0, config.noise_std, size=future.shape)
-    return Scene(
-        scene_id=f"scene-{config.seed}-{index:06d}",
-        past=past,
-        future=future,
-        mode_label=branch,
-    )
+def _generate_arrays(
+    config: GeneratorConfig, count: int, start_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branches (N,), pasts (N, P, 2) and futures (N, L, 2) of a scene range.
+
+    Scene i draws from its own default_rng([seed, i]): one uniform that picks
+    the branch exactly as Generator.choice(n, p=p) does, then the past noise
+    and the future noise. Everything else is whole-array work.
+    """
+    config.validate()
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
+    if start_index < 0:
+        raise InputError(f"scene index must be >= 0, got {start_index}")
+    past_len, future_len = config.past_len, config.future_len
+    uniforms = np.empty(count)
+    normals = np.empty((count, 2 * (past_len + future_len)))
+    for row in range(count):
+        rng = np.random.default_rng([config.seed, start_index + row])
+        uniforms[row] = rng.random()
+        rng.standard_normal(out=normals[row])
+    cdf = np.asarray(config.probabilities, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    branches = cdf.searchsorted(uniforms, side="right")
+    # Generator.normal(0.0, noise_std) returns 0.0 + noise_std * z, which
+    # turns a -0.0 product into +0.0; keep that rounding.
+    noise = 0.0 + config.noise_std * normals
+    past_x = (np.arange(past_len) - (past_len - 1)) * config.speed
+    past_template = np.stack([past_x, np.zeros(past_len)], axis=1)
+    waypoints = np.stack([branch_waypoints(config, b) for b in range(config.n_branches)])
+    pasts = past_template + noise[:, : 2 * past_len].reshape(count, past_len, 2)
+    futures = waypoints[branches] + noise[:, 2 * past_len :].reshape(count, future_len, 2)
+    if not (np.isfinite(pasts).all() and np.isfinite(futures).all()):
+        raise InputError("scene coordinates must be finite")
+    return branches, pasts, futures
 
 
 def generate(config: GeneratorConfig, count: int, start_index: int = 0) -> list[Scene]:
     """Generate `count` consecutive scenes starting at start_index."""
-    config.validate()
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
-    return [generate_scene(config, start_index + i) for i in range(count)]
+    branches, pasts, futures = _generate_arrays(config, count, start_index)
+    return [
+        Scene(
+            scene_id=f"scene-{config.seed}-{start_index + row:06d}",
+            past=pasts[row],
+            future=futures[row],
+            mode_label=int(branches[row]),
+        )
+        for row in range(count)
+    ]
+
+
+def generate_scene(config: GeneratorConfig, index: int) -> Scene:
+    """Build scene `index` of the stream defined by config.seed."""
+    return generate(config, 1, index)[0]
+
+
+def generate_split(
+    config: GeneratorConfig, count: int, start_index: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, P*2) features and (N, L, 2) targets of `count` generated scenes.
+
+    The same bytes as featurize_split(generate(config, count, start_index)),
+    without building a Scene per row.
+    """
+    _, pasts, futures = _generate_arrays(config, count, start_index)
+    if count == 0:
+        raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
+    offsets = pasts[:, -1:, :]
+    return (pasts - offsets).reshape(count, -1), futures - offsets
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +184,19 @@ def generate(config: GeneratorConfig, count: int, start_index: int = 0) -> list[
 
 def save_dataset(scenes: list[Scene], path: str | Path) -> None:
     """Write one JSON record per line; floats round-trip exactly."""
-    with open(path, "w") as handle:
-        for scene in scenes:
-            record = {
+    lines = [
+        json.dumps(
+            {
                 "scene_id": scene.scene_id,
                 "past": scene.past.tolist(),
                 "future": scene.future.tolist(),
                 "mode_label": scene.mode_label,
             }
-            handle.write(json.dumps(record) + "\n")
+        )
+        + "\n"
+        for scene in scenes
+    ]
+    write_text_atomic(path, "".join(lines))
 
 
 def _parse_waypoints(raw, key: str, line_number: int) -> np.ndarray:
@@ -234,10 +290,7 @@ def featurize_split(scenes: list[Scene]) -> tuple[np.ndarray, np.ndarray]:
     widths = {f.features.size for f in feats}
     horizons = {f.target.shape[0] for f in feats}
     if len(widths) != 1 or len(horizons) != 1:
-        raise ConfigurationError(
-            "a split needs at least one scene, and its scenes must share one"
-            " past length and one future length"
-        )
+        raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
     return np.stack([f.features for f in feats]), np.stack([f.target for f in feats])
 
 

@@ -5,7 +5,14 @@ A run is described by one JSON config. Training is deterministic given
 seed, and every reduction uses a fixed order. The wall-clock column in the
 epoch log is the only non-reproducible output.
 
-Output directory layout for one run:
+`build_splits` turns a config's generator or dataset block into read-only
+train and val arrays. `train` builds them itself or takes them ready-made;
+`sweep` builds them once and hands them to every grid cell, since cells
+differ only in schedule and seed.
+
+Output directory layout for one run, written after the last epoch (a run
+that fails leaves no directory); every file is written to a temporary name
+and renamed into place:
 
     config.json          the fully resolved config that was executed
     epochs.csv           one row per epoch
@@ -30,10 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import schedulers
+from ._files import write_text_atomic
 from ._svgchart import line_chart
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
-from .datagen import GeneratorConfig, Scene, featurize_split, generate, load_dataset
+from .datagen import GeneratorConfig, featurize_split, generate_split, load_dataset
 from .errors import ConfigurationError, InputError, NonFiniteError
 from .losses import LossConfig, batch_objective
 from .metrics import MetricsReport, evaluate, write_report_csv
@@ -148,10 +156,14 @@ class ExperimentConfig:
             self.generator.validate()
             if self.train_count < 1 or self.val_count < 1:
                 raise ConfigurationError("train_count and val_count must be >= 1")
-        self.loss.validate(self.model.n_heads)
-        self.optimizer.validate()
         if self.model.n_heads < 1:
             raise ConfigurationError("model.n_heads must be >= 1")
+        if any(width < 1 for width in self.model.hidden):
+            raise ConfigurationError(
+                f"model.hidden widths must be >= 1, got {self.model.hidden}"
+            )
+        self.loss.validate(self.model.n_heads)
+        self.optimizer.validate()
         if self.model.init not in ("glorot", "clustered"):
             raise ConfigurationError(f"unknown init mode {self.model.init!r}")
         if self.epochs < 0:
@@ -241,79 +253,129 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def _take(block: dict, allowed: set[str], where: str) -> dict:
+# The JSON type of every config field: int (a JSON integer), float (any JSON
+# number), str, or a list of one of these. Values are checked, not converted,
+# so config.json keeps the numbers as they were written.
+_FIELD_TYPES = {
+    "config": {
+        "train_count": int, "val_count": int, "epochs": int, "batch_size": int,
+        "seed": int, "out_dir": str, "eval_top_k": int,
+    },
+    "model": {"n_heads": int, "hidden": [int], "init": str},
+    "loss": {
+        "variant": str, "temperature": float, "epsilon": float, "top_n": int,
+        "depth": int, "score_coef": float,
+    },
+    "scheduler": {
+        "kind": str, "t0": float, "rho": float, "t_floor": float, "total_steps": int,
+    },
+    "optimizer": {"lr": float, "beta1": float, "beta2": float, "eps": float},
+    "generator": {
+        "n_branches": int, "probabilities": [float], "turns": [float],
+        "speed": float, "noise_std": float, "past_len": int, "future_len": int,
+        "seed": int,
+    },
+    "dataset": {"train_path": str, "val_path": str},
+    "nms": {"k_out": int, "radius": float, "order": str},
+}
+
+# Top-level keys that hold a block; an absent block takes its defaults.
+_BLOCKS = ("model", "loss", "scheduler", "optimizer", "generator", "dataset", "nms")
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, kind[0]) for item in value
+        )
+    if kind is str:
+        return isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+_TYPE_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a finite number", "finite numbers"),
+    str: ("a string", "strings"),
+}
+
+# Block keys without a default.
+_REQUIRED = {"dataset": ("train_path", "val_path"), "nms": ("k_out",)}
+
+
+def _take(data: dict, where: str) -> dict:
+    """The block `where` of data, with its keys and value types checked.
+
+    None values are left out, so a field set to null takes its default.
+    """
+    block = data if where == "config" else data.get(where)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
+    types = _FIELD_TYPES[where]
+    allowed = set(types) | (set(_BLOCKS) if where == "config" else set())
     unknown = set(block) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-    return block
+    out = {}
+    for key, value in block.items():
+        if value is None or (where == "config" and key in _BLOCKS):
+            continue
+        kind = types[key]
+        if not _has_type(value, kind):
+            expected = (
+                f"a list of {_TYPE_NAMES[kind[0]][1]}"
+                if isinstance(kind, list)
+                else _TYPE_NAMES[kind][0]
+            )
+            raise ConfigurationError(f"{where}.{key} must be {expected}, got {value!r}")
+        out[key] = tuple(value) if isinstance(kind, list) else value
+    missing = [key for key in _REQUIRED.get(where, ()) if key not in out]
+    if missing:
+        raise ConfigurationError(f"missing keys in {where}: {missing}")
+    return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    top_allowed = {
-        "model", "loss", "scheduler", "optimizer", "generator", "dataset",
-        "train_count", "val_count", "epochs", "batch_size", "seed", "out_dir",
-        "eval_top_k", "nms",
-    }
-    _take(data, top_allowed, "config")
-    epochs = int(data.get("epochs", 50))
-    seed = int(data.get("seed", 0))
+    """Build and validate a config from its JSON form.
 
-    model_block = _take(dict(data.get("model", {})), {"n_heads", "hidden", "init"}, "model")
-    model = ModelSettings(
-        n_heads=int(model_block.get("n_heads", 6)),
-        hidden=tuple(int(h) for h in model_block.get("hidden", (64, 64))),
-        init=str(model_block.get("init", "glorot")),
-    )
+    Unknown keys and values of the wrong JSON type raise ConfigurationError.
+    """
+    top = _take(data, "config")
+    epochs = top.get("epochs", 50)
+    seed = top.get("seed", 0)
 
-    loss_block = _take(
-        dict(data.get("loss", {})),
-        {"variant", "temperature", "epsilon", "top_n", "depth", "score_coef"},
-        "loss",
-    )
-    loss = LossConfig(**loss_block)
+    model = ModelSettings(**_take(data, "model"))
+    loss = LossConfig(**_take(data, "loss"))
 
-    sched_block = _take(
-        dict(data.get("scheduler", {})),
-        {"kind", "t0", "rho", "t_floor", "total_steps"},
-        "scheduler",
-    )
+    sched_block = _take(data, "scheduler")
     sched_block.setdefault("kind", "exponential")
     # An unspecified ladder length means "the whole run".
     sched_block.setdefault("total_steps", max(epochs, 1))
     scheduler = ScheduleState(step=0, **sched_block)
-
-    optim_block = _take(
-        dict(data.get("optimizer", {})), {"lr", "beta1", "beta2", "eps"}, "optimizer"
-    )
-    optimizer = OptimizerConfig(**optim_block)
+    optimizer = OptimizerConfig(**_take(data, "optimizer"))
 
     generator = None
     if data.get("generator") is not None:
-        gen_block = _take(
-            dict(data["generator"]),
-            {
-                "n_branches", "probabilities", "turns", "speed", "noise_std",
-                "past_len", "future_len", "seed",
-            },
-            "generator",
-        )
+        gen_block = _take(data, "generator")
         gen_block.setdefault("seed", seed)
-        if "probabilities" in gen_block:
-            gen_block["probabilities"] = tuple(gen_block["probabilities"])
-        if "turns" in gen_block:
-            gen_block["turns"] = tuple(gen_block["turns"])
         generator = GeneratorConfig(**gen_block)
 
     dataset = None
     if data.get("dataset") is not None:
-        ds_block = _take(dict(data["dataset"]), {"train_path", "val_path"}, "dataset")
-        dataset = DatasetPaths(**ds_block)
+        dataset = DatasetPaths(**_take(data, "dataset"))
 
     nms = None
     if data.get("nms") is not None:
-        nms_block = _take(dict(data["nms"]), {"k_out", "radius", "order"}, "nms")
-        nms = NMSConfig(**nms_block)
+        nms = NMSConfig(**_take(data, "nms"))
 
     config = ExperimentConfig(
         model=model,
@@ -322,13 +384,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         optimizer=optimizer,
         generator=generator,
         dataset=dataset,
-        train_count=int(data.get("train_count", 1000)),
-        val_count=int(data.get("val_count", 400)),
+        train_count=top.get("train_count", 1000),
+        val_count=top.get("val_count", 400),
         epochs=epochs,
-        batch_size=int(data.get("batch_size", 64)),
+        batch_size=top.get("batch_size", 64),
         seed=seed,
-        out_dir=str(data.get("out_dir", "run")),
-        eval_top_k=data.get("eval_top_k"),
+        out_dir=top.get("out_dir", "run"),
+        eval_top_k=top.get("eval_top_k"),
         nms=nms,
     )
     config.validate()
@@ -346,7 +408,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
+    write_text_atomic(path, json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +449,7 @@ def write_epoch_csv(records: list[EpochRecord], path: str | Path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
@@ -440,14 +502,42 @@ def _schedule_control(
     return None, loss
 
 
-def _load_split(config: ExperimentConfig, split: str) -> list[Scene]:
-    """The "train" or "val" scenes; generated val scenes follow the train range."""
+Splits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _split_arrays(config: ExperimentConfig, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Features and targets of the "train" or "val" split.
+
+    Generated val scenes follow the train range.
+    """
     if config.generator is not None:
         if split == "train":
-            return generate(config.generator, config.train_count, start_index=0)
-        return generate(config.generator, config.val_count, start_index=config.train_count)
+            return generate_split(config.generator, config.train_count, 0)
+        return generate_split(config.generator, config.val_count, config.train_count)
     assert config.dataset is not None
-    return load_dataset(getattr(config.dataset, f"{split}_path"))
+    return featurize_split(load_dataset(getattr(config.dataset, f"{split}_path")))
+
+
+def build_splits(config: ExperimentConfig) -> Splits:
+    """(features, targets, val_features, val_targets) of the config's data.
+
+    The data depends only on the generator or dataset block and the split
+    counts, so every cell of a sweep can share one build. The arrays are
+    read-only.
+    """
+    features, targets = _split_arrays(config, "train")
+    val_features, val_targets = _split_arrays(config, "val")
+    if (
+        val_features.shape[1:] != features.shape[1:]
+        or val_targets.shape[1:] != targets.shape[1:]
+    ):
+        raise ConfigurationError(
+            "train and val scenes must share one past length and one future length"
+        )
+    splits = (features, targets, val_features, val_targets)
+    for array in splits:
+        array.flags.writeable = False
+    return splits
 
 
 @dataclasses.dataclass
@@ -460,43 +550,27 @@ class TrainResult:
     out_dir: Path
 
 
-def train(config: ExperimentConfig, write_outputs: bool = True) -> TrainResult:
-    """Train one model per the config.
-
-    Returns the final parameters, the per-epoch records, and the best
-    checkpoint by validation minFDE. With write_outputs (the default) the
-    run directory described in the module docstring is produced.
-
-    Raises NonFiniteError naming the epoch and batch if the loss or a
-    gradient stops being finite.
-    """
-    config.validate()
-    features, targets = featurize_split(_load_split(config, "train"))
-    val_features, val_targets = featurize_split(_load_split(config, "val"))
-    n_scenes, input_dim = features.shape
-    horizon = targets.shape[1]
-    if val_targets.shape[1:] != targets.shape[1:] or val_features.shape[1] != input_dim:
-        raise ConfigurationError(
-            "train and val scenes must share one past length and one future length"
+def _check_writable(out_dir: Path) -> None:
+    """Fail before training when the run directory could not be created."""
+    existing = out_dir
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise InputError(
+            f"cannot write run directory {out_dir}: {existing} is not a"
+            " writable directory"
         )
 
-    model_config = ModelConfig(
-        input_dim=input_dim,
-        n_heads=config.model.n_heads,
-        horizon=horizon,
-        hidden=tuple(config.model.hidden),
-        init=config.model.init,
-    )
-    # Independent streams so the init does not shift with the batch order.
-    params = init_params(model_config, np.random.default_rng([config.seed, 1]))
+
+def _train_epochs(
+    config: ExperimentConfig, params: ModelParams, splits: Splits
+) -> tuple[ModelParams, list[EpochRecord], ModelParams, int]:
+    """Run every epoch; return the final params, the records and the best
+    params and epoch by validation minFDE."""
+    features, targets, val_features, val_targets = splits
+    n_scenes = features.shape[0]
     shuffle_rng = np.random.default_rng([config.seed, 2])
     adam: AdamState = init_adam(params)
-
-    out_dir = resolve_out_dir(config.out_dir)
-    if write_outputs:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_config(config, out_dir / "config.json")
-
     records: list[EpochRecord] = []
     best_epoch = -1
     best_fde = math.inf
@@ -558,6 +632,44 @@ def train(config: ExperimentConfig, write_outputs: bool = True) -> TrainResult:
         logger.warning(
             "winner score clamped to the probability floor %d times", clamped_total
         )
+    return params, records, best_params, best_epoch
+
+
+def train(
+    config: ExperimentConfig, write_outputs: bool = True, splits: Splits | None = None
+) -> TrainResult:
+    """Train one model per the config.
+
+    Returns the final parameters, the per-epoch records, and the best
+    checkpoint by validation minFDE. With write_outputs (the default) the
+    run directory described in the module docstring is produced after the
+    last epoch, so a run that fails leaves none. splits, when given, must be
+    build_splits of a config with the same data blocks; by default they are
+    built here.
+
+    Raises NonFiniteError naming the epoch and batch if the loss or a
+    gradient stops being finite.
+    """
+    config.validate()
+    out_dir = resolve_out_dir(config.out_dir)
+    if write_outputs:
+        _check_writable(out_dir)
+    if splits is None:
+        splits = build_splits(config)
+    features, targets, val_features, val_targets = splits
+    model_config = ModelConfig(
+        input_dim=features.shape[1],
+        n_heads=config.model.n_heads,
+        horizon=targets.shape[1],
+        hidden=tuple(config.model.hidden),
+        init=config.model.init,
+    )
+    # Independent streams so the init does not shift with the batch order.
+    params = init_params(model_config, np.random.default_rng([config.seed, 1]))
+    # Overflow in the step is caught by the finite checks, which raise
+    # NonFiniteError; numpy's own warnings would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, records, best_params, best_epoch = _train_epochs(config, params, splits)
 
     best_report = evaluate(
         best_params, val_features, val_targets, top_k=config.eval_top_k, nms=config.nms
@@ -572,6 +684,8 @@ def train(config: ExperimentConfig, write_outputs: bool = True) -> TrainResult:
         out_dir=out_dir,
     )
     if write_outputs:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_config(config, out_dir / "config.json")
         write_epoch_csv(records, out_dir / "epochs.csv")
         save_checkpoint(params, out_dir / "checkpoint_final.json")
         save_checkpoint(best_params, out_dir / "checkpoint_best.json")
@@ -587,7 +701,7 @@ def evaluate_cmd(
     """Evaluate a saved checkpoint on the config's validation split."""
     config.validate()
     params = load_checkpoint(checkpoint_path)
-    features, targets = featurize_split(_load_split(config, "val"))
+    features, targets = _split_arrays(config, "val")
     report = evaluate(
         params, features, targets, top_k=config.eval_top_k, nms=config.nms
     )
@@ -611,7 +725,9 @@ class SweepCell:
     report: MetricsReport | None = None
 
 
-def _run_cell(config: ExperimentConfig, write_outputs: bool) -> SweepCell:
+def _run_cell(
+    config: ExperimentConfig, write_outputs: bool, splits: Splits | None
+) -> SweepCell:
     cell = SweepCell(
         t0=config.scheduler.t0,
         rho=config.scheduler.rho,
@@ -619,7 +735,8 @@ def _run_cell(config: ExperimentConfig, write_outputs: bool) -> SweepCell:
         status="ok",
     )
     try:
-        result = train(config, write_outputs=write_outputs)
+        # The module-global train, so a wrapper patched onto it sees each cell.
+        result = train(config, write_outputs=write_outputs, splits=splits)
         cell.report = result.report
     except Exception as exc:  # a failed cell must not sink the sweep
         cell.status = "failed"
@@ -638,13 +755,20 @@ def sweep(
 ) -> list[SweepCell]:
     """Train one run per (t0, rho, seed) grid cell.
 
-    Cells are independent; failures are recorded per cell and do not stop
-    the sweep. Results come back in grid order (t0 outermost, seed
-    innermost) regardless of completion order. When out_dir is given, the
-    aggregate table is written there as sweep.csv.
+    Cells differ only in schedule and seed, so the train and val arrays are
+    built once, from base, and shared by every cell; each cell's outputs are
+    byte-identical to a solo train of its config. Cells are independent;
+    failures are recorded per cell and do not stop the sweep. Results come
+    back in grid order (t0 outermost, seed innermost) regardless of
+    completion order. When out_dir is given, the aggregate table is written
+    there as sweep.csv.
     """
     if not t0_values or not rho_values or not seeds:
         raise InputError("sweep needs at least one t0, rho and seed")
+    try:
+        splits: Splits | None = build_splits(base)
+    except Exception:  # each cell then builds its own and records the error
+        splits = None
     configs = []
     for t0 in t0_values:
         for rho in rho_values:
@@ -659,11 +783,11 @@ def sweep(
                     )
                 )
     if workers <= 1:
-        cells = [_run_cell(c, write_cell_outputs) for c in configs]
+        cells = [_run_cell(c, write_cell_outputs, splits) for c in configs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(
-                pool.map(lambda c: _run_cell(c, write_cell_outputs), configs)
+                pool.map(lambda c: _run_cell(c, write_cell_outputs, splits), configs)
             )
     if out_dir is not None:
         out = resolve_out_dir(str(out_dir))
@@ -691,7 +815,7 @@ def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
             [repr(cell.t0), repr(cell.rho), str(cell.seed), cell.status, cell.error]
             + metric_values
         )
-    Path(path).write_text(buffer.getvalue())
+    write_text_atomic(path, buffer.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +878,7 @@ def emit_charts(
             )
         for filename, title, y_label, series in charts:
             target = out / filename
-            target.write_text(line_chart(series, title, "epoch", y_label))
+            write_text_atomic(target, line_chart(series, title, "epoch", y_label))
             written.append(target)
         csv_path = out / "charts_data.csv"
         write_epoch_csv(records, csv_path)
@@ -779,7 +903,7 @@ def emit_charts(
     if not series:
         raise InputError("no successful sweep cells to chart")
     target = out / "sweep_min_ade_vs_t0.svg"
-    target.write_text(line_chart(series, "Sweep: min ADE vs t0", "t0", "min_ade"))
+    write_text_atomic(target, line_chart(series, "Sweep: min ADE vs t0", "t0", "min_ade"))
     written.append(target)
     csv_path = out / "sweep_data.csv"
     write_sweep_csv(cells, csv_path)

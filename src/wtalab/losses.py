@@ -69,7 +69,10 @@ class LossConfig:
             raise ConfigurationError("score_coef must be nonnegative")
         if n_heads is not None:
             if self.variant == "rwta":
-                _check_epsilon(self.epsilon, n_heads)
+                try:
+                    _check_epsilon(self.epsilon, n_heads)
+                except InputError as exc:
+                    raise ConfigurationError(str(exc)) from exc
             if self.variant == "ewta" and not 1 <= self.top_n <= n_heads:
                 raise ConfigurationError(
                     f"top_n must be in [1, {n_heads}], got {self.top_n}"

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._files import write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
@@ -142,7 +143,7 @@ class MetricsReport:
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(report.to_csv())
+    write_text_atomic(path, report.to_csv())
 
 
 def read_report_csv(path: str | Path) -> MetricsReport:

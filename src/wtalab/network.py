@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_text_atomic
 from .errors import ConfigurationError, InputError, NonFiniteError
 from .losses import LossConfig, batch_objective, stable_softmax
 
@@ -405,7 +406,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
             for b in params.biases
         ],
     }
-    Path(path).write_text(json.dumps(payload))
+    write_text_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from wtalab import (
     featurize_split,
     generate,
     generate_scene,
+    generate_split,
+    load_config,
     load_dataset,
     save_dataset,
     three_branch_config,
@@ -155,6 +158,117 @@ class TestGenerateScene:
         expected = 2000 * np.asarray(cfg.probabilities)
         result = stats.chisquare(counts, expected)
         assert result.pvalue > 1e-4
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_scene(config: GeneratorConfig, index: int) -> Scene:
+    """One scene from its own stream, drawn the way the package first did it:
+    the branch through Generator.choice, then past and future noise."""
+    rng = np.random.default_rng([config.seed, index])
+    branch = int(rng.choice(config.n_branches, p=np.asarray(config.probabilities)))
+    past_x = (np.arange(config.past_len) - (config.past_len - 1)) * config.speed
+    past = np.stack([past_x, np.zeros(config.past_len)], axis=1)
+    future = branch_waypoints(config, branch)
+    past = past + rng.normal(0.0, config.noise_std, size=past.shape)
+    future = future + rng.normal(0.0, config.noise_std, size=future.shape)
+    return Scene(
+        scene_id=f"scene-{config.seed}-{index:06d}",
+        past=past,
+        future=future,
+        mode_label=branch,
+    )
+
+
+def assert_matches_reference(config: GeneratorConfig, count: int, start_index: int):
+    expected = [reference_scene(config, start_index + i) for i in range(count)]
+    scenes = generate(config, count, start_index)
+    assert len(scenes) == count
+    for got, want in zip(scenes, expected):
+        assert got.scene_id == want.scene_id
+        assert got.mode_label == want.mode_label
+        assert type(got.mode_label) is int
+        assert got.past.tobytes() == want.past.tobytes()
+        assert got.future.tobytes() == want.future.tobytes()
+    features, targets = generate_split(config, count, start_index)
+    want_features, want_targets = featurize_split(expected)
+    assert features.dtype == want_features.dtype and targets.dtype == want_targets.dtype
+    assert features.shape == want_features.shape
+    assert targets.shape == want_targets.shape
+    assert features.tobytes() == want_features.tobytes()
+    assert targets.tobytes() == want_targets.tobytes()
+    return expected
+
+
+class TestGenerationOracle:
+    """generate and generate_split against the per-scene reference, byte for byte."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("start_index", [0, 5, 1234])
+    def test_every_shipped_config(self, path, seed, start_index):
+        generator = load_config(path).generator
+        assert_matches_reference(dataclasses.replace(generator, seed=seed), 40, start_index)
+
+    def test_single_branch(self):
+        config = tiny_config(n_branches=1, probabilities=(1.0,), turns=(0.3,))
+        scenes = assert_matches_reference(config, 30, 2)
+        assert {s.mode_label for s in scenes} == {0}
+
+    def test_zero_probability_branch_never_drawn(self):
+        config = tiny_config(
+            n_branches=3, probabilities=(0.5, 0.0, 0.5), turns=(0.4, 0.0, -0.4)
+        )
+        scenes = assert_matches_reference(config, 300, 0)
+        assert {s.mode_label for s in scenes} == {0, 2}
+
+    @pytest.mark.parametrize(
+        "probabilities",
+        [(0.3, 0.3, 0.4 + 6e-10), (0.1, 0.2, 0.7 - 8e-10), (0.5 + 9e-10, 0.0, 0.5)],
+    )
+    def test_probabilities_off_one_within_tolerance(self, probabilities):
+        assert sum(probabilities) != 1.0
+        config = tiny_config(
+            n_branches=3, probabilities=probabilities, turns=(0.4, 0.0, -0.4)
+        )
+        assert_matches_reference(config, 200, 9)
+
+    def test_noise_free_negative_zero_turn(self):
+        # The noise is added as Generator.normal makes it, 0.0 + 0 * z, so a
+        # -0.0 waypoint comes out as +0.0.
+        config = tiny_config(turns=(-0.0, 0.5), noise_std=0.0)
+        assert_matches_reference(config, 20, 0)
+
+    def test_empty_range(self):
+        assert generate(tiny_config(), 0, 4) == []
+        with pytest.raises(ConfigurationError):
+            generate_split(tiny_config(), 0)
+
+    def test_generate_scene_is_one_scene_range(self):
+        config = tiny_config()
+        got = generate_scene(config, 17)
+        want = generate(config, 1, 17)[0]
+        assert got.scene_id == want.scene_id
+        assert got.past.tobytes() == want.past.tobytes()
+
+    @pytest.mark.parametrize("fn", [generate, generate_split])
+    def test_range_checks(self, fn):
+        with pytest.raises(InputError):
+            fn(tiny_config(), -1)
+        with pytest.raises(InputError):
+            fn(tiny_config(), 3, -2)
+        with pytest.raises(ConfigurationError):
+            fn(tiny_config(probabilities=(0.5, 0.4)), 3)
+
+    @pytest.mark.parametrize("fn", [generate, generate_split])
+    def test_non_finite_coordinates_rejected(self, fn):
+        with pytest.raises(InputError, match="finite"):
+            fn(tiny_config(turns=(math.nan, 0.0)), 3)
+
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            tiny_config(probabilities=(math.nan, 1.0)).validate()
 
 
 class TestDatasetFiles:

@@ -3,9 +3,13 @@ command line interface."""
 
 import dataclasses
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtalab import (
     ConfigurationError,
@@ -33,6 +37,7 @@ from wtalab import (
     train,
 )
 from wtalab import harness
+from wtalab._files import write_text_atomic
 from wtalab.cli import main
 from wtalab.harness import (
     DatasetPaths,
@@ -76,6 +81,23 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def blown_dataset_config(tmp_path) -> ExperimentConfig:
+    """A dataset config whose first four train futures overflow the cost."""
+    scenes = generate(tiny_generator(), 8)
+    blown = [dataclasses.replace(s, future=s.future * 1e200) for s in scenes[:4]]
+    save_dataset(blown + scenes[4:], tmp_path / "train.jsonl")
+    save_dataset(scenes, tmp_path / "val.jsonl")
+    return tiny_config(
+        tmp_path,
+        generator=None,
+        dataset=DatasetPaths(
+            train_path=str(tmp_path / "train.jsonl"),
+            val_path=str(tmp_path / "val.jsonl"),
+        ),
+        batch_size=4,
+    )
 
 
 class TestConfigRoundTrip:
@@ -145,6 +167,151 @@ class TestConfigRoundTrip:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+
+# Every config field with its JSON type, written out independently of the
+# loader's own table.
+FIELDS = {
+    None: {
+        "train_count": int, "val_count": int, "epochs": int, "batch_size": int,
+        "seed": int, "out_dir": str, "eval_top_k": int,
+    },
+    "model": {"n_heads": int, "hidden": [int], "init": str},
+    "loss": {
+        "variant": str, "temperature": float, "epsilon": float, "top_n": int,
+        "depth": int, "score_coef": float,
+    },
+    "scheduler": {
+        "kind": str, "t0": float, "rho": float, "t_floor": float, "total_steps": int,
+    },
+    "optimizer": {"lr": float, "beta1": float, "beta2": float, "eps": float},
+    "generator": {
+        "n_branches": int, "probabilities": [float], "turns": [float],
+        "speed": float, "noise_std": float, "past_len": int, "future_len": int,
+        "seed": int,
+    },
+    "dataset": {"train_path": str, "val_path": str},
+    "nms": {"k_out": int, "radius": float, "order": str},
+}
+
+ANY_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, min_size=1, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, min_size=1, max_size=3),
+    max_leaves=6,
+)
+
+PLAUSIBLE = {
+    int: st.integers(-2, 6) | st.sampled_from([10**30, -(10**30)]),
+    float: st.floats(-1.0, 60.0) | st.sampled_from([0.5, 1e-8, 10**400]),
+    str: st.sampled_from(
+        [
+            "wta", "rwta", "ewta", "dac", "awta", "exponential", "linear",
+            "constant", "ewta-topn", "dac-depth", "glorot", "clustered", "score",
+            "run", "",
+        ]
+    ),
+}
+
+
+def field_values(kind):
+    """Mostly well-typed values, sometimes any JSON at all."""
+    if isinstance(kind, list):
+        typed = st.lists(PLAUSIBLE[kind[0]], max_size=4)
+    else:
+        typed = PLAUSIBLE[kind]
+    return typed | typed | ANY_JSON
+
+
+def block_of(fields: dict):
+    optional = {key: field_values(kind) for key, kind in fields.items()}
+    optional["unknown_key"] = ANY_JSON
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+@st.composite
+def near_valid_configs(draw):
+    """A loadable config with one or two fields set to drawn values."""
+    data = {"generator": {}, "model": {"n_heads": 3, "hidden": [8]}, "epochs": 2}
+    for _ in range(draw(st.integers(1, 2))):
+        block = draw(st.sampled_from(list(FIELDS)))
+        key = draw(st.sampled_from(sorted(FIELDS[block])))
+        if block is None:
+            target = data
+        else:
+            target = data.setdefault(block, {})
+        target[key] = draw(field_values(FIELDS[block][key]))
+    return data
+
+
+CONFIG_OBJECTS = near_valid_configs() | st.fixed_dictionaries(
+    {},
+    optional={
+        **{key: field_values(kind) for key, kind in FIELDS[None].items()},
+        **{name: block_of(fields) | ANY_JSON for name, fields in FIELDS.items() if name},
+    },
+)
+
+
+class TestConfigTyping:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"generator": {}, "optimizer": {"lr": "x"}},
+            {"generator": {}, "model": {"n_heads": 2.7}},
+            {"generator": {}, "seed": True},
+            {"generator": {}, "epochs": "3"},
+            {"generator": {}, "model": {"hidden": [8, 8.0]}},
+            {"generator": {}, "model": {"hidden": 8}},
+            {"generator": {}, "model": 5},
+            {"generator": {"probabilities": [0.5, "0.5"], "n_branches": 2}},
+            {"generator": {"speed": float("nan")}},
+            {"generator": {"noise_std": float("inf")}},
+            {"generator": {}, "optimizer": {"lr": 10**400}},
+            {"generator": {}, "out_dir": 5},
+            {"generator": {}, "eval_top_k": 1.0},
+            {"generator": {}, "nms": {"radius": 1.0}},
+            {"dataset": {"train_path": "a.jsonl"}},
+            {"generator": {}, "model": {"n_heads": 1}, "loss": {"variant": "rwta"}},
+            {"generator": {}, "model": {"hidden": [0]}},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, data):
+        with pytest.raises(ConfigurationError):
+            config_from_dict(data)
+
+    def test_integers_accepted_for_float_fields_unchanged(self):
+        config = config_from_dict({"generator": {"speed": 2}, "optimizer": {"lr": 1}})
+        assert config.optimizer.lr == 1 and type(config.optimizer.lr) is int
+        assert config_to_dict(config)["generator"]["speed"] == 2
+
+    def test_null_takes_the_default(self):
+        config = config_from_dict({"generator": {}, "eval_top_k": None, "epochs": None})
+        assert config.eval_top_k is None and config.epochs == 50
+
+    def test_cli_reports_wrong_type_as_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"generator": {}, "optimizer": {"lr": "x"}}))
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigurationError"
+        assert "optimizer.lr" in payload["message"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=CONFIG_OBJECTS)
+    def test_any_json_object_loads_or_raises_configuration_error(self, data):
+        data = json.loads(json.dumps(data))
+        try:
+            config = config_from_dict(data)
+        except ConfigurationError:
+            return
+        assert config_from_dict(config_to_dict(config)) == config
 
 
 class TestConfigValidation:
@@ -240,7 +407,9 @@ class TestTraining:
     def test_report_matches_reevaluating_best_params(self, tmp_path):
         config = tiny_config(tmp_path, epochs=2)
         result = train(config, write_outputs=False)
-        val_scenes = harness._load_split(config, "val")
+        val_scenes = generate(
+            config.generator, config.val_count, start_index=config.train_count
+        )
         direct = evaluate(result.best_params, *featurize_split(val_scenes))
         assert direct == result.report
 
@@ -298,8 +467,12 @@ class TestTraining:
         # reproduce the in-memory run exactly.
         config = tiny_config(tmp_path)
         from_gen = train(config, write_outputs=False)
-        save_dataset(harness._load_split(config, "train"), tmp_path / "train.jsonl")
-        save_dataset(harness._load_split(config, "val"), tmp_path / "val.jsonl")
+        gen = config.generator
+        save_dataset(generate(gen, config.train_count), tmp_path / "train.jsonl")
+        save_dataset(
+            generate(gen, config.val_count, start_index=config.train_count),
+            tmp_path / "val.jsonl",
+        )
         file_config = tiny_config(
             tmp_path,
             generator=None,
@@ -347,6 +520,32 @@ class TestTraining:
         )
         with pytest.raises(NonFiniteError, match="epoch 0"):
             train(config, write_outputs=False)
+
+    def test_failed_run_leaves_no_run_directory(self, tmp_path):
+        config = blown_dataset_config(tmp_path)
+        with pytest.raises(NonFiniteError):
+            train(config)
+        assert not (tmp_path / "run").exists()
+
+    def test_unwritable_out_dir_fails_before_training(self, tmp_path, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        config = tiny_config(tmp_path, out_dir=str(tmp_path / "afile" / "run"))
+        monkeypatch.setattr(harness, "build_splits", None)  # must not be reached
+        with pytest.raises(InputError, match="afile"):
+            train(config)
+
+    def test_given_splits_are_used_and_read_only(self, tmp_path):
+        config = tiny_config(tmp_path)
+        splits = harness.build_splits(config)
+        assert all(not array.flags.writeable for array in splits)
+        features, targets, val_features, val_targets = splits
+        assert features.shape == (24, 6) and targets.shape == (24, 4, 2)
+        assert val_features.shape == (16, 6) and val_targets.shape == (16, 4, 2)
+        built = train(config, write_outputs=False)
+        given_splits = train(config, write_outputs=False, splits=splits)
+        assert given_splits.report == built.report
+        for a, b in zip(built.params.weights, given_splits.params.weights):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDeterminism:
@@ -491,10 +690,10 @@ class TestSweep:
     def test_failed_cell_recorded_not_raised(self, tmp_path, monkeypatch):
         real_train = harness.train
 
-        def exploding_train(config, write_outputs=True):
+        def exploding_train(config, write_outputs=True, splits=None):
             if config.seed == 2:
                 raise NonFiniteError("non-finite loss at epoch 0 batch 1")
-            return real_train(config, write_outputs=write_outputs)
+            return real_train(config, write_outputs=write_outputs, splits=splits)
 
         monkeypatch.setattr(harness, "train", exploding_train)
         base = tiny_config(tmp_path, epochs=1)
@@ -503,6 +702,105 @@ class TestSweep:
         assert statuses == ["ok", "failed", "ok"]
         assert "NonFiniteError" in cells[1].error
         assert cells[1].report is None
+
+    def test_splits_built_once_per_sweep(self, tmp_path, monkeypatch):
+        real = harness.generate_split
+        calls = []
+
+        def counting_generate_split(config, count, start_index=0):
+            calls.append((count, start_index))
+            return real(config, count, start_index)
+
+        monkeypatch.setattr(harness, "generate_split", counting_generate_split)
+        base = tiny_config(tmp_path, epochs=1)
+        cells = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2], workers=2)
+        assert all(c.status == "ok" for c in cells)
+        assert calls == [(24, 0), (16, 24)]
+
+    def test_dataset_splits_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        gen = tiny_generator()
+        save_dataset(generate(gen, 24), tmp_path / "train.jsonl")
+        save_dataset(generate(gen, 16, start_index=24), tmp_path / "val.jsonl")
+        real = harness.load_dataset
+        paths = []
+
+        def counting_load_dataset(path):
+            paths.append(path)
+            return real(path)
+
+        monkeypatch.setattr(harness, "load_dataset", counting_load_dataset)
+        base = tiny_config(
+            tmp_path,
+            generator=None,
+            dataset=DatasetPaths(
+                train_path=str(tmp_path / "train.jsonl"),
+                val_path=str(tmp_path / "val.jsonl"),
+            ),
+            epochs=1,
+        )
+        cells = sweep(base, [5.0], [0.5], [1, 2, 3])
+        assert all(c.status == "ok" for c in cells)
+        assert paths == [base.dataset.train_path, base.dataset.val_path]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_byte_identical_to_solo_runs(self, tmp_path, workers):
+        base = tiny_config(tmp_path, epochs=3, out_dir=str(tmp_path / "cells"))
+        cells = sweep(
+            base, [5.0, 10.0], [0.5], [1, 2], workers=workers, write_cell_outputs=True
+        )
+        assert all(c.status == "ok" for c in cells)
+        for cell in cells:
+            cell_dir = tmp_path / "cells" / (
+                f"cell-t0_{cell.t0:g}-rho_{cell.rho:g}-seed_{cell.seed}"
+            )
+            solo = train(
+                dataclasses.replace(
+                    base,
+                    scheduler=dataclasses.replace(base.scheduler, t0=cell.t0, rho=cell.rho),
+                    seed=cell.seed,
+                    out_dir=str(tmp_path / "solo"),
+                )
+            )
+            assert solo.report == cell.report
+            for name in ("metrics.csv", "checkpoint_final.json", "checkpoint_best.json"):
+                assert (cell_dir / name).read_bytes() == (solo.out_dir / name).read_bytes()
+
+    def test_shared_splits_under_thread_contention(self, tmp_path):
+        # More workers than cores and a short switch interval, so cells
+        # interleave often while reading the one shared build.
+        base = tiny_config(tmp_path, epochs=2)
+        serial = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2], workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2], workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [c.report for c in threaded] == [c.report for c in serial]
+
+    def test_failed_shared_build_fails_every_cell_as_solo(self, tmp_path):
+        gen = tiny_generator()
+        (tmp_path / "train.jsonl").write_text('{"scene_id": \n')
+        save_dataset(generate(gen, 16, start_index=24), tmp_path / "val.jsonl")
+        base = tiny_config(
+            tmp_path,
+            generator=None,
+            dataset=DatasetPaths(
+                train_path=str(tmp_path / "train.jsonl"),
+                val_path=str(tmp_path / "val.jsonl"),
+            ),
+            epochs=1,
+        )
+        cells = sweep(base, [5.0], [0.5], [1, -1, 2], out_dir=tmp_path / "sweep")
+        assert [c.status for c in cells] == ["failed"] * 3
+        for cell in cells:
+            assert cell.report is None
+            with pytest.raises(Exception) as excinfo:
+                train(dataclasses.replace(base, seed=cell.seed))
+            assert cell.error == f"{type(excinfo.value).__name__}: {excinfo.value}"
+        assert cells[0].error.startswith("DatasetParseError: line 1")
+        assert cells[1].error.startswith("ConfigurationError: seed must be >= 0")
+        assert not (tmp_path / "run").exists()
 
     def test_parallel_matches_serial_order(self, tmp_path):
         base = tiny_config(tmp_path, epochs=1)
@@ -578,6 +876,24 @@ class TestCharts:
         cells = [SweepCell(t0=5.0, rho=0.5, seed=1, status="failed", error="x")]
         with pytest.raises(InputError):
             emit_charts(cells, tmp_path / "charts")
+
+
+class TestAtomicWrites:
+    def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
+        write_text_atomic(tmp_path / "a.txt", "x,y\n1,2\n")
+        (tmp_path / "b.txt").write_text("x,y\n1,2\n")
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert a.read_bytes() == b.read_bytes()
+        assert a.stat().st_mode == b.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            write_text_atomic(path, None)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 class TestEpochCsv:
@@ -704,6 +1020,22 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigurationError"
+
+    def test_non_finite_data_gives_one_json_line(self, tmp_path, capsys):
+        config = blown_dataset_config(tmp_path)
+        path = tmp_path / "config.json"
+        save_config(config, path)
+        with warnings.catch_warnings():
+            # A numpy RuntimeWarning would otherwise print before the error.
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["train", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "NonFiniteError"
+        assert "epoch 0" in payload["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_charts_requires_epochs_csv(self, tmp_path, capsys):
         rc = main(["charts", "--out-dir", str(tmp_path / "charts")])
