@@ -30,7 +30,6 @@ from .errors import (
 from .harness import (
     EpochRecord,
     ExperimentConfig,
-    ModelSettings,
     OptimizerConfig,
     SweepCell,
     TrainResult,
@@ -52,23 +51,13 @@ from .losses import (
     rwta_weights,
     wta_weights,
 )
-from .metrics import (
-    MetricsReport,
-    brier_fde,
-    effective_hypotheses,
-    evaluate,
-    min_ade,
-    min_fde,
-    miss_rate,
-)
+from .metrics import MetricsReport, effective_hypotheses, evaluate, miss_rate
 from .network import (
     AdamState,
     GradientBuffer,
-    HypothesisSet,
     ModelConfig,
     ModelParams,
     adam_step,
-    forward,
     gradient_check,
     init_adam,
     init_params,

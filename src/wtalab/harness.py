@@ -31,6 +31,7 @@ import logging
 import math
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -93,15 +94,6 @@ SWEEP_COLUMNS = (
 
 
 @dataclasses.dataclass
-class ModelSettings:
-    """Architecture knobs; input width and horizon come from the data."""
-
-    n_heads: int = 6
-    hidden: tuple[int, ...] = (64, 64)
-    init: str = "glorot"
-
-
-@dataclasses.dataclass
 class OptimizerConfig:
     lr: float = 1e-3
     beta1: float = 0.9
@@ -130,7 +122,7 @@ class DatasetPaths:
 class ExperimentConfig:
     """Everything needed to reproduce one training run."""
 
-    model: ModelSettings = dataclasses.field(default_factory=ModelSettings)
+    model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
     loss: LossConfig = dataclasses.field(default_factory=LossConfig)
     scheduler: ScheduleState = dataclasses.field(
         default_factory=lambda: ScheduleState(kind="exponential")
@@ -156,16 +148,9 @@ class ExperimentConfig:
             self.generator.validate()
             if self.train_count < 1 or self.val_count < 1:
                 raise ConfigurationError("train_count and val_count must be >= 1")
-        if self.model.n_heads < 1:
-            raise ConfigurationError("model.n_heads must be >= 1")
-        if any(width < 1 for width in self.model.hidden):
-            raise ConfigurationError(
-                f"model.hidden widths must be >= 1, got {self.model.hidden}"
-            )
+        self.model.validate()
         self.loss.validate(self.model.n_heads)
         self.optimizer.validate()
-        if self.model.init not in ("glorot", "clustered"):
-            raise ConfigurationError(f"unknown init mode {self.model.init!r}")
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -218,181 +203,120 @@ def resolve_out_dir(out_dir: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "model": {
-            "n_heads": config.model.n_heads,
-            "hidden": list(config.model.hidden),
-            "init": config.model.init,
-        },
-        "loss": dataclasses.asdict(config.loss),
-        "scheduler": {
-            "kind": config.scheduler.kind,
-            "t0": config.scheduler.t0,
-            "rho": config.scheduler.rho,
-            "t_floor": config.scheduler.t_floor,
-            "total_steps": config.scheduler.total_steps,
-        },
-        "optimizer": dataclasses.asdict(config.optimizer),
-        "train_count": config.train_count,
-        "val_count": config.val_count,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "eval_top_k": config.eval_top_k,
-        "nms": dataclasses.asdict(config.nms) if config.nms else None,
-    }
-    if config.generator is not None:
-        gen = dataclasses.asdict(config.generator)
-        gen["probabilities"] = list(config.generator.probabilities)
-        gen["turns"] = list(config.generator.turns)
-        out["generator"] = gen
-    if config.dataset is not None:
-        out["dataset"] = dataclasses.asdict(config.dataset)
+def _to_json(obj) -> dict:
+    """The JSON object of a config dataclass, its fields in order."""
+    out = {}
+    for field in dataclasses.fields(obj):
+        if field.metadata.get("json", True):
+            value = getattr(obj, field.name)
+            if dataclasses.is_dataclass(value):
+                value = _to_json(value)
+            out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-# The JSON type of every config field: int (a JSON integer), float (any JSON
-# number), str, or a list of one of these. Values are checked, not converted,
-# so config.json keeps the numbers as they were written.
-_FIELD_TYPES = {
-    "config": {
-        "train_count": int, "val_count": int, "epochs": int, "batch_size": int,
-        "seed": int, "out_dir": str, "eval_top_k": int,
-    },
-    "model": {"n_heads": int, "hidden": [int], "init": str},
-    "loss": {
-        "variant": str, "temperature": float, "epsilon": float, "top_n": int,
-        "depth": int, "score_coef": float,
-    },
-    "scheduler": {
-        "kind": str, "t0": float, "rho": float, "t_floor": float, "total_steps": int,
-    },
-    "optimizer": {"lr": float, "beta1": float, "beta2": float, "eps": float},
-    "generator": {
-        "n_branches": int, "probabilities": [float], "turns": [float],
-        "speed": float, "noise_std": float, "past_len": int, "future_len": int,
-        "seed": int,
-    },
-    "dataset": {"train_path": str, "val_path": str},
-    "nms": {"k_out": int, "radius": float, "order": str},
-}
-
-# Top-level keys that hold a block; an absent block takes its defaults.
-_BLOCKS = ("model", "loss", "scheduler", "optimizer", "generator", "dataset", "nms")
+def config_to_dict(config: ExperimentConfig) -> dict:
+    out = _to_json(config)
+    # The data source goes last, and only the one that is set.
+    for name in ("generator", "dataset"):
+        block = out.pop(name)
+        if block is not None:
+            out[name] = block
+    return out
 
 
-def _has_type(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, (list, tuple)) and all(
-            _has_type(item, kind[0]) for item in value
-        )
-    if kind is str:
-        return isinstance(value, str)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if kind is int:
-        return isinstance(value, int)
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
+def _checked(hint, value, where: str):
+    """value if it has the JSON type of the annotation hint; lists become tuples.
 
-
-_TYPE_NAMES = {
-    int: ("an integer", "integers"),
-    float: ("a finite number", "finite numbers"),
-    str: ("a string", "strings"),
-}
-
-# Block keys without a default.
-_REQUIRED = {"dataset": ("train_path", "val_path"), "nms": ("k_out",)}
-
-
-def _take(data: dict, where: str) -> dict:
-    """The block `where` of data, with its keys and value types checked.
-
-    None values are left out, so a field set to null takes its default.
+    Values are checked, not converted, so config.json keeps the numbers as
+    they were written: an int stays an int in a float field.
     """
-    block = data if where == "config" else data.get(where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_checked(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if hint is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif hint is int:
+        ok = isinstance(value, int)
+    else:
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            ok = False
+    if not ok:
+        expected = {str: "a string", int: "an integer", float: "a finite number"}[hint]
+        raise ConfigurationError(f"{where} must be {expected}, got {value!r}")
+    return value
+
+
+def _from_json(cls, block, where: str, **defaults):
+    """An instance of the config dataclass cls from its JSON object block.
+
+    Unknown keys are rejected, a field without a default is required and
+    null takes the default. defaults are used for keys that are absent or
+    null. Fields marked {"json": False} are not JSON keys.
+    """
     if block is None:
-        return {}
+        block = {}
     if not isinstance(block, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
-    types = _FIELD_TYPES[where]
-    allowed = set(types) | (set(_BLOCKS) if where == "config" else set())
-    unknown = set(block) - allowed
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.metadata.get("json", True)}
+    unknown = set(block) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-    out = {}
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(defaults)
     for key, value in block.items():
-        if value is None or (where == "config" and key in _BLOCKS):
+        if value is None:
             continue
-        kind = types[key]
-        if not _has_type(value, kind):
-            expected = (
-                f"a list of {_TYPE_NAMES[kind[0]][1]}"
-                if isinstance(kind, list)
-                else _TYPE_NAMES[kind][0]
-            )
-            raise ConfigurationError(f"{where}.{key} must be {expected}, got {value!r}")
-        out[key] = tuple(value) if isinstance(kind, list) else value
-    missing = [key for key in _REQUIRED.get(where, ()) if key not in out]
+        hint = hints[key]
+        if type(None) in typing.get_args(hint):  # X | None
+            hint = typing.get_args(hint)[0]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _from_json(hint, value, key)
+        else:
+            kwargs[key] = _checked(hint, value, f"{where}.{key}")
+    missing = [
+        name
+        for name, f in fields.items()
+        if name not in kwargs
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
     if missing:
         raise ConfigurationError(f"missing keys in {where}: {missing}")
-    return out
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate a config from its JSON form.
 
-    Unknown keys and values of the wrong JSON type raise ConfigurationError.
+    Unknown keys, missing required keys and values of the wrong JSON type
+    raise ConfigurationError.
     """
-    top = _take(data, "config")
-    epochs = top.get("epochs", 50)
-    seed = top.get("seed", 0)
-
-    model = ModelSettings(**_take(data, "model"))
-    loss = LossConfig(**_take(data, "loss"))
-
-    sched_block = _take(data, "scheduler")
-    sched_block.setdefault("kind", "exponential")
-    # An unspecified ladder length means "the whole run".
-    sched_block.setdefault("total_steps", max(epochs, 1))
-    scheduler = ScheduleState(step=0, **sched_block)
-    optimizer = OptimizerConfig(**_take(data, "optimizer"))
-
-    generator = None
-    if data.get("generator") is not None:
-        gen_block = _take(data, "generator")
-        gen_block.setdefault("seed", seed)
-        generator = GeneratorConfig(**gen_block)
-
-    dataset = None
-    if data.get("dataset") is not None:
-        dataset = DatasetPaths(**_take(data, "dataset"))
-
-    nms = None
-    if data.get("nms") is not None:
-        nms = NMSConfig(**_take(data, "nms"))
-
-    config = ExperimentConfig(
-        model=model,
-        loss=loss,
-        scheduler=scheduler,
-        optimizer=optimizer,
-        generator=generator,
-        dataset=dataset,
-        train_count=top.get("train_count", 1000),
-        val_count=top.get("val_count", 400),
-        epochs=epochs,
-        batch_size=top.get("batch_size", 64),
-        seed=seed,
-        out_dir=top.get("out_dir", "run"),
-        eval_top_k=top.get("eval_top_k"),
-        nms=nms,
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config must be a JSON object, got {data!r}")
+    late = ("scheduler", "generator")
+    config = _from_json(
+        ExperimentConfig, {k: v for k, v in data.items() if k not in late}, "config"
     )
+    # Defaults that depend on top-level values; an unspecified ladder length
+    # means "the whole run".
+    scheduler = _from_json(
+        ScheduleState,
+        data.get("scheduler"),
+        "scheduler",
+        kind="exponential",
+        total_steps=max(config.epochs, 1),
+    )
+    generator = data.get("generator")
+    if generator is not None:
+        generator = _from_json(GeneratorConfig, generator, "generator", seed=config.seed)
+    config = dataclasses.replace(config, scheduler=scheduler, generator=generator)
     config.validate()
     return config
 
@@ -657,12 +581,8 @@ def train(
     if splits is None:
         splits = build_splits(config)
     features, targets, val_features, val_targets = splits
-    model_config = ModelConfig(
-        input_dim=features.shape[1],
-        n_heads=config.model.n_heads,
-        horizon=targets.shape[1],
-        hidden=tuple(config.model.hidden),
-        init=config.model.init,
+    model_config = dataclasses.replace(
+        config.model, input_dim=features.shape[1], horizon=targets.shape[1]
     )
     # Independent streams so the init does not shift with the batch order.
     params = init_params(model_config, np.random.default_rng([config.seed, 1]))

@@ -18,7 +18,7 @@ from ._files import write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
-from .network import HypothesisSet, ModelParams, forward_batch, stable_softmax
+from .network import ModelParams, forward_batch, stable_softmax
 from .postselect import NMSConfig, nms_select, truncate_top_k
 
 MISS_THRESHOLD = 2.0
@@ -65,36 +65,12 @@ def _scene_metrics(
     return np.min(np.mean(dists, axis=2), axis=1), scene_min_fde, winners, scene_brier
 
 
-def _one_scene(hypotheses: HypothesisSet, target: np.ndarray) -> tuple:
-    return _scene_metrics(
-        hypotheses.trajectories[None],
-        hypotheses.scores[None],
-        np.asarray(target, dtype=float)[None],
-    )
-
-
-def min_ade(hypotheses: HypothesisSet, target: np.ndarray) -> float:
-    """Lowest average displacement error of one scene's hypotheses."""
-    return float(_one_scene(hypotheses, target)[0][0])
-
-
-def min_fde(hypotheses: HypothesisSet, target: np.ndarray) -> tuple[float, int]:
-    """Lowest final displacement error of one scene and the winning head."""
-    _, value, winner, _ = _one_scene(hypotheses, target)
-    return float(value[0]), int(winner[0])
-
-
 def miss_rate(final_errors: Sequence[float], threshold: float = MISS_THRESHOLD) -> float:
     """Fraction of scenes whose best final error strictly exceeds threshold."""
     errors = np.asarray(final_errors, dtype=float)
     if errors.ndim != 1 or errors.size < 1:
         raise InputError("final_errors must be a non-empty 1-d sequence")
     return float(np.count_nonzero(errors > threshold)) / errors.size
-
-
-def brier_fde(hypotheses: HypothesisSet, target: np.ndarray) -> float:
-    """minFDE of one scene plus the squared confidence shortfall of its winner."""
-    return float(_one_scene(hypotheses, target)[3][0])
 
 
 def effective_hypotheses(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_text_atomic
-from .errors import ConfigurationError, InputError, NonFiniteError
+from .errors import ConfigurationError, NonFiniteError
 from .losses import LossConfig, batch_objective, stable_softmax
 
 CHECKPOINT_VERSION = 1
@@ -23,67 +23,27 @@ CHECKPOINT_VERSION = 1
 INIT_MODES = ("glorot", "clustered")
 
 
-@dataclasses.dataclass(frozen=True)
-class HypothesisSet:
-    """K candidate trajectories with confidence scores for one scene.
-
-    trajectories: (K, L, 2) waypoints.
-    score_logits: (K,) raw confidence outputs.
-    scores: (K,) softmax of the logits; positive, sums to 1 within 1e-9.
-    """
-
-    trajectories: np.ndarray
-    score_logits: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        traj = np.asarray(self.trajectories, dtype=float)
-        logits = np.asarray(self.score_logits, dtype=float)
-        scores = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "trajectories", traj)
-        object.__setattr__(self, "score_logits", logits)
-        object.__setattr__(self, "scores", scores)
-        if traj.ndim != 3 or traj.shape[2] != 2 or traj.shape[0] < 1:
-            raise InputError(f"trajectories must be (K, L, 2), got {traj.shape}")
-        n_heads = traj.shape[0]
-        if logits.shape != (n_heads,) or scores.shape != (n_heads,):
-            raise InputError("logits and scores must both have K entries")
-        if not np.all(np.isfinite(traj)):
-            raise InputError("trajectories must be finite")
-        if not np.all(np.isfinite(scores)) or np.any(scores <= 0.0):
-            raise InputError("scores must be finite and strictly positive")
-        if abs(float(scores.sum()) - 1.0) > 1e-9:
-            raise InputError("scores must sum to 1 within 1e-9")
-
-    @property
-    def n_heads(self) -> int:
-        return int(self.trajectories.shape[0])
-
-    @property
-    def horizon(self) -> int:
-        return int(self.trajectories.shape[1])
-
-    @classmethod
-    def from_outputs(cls, trajectories: np.ndarray, logits: np.ndarray) -> "HypothesisSet":
-        return cls(trajectories, logits, stable_softmax(np.asarray(logits, dtype=float)))
-
-
 @dataclasses.dataclass
 class ModelConfig:
-    """Architecture description for init_params and checkpoints."""
+    """Architecture description for init_params and experiment configs.
 
-    input_dim: int
-    n_heads: int
-    horizon: int
+    input_dim and horizon come from the data: an experiment config leaves
+    them unset, they are not JSON keys, and training fills them from the
+    split shapes. init_params needs them set.
+    """
+
+    n_heads: int = 6
     hidden: tuple[int, ...] = (64, 64)
     init: str = "glorot"
+    input_dim: int | None = dataclasses.field(default=None, metadata={"json": False})
+    horizon: int | None = dataclasses.field(default=None, metadata={"json": False})
 
     def validate(self) -> None:
-        if self.input_dim < 0:
+        if self.input_dim is not None and self.input_dim < 0:
             raise ConfigurationError(f"input_dim must be >= 0, got {self.input_dim}")
         if self.n_heads < 1:
             raise ConfigurationError(f"n_heads must be >= 1, got {self.n_heads}")
-        if self.horizon < 1:
+        if self.horizon is not None and self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if any(h < 1 for h in self.hidden):
             raise ConfigurationError(f"hidden widths must be >= 1, got {self.hidden}")
@@ -148,6 +108,8 @@ def init_params(config: ModelConfig, seed: int | np.random.Generator = 0) -> Mod
     winner-takes-all loss the losing heads then never separate.
     """
     config.validate()
+    if config.input_dim is None or config.horizon is None:
+        raise ConfigurationError("init_params needs input_dim and horizon set")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dims = [config.input_dim, *config.hidden, config.output_dim]
     weights = []
@@ -198,12 +160,6 @@ def forward_batch(
     trajectories = out[:, :n_traj].reshape(batch, params.n_heads, params.horizon, 2)
     logits = out[:, n_traj:]
     return trajectories, logits, activations
-
-
-def forward(params: ModelParams, context: np.ndarray) -> HypothesisSet:
-    """Run the network on one context vector."""
-    trajectories, logits, _ = forward_batch(params, np.asarray(context)[None, :])
-    return HypothesisSet.from_outputs(trajectories[0], logits[0])
 
 
 def backward_batch(

@@ -30,7 +30,7 @@ class ScheduleState:
     """
 
     kind: str
-    step: int = 0
+    step: int = dataclasses.field(default=0, metadata={"json": False})
     t0: float = 10.0
     rho: float = 0.834
     t_floor: float = 1e-8

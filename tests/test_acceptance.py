@@ -30,15 +30,12 @@ import pytest
 from wtalab import (
     ExperimentConfig,
     GeneratorConfig,
-    HypothesisSet,
     LossConfig,
     ModelConfig,
-    ModelSettings,
     NMSConfig,
     OptimizerConfig,
     ScheduleState,
     awta_weights,
-    brier_fde,
     dac_weights,
     endpoint_ring_config,
     evaluate,
@@ -48,16 +45,14 @@ from wtalab import (
     generate,
     gradient_check,
     init_params,
-    min_ade,
-    min_fde,
     miss_rate,
     rwta_weights,
     three_branch_config,
     train,
     wta_weights,
 )
-from wtalab.losses import max_dac_depth
-from wtalab.metrics import REPORT_COLUMNS, read_report_csv, write_report_csv
+from wtalab.losses import max_dac_depth, stable_softmax
+from wtalab.metrics import REPORT_COLUMNS, _scene_metrics, read_report_csv, write_report_csv
 
 
 _terminal = None
@@ -247,7 +242,7 @@ def test_quantization_oracle_and_clustered_collapse():
             generator=endpoint_ring_config(6, 2.5, noise_std=0.15, seed=seed),
             train_count=1000,
             val_count=400,
-            model=ModelSettings(n_heads=6, init="glorot"),
+            model=ModelConfig(n_heads=6, init="glorot"),
             loss=LossConfig(variant="awta"),
             scheduler=ScheduleState(
                 kind="exponential", t0=10.0, rho=0.834, total_steps=100
@@ -274,7 +269,7 @@ def test_quantization_oracle_and_clustered_collapse():
             generator=endpoint_ring_config(6, 2.5, noise_std=0.15, seed=seed),
             train_count=1000,
             val_count=400,
-            model=ModelSettings(n_heads=6, init="clustered"),
+            model=ModelConfig(n_heads=6, init="clustered"),
             loss=LossConfig(variant="wta"),
             scheduler=ScheduleState(kind="constant", t0=1.0, total_steps=100),
             optimizer=OptimizerConfig(lr=0.003),
@@ -328,7 +323,7 @@ def test_two_mode_phase_transition():
         ),
         train_count=1000,
         val_count=400,
-        model=ModelSettings(n_heads=2, hidden=(), init="glorot"),
+        model=ModelConfig(n_heads=2, hidden=(), init="glorot"),
         loss=LossConfig(variant="awta"),
         scheduler=ScheduleState(kind="exponential", t0=40.0, rho=0.78, total_steps=100),
         optimizer=OptimizerConfig(lr=0.1),
@@ -383,7 +378,7 @@ def benchmark_runs():
             generator=three_branch_config(seed=seed),
             train_count=1000,
             val_count=400,
-            model=ModelSettings(n_heads=n_heads, hidden=(64, 64), init="glorot"),
+            model=ModelConfig(n_heads=n_heads, hidden=(64, 64), init="glorot"),
             loss=LossConfig(variant=variant),
             scheduler=scheduler,
             optimizer=OptimizerConfig(lr=0.02),
@@ -496,6 +491,13 @@ def test_baseline_parity_and_shared_schema(benchmark_runs, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def one_scene_metrics(trajectories, scores, target):
+    """(minADE, minFDE, winner, Brier-FDE) from the batch scorer that
+    evaluate runs, on a batch holding one scene."""
+    ade, fde, winner, brier = _scene_metrics(trajectories[None], scores[None], target[None])
+    return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
+
+
 def test_metrics_against_brute_force():
     started = time.perf_counter()
     rng = np.random.default_rng(20240817)
@@ -507,7 +509,7 @@ def test_metrics_against_brute_force():
         horizon = int(rng.integers(1, 13))
         traj = rng.normal(size=(k, horizon, 2)) * 10.0
         target = rng.normal(size=(horizon, 2)) * 10.0
-        hyps = HypothesisSet.from_outputs(traj, rng.normal(size=k))
+        scores = stable_softmax(rng.normal(size=k))
 
         best_ade = math.inf
         best_fde = math.inf
@@ -527,13 +529,13 @@ def test_metrics_against_brute_force():
             if final < best_fde:
                 best_fde = final
                 winner = head
-        brier = best_fde + (1.0 - float(hyps.scores[winner])) ** 2
+        brier = best_fde + (1.0 - float(scores[winner])) ** 2
 
-        max_err = max(max_err, abs(min_ade(hyps, target) - best_ade))
-        value, got_winner = min_fde(hyps, target)
+        ade, value, got_winner, got_brier = one_scene_metrics(traj, scores, target)
+        max_err = max(max_err, abs(ade - best_ade))
         max_err = max(max_err, abs(value - best_fde))
         assert got_winner == winner
-        max_err = max(max_err, abs(brier_fde(hyps, target) - brier))
+        max_err = max(max_err, abs(got_brier - brier))
         final_errors.append(best_fde)
 
     loop_rate = sum(1 for e in final_errors if e > 2.0) / len(final_errors)
@@ -541,13 +543,12 @@ def test_metrics_against_brute_force():
 
     offset_target = np.zeros((4, 2))
     offset_traj = np.full((1, 4, 2), [3.0, 4.0])
-    offset_hyps = HypothesisSet.from_outputs(offset_traj, np.zeros(1))
-    hand_ade = min_ade(offset_hyps, offset_target) == 5.0
+    hand_ade = one_scene_metrics(offset_traj, np.ones(1), offset_target)[0] == 5.0
 
-    brier_hyps = HypothesisSet(
-        np.array([[[1.0, 0.0]], [[9.0, 0.0]]]), np.zeros(2), np.array([0.5, 0.5])
+    brier_traj = np.array([[[1.0, 0.0]], [[9.0, 0.0]]])
+    hand_brier = (
+        one_scene_metrics(brier_traj, np.array([0.5, 0.5]), np.zeros((1, 2)))[3] == 1.25
     )
-    hand_brier = brier_fde(brier_hyps, np.zeros((1, 2))) == 1.25
 
     elapsed = time.perf_counter() - started
     ok = max_err <= 1e-9 and hand_ade and hand_brier
@@ -575,7 +576,7 @@ def test_metrics_csv_byte_determinism(tmp_path):
             generator=three_branch_config(seed=0, past_len=6, future_len=8),
             train_count=120,
             val_count=60,
-            model=ModelSettings(n_heads=4, hidden=(16,), init="glorot"),
+            model=ModelConfig(n_heads=4, hidden=(16,), init="glorot"),
             loss=LossConfig(variant="awta"),
             scheduler=ScheduleState(kind="exponential", t0=10.0, rho=0.8, total_steps=3),
             optimizer=OptimizerConfig(lr=0.01),

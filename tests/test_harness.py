@@ -2,9 +2,11 @@
 command line interface."""
 
 import dataclasses
+import hashlib
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from wtalab import (
     GeneratorConfig,
     InputError,
     LossConfig,
-    ModelSettings,
+    ModelConfig,
     NMSConfig,
     NonFiniteError,
     OptimizerConfig,
@@ -67,7 +69,7 @@ def tiny_generator(seed=3) -> GeneratorConfig:
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     base = dict(
-        model=ModelSettings(n_heads=3, hidden=(8,), init="glorot"),
+        model=ModelConfig(n_heads=3, hidden=(8,), init="glorot"),
         loss=LossConfig(variant="awta"),
         scheduler=ScheduleState(kind="exponential", t0=10.0, rho=0.5),
         optimizer=OptimizerConfig(lr=0.01),
@@ -98,6 +100,31 @@ def blown_dataset_config(tmp_path) -> ExperimentConfig:
         ),
         batch_size=4,
     )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# A dataset-backed config with post-selection set, beside the generator
+# configs in configs/.
+DATASET_CONFIG = {
+    "dataset": {"train_path": "train.jsonl", "val_path": "val.jsonl"},
+    "model": {"n_heads": 3, "hidden": [8]},
+    "loss": {"variant": "wta"},
+    "nms": {"k_out": 2, "radius": 1},
+    "eval_top_k": 2,
+    "epochs": 0,
+    "out_dir": "runs/dataset",
+}
+
+# sha256 of the config.json that save_config writes for each config.
+CONFIG_JSON_SHA256 = {
+    "benchmark_awta.json": "173f6a54bcaa2e1e17b99f1c34989c8f3ab984c5dbcc9e26c24b0f3cbcb141a9",
+    "benchmark_wta.json": "8c7aeb7cc595f48da8ff33d5e1f578620f8b5b002937e6efb3f475f86fd12c1a",
+    "benchmark_wta12_nms.json": "5cc353437dd7518b8c4e17f1325208ff5b0c38d6d5291bc04f23bdd49ea65bab",
+    "phase_transition.json": "b4c36013444c2c02264236e4d1ea221206f42bd38a77e7988487e42ff9509097",
+    "quantization_ring.json": "f85e3eb724fca94f8e75a44121aa3f14f525aa764e55941c987f677e1c332367",
+    "dataset.json": "7003f485ab1c563de80ffb910069cc7eba86396793fe20307f55338ec95f675b",
+}
 
 
 class TestConfigRoundTrip:
@@ -155,6 +182,16 @@ class TestConfigRoundTrip:
     def test_unknown_keys_rejected(self, data):
         with pytest.raises(ConfigurationError, match="unknown keys"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_JSON_SHA256))
+    def test_config_json_bytes_are_pinned(self, tmp_path, name):
+        source = CONFIGS / name
+        if name == "dataset.json":
+            source = tmp_path / name
+            source.write_text(json.dumps(DATASET_CONFIG))
+        save_config(load_config(source), tmp_path / "config.json")
+        digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+        assert digest == CONFIG_JSON_SHA256[name]
 
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "config.json"

@@ -7,51 +7,58 @@ import pytest
 
 from wtalab import (
     ConfigurationError,
-    HypothesisSet,
     InputError,
     MetricsReport,
     ModelConfig,
-    brier_fde,
     effective_hypotheses,
     endpoint_ring_config,
     evaluate,
     featurize,
     featurize_split,
-    forward,
     generate,
     init_params,
-    min_ade,
-    min_fde,
     miss_rate,
     three_branch_config,
 )
 from wtalab.losses import stable_softmax
-from wtalab.metrics import read_report_csv, write_report_csv
+from wtalab.metrics import _scene_metrics, read_report_csv, write_report_csv
+from wtalab.network import forward_batch
 from wtalab.postselect import truncate_top_k
 
 
-def make_set(trajectories, logits=None) -> HypothesisSet:
+def scene_metrics(trajectories, target, logits=None, scores=None):
+    """The batch scorer evaluate runs, on a batch holding one scene.
+
+    Scores default to the softmax of the logits, which default to zeros.
+    Returns (minADE, minFDE, minFDE winner, Brier-FDE).
+    """
     trajectories = np.asarray(trajectories, dtype=float)
-    if logits is None:
-        logits = np.zeros(trajectories.shape[0])
-    return HypothesisSet.from_outputs(trajectories, np.asarray(logits, dtype=float))
+    if scores is None:
+        if logits is None:
+            logits = np.zeros(trajectories.shape[0])
+        scores = stable_softmax(np.asarray(logits, dtype=float))
+    ade, fde, winner, brier = _scene_metrics(
+        trajectories[None], np.asarray(scores, dtype=float)[None], np.asarray(target)[None]
+    )
+    return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
 
 
-def brute_force_metrics(hypotheses: HypothesisSet, target: np.ndarray):
+def brute_force_metrics(trajectories: np.ndarray, target: np.ndarray):
     """Plain-Python loops as an independent oracle."""
     target = np.asarray(target, dtype=float)
+    n_heads, horizon, _ = trajectories.shape
     best_ade = math.inf
     best_fde = math.inf
     fde_winner = -1
-    for k in range(hypotheses.n_heads):
+    for k in range(n_heads):
         total = 0.0
-        for step in range(hypotheses.horizon):
-            dx = hypotheses.trajectories[k, step, 0] - target[step, 0]
-            dy = hypotheses.trajectories[k, step, 1] - target[step, 1]
+        for step in range(horizon):
+            dx = trajectories[k, step, 0] - target[step, 0]
+            dy = trajectories[k, step, 1] - target[step, 1]
             total += math.hypot(dx, dy)
-        best_ade = min(best_ade, total / hypotheses.horizon)
-        dx = hypotheses.trajectories[k, -1, 0] - target[-1, 0]
-        dy = hypotheses.trajectories[k, -1, 1] - target[-1, 1]
+        best_ade = min(best_ade, total / horizon)
+        dx = trajectories[k, -1, 0] - target[-1, 0]
+        dy = trajectories[k, -1, 1] - target[-1, 1]
         final = math.hypot(dx, dy)
         if final < best_fde:
             best_fde = final
@@ -65,17 +72,15 @@ class TestHandExamples:
         # distance is 5, so the average and the final error are both 5.
         target = np.zeros((4, 2))
         traj = np.full((1, 4, 2), [3.0, 4.0])
-        hyps = make_set(traj)
-        assert min_ade(hyps, target) == 5.0
-        value, winner = min_fde(hyps, target)
+        ade, value, winner, _ = scene_metrics(traj, target)
+        assert ade == 5.0
         assert value == 5.0 and winner == 0
 
     def test_brier_penalizes_low_confidence_winner(self):
         # Winning endpoint misses by 1 with score 0.5: 1 + (1-0.5)^2 = 1.25.
         target = np.zeros((1, 2))
         traj = np.array([[[1.0, 0.0]], [[9.0, 0.0]]])
-        hyps = HypothesisSet(traj, np.zeros(2), np.array([0.5, 0.5]))
-        assert brier_fde(hyps, target) == 1.25
+        assert scene_metrics(traj, target, scores=[0.5, 0.5])[3] == 1.25
 
     def test_best_head_wins_each_metric_independently(self):
         # Head 0 has the better average, head 1 the better endpoint.
@@ -86,16 +91,14 @@ class TestHandExamples:
                 [[5.0, 0.0], [1.0, 0.0]],
             ]
         )
-        hyps = make_set(traj)
-        assert min_ade(hyps, target) == 1.0
-        value, winner = min_fde(hyps, target)
+        ade, value, winner, _ = scene_metrics(traj, target)
+        assert ade == 1.0
         assert value == 1.0 and winner == 1
 
     def test_fde_tie_resolves_to_lowest_index(self):
         target = np.zeros((1, 2))
         traj = np.array([[[1.0, 0.0]], [[-1.0, 0.0]]])
-        _, winner = min_fde(make_set(traj), target)
-        assert winner == 0
+        assert scene_metrics(traj, target)[2] == 0
 
 
 class TestAgainstBruteForce:
@@ -106,22 +109,22 @@ class TestAgainstBruteForce:
             horizon = int(rng.integers(1, 10))
             traj = rng.normal(size=(k, horizon, 2)) * 10.0
             target = rng.normal(size=(horizon, 2)) * 10.0
-            hyps = make_set(traj, rng.normal(size=k))
-            ade_oracle, fde_oracle, winner_oracle = brute_force_metrics(hyps, target)
-            assert abs(min_ade(hyps, target) - ade_oracle) <= 1e-9
-            value, winner = min_fde(hyps, target)
+            scores = stable_softmax(rng.normal(size=k))
+            ade_oracle, fde_oracle, winner_oracle = brute_force_metrics(traj, target)
+            ade, value, winner, brier = scene_metrics(traj, target, scores=scores)
+            assert abs(ade - ade_oracle) <= 1e-9
             assert abs(value - fde_oracle) <= 1e-9
             assert winner == winner_oracle
-            expected_brier = fde_oracle + (1.0 - hyps.scores[winner_oracle]) ** 2
-            assert abs(brier_fde(hyps, target) - expected_brier) <= 1e-9
+            expected_brier = fde_oracle + (1.0 - scores[winner_oracle]) ** 2
+            assert abs(brier - expected_brier) <= 1e-9
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(7)
         traj = rng.normal(size=(3, 5, 2))
         target = rng.normal(size=(5, 2))
         shift = np.array([12.5, -3.25])
-        a = min_ade(make_set(traj), target)
-        b = min_ade(make_set(traj + shift), target + shift)
+        a = scene_metrics(traj, target)[0]
+        b = scene_metrics(traj + shift, target + shift)[0]
         assert abs(a - b) <= 1e-9
 
     def test_adding_heads_never_hurts(self):
@@ -129,7 +132,7 @@ class TestAgainstBruteForce:
         target = rng.normal(size=(4, 2))
         traj = rng.normal(size=(6, 4, 2))
         values = [
-            min_ade(make_set(traj[: k + 1]), target) for k in range(6)
+            scene_metrics(traj[: k + 1], target)[0] for k in range(6)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -199,11 +202,11 @@ class TestTruncateTopK:
 
 class TestShapes:
     def test_target_shape_mismatch_rejected(self):
-        hyps = make_set(np.zeros((2, 3, 2)))
+        traj = np.zeros((2, 3, 2))
         with pytest.raises(InputError):
-            min_ade(hyps, np.zeros((4, 2)))
+            scene_metrics(traj, np.zeros((4, 2)))
         with pytest.raises(InputError):
-            min_fde(hyps, np.zeros((3, 3)))
+            scene_metrics(traj, np.zeros((3, 3)))
 
 
 class TestEvaluate:
@@ -220,12 +223,12 @@ class TestEvaluate:
         ades, fdes, briers, winners = [], [], [], []
         for scene in scenes:
             feat = featurize(scene)
-            hyps = forward(params, feat.features)
-            ade, fde, winner = brute_force_metrics(hyps, feat.target)
+            trajectories, logits, _ = forward_batch(params, feat.features[None])
+            ade, fde, winner = brute_force_metrics(trajectories[0], feat.target)
             ades.append(ade)
             fdes.append(fde)
             winners.append(winner)
-            briers.append(fde + (1.0 - hyps.scores[winner]) ** 2)
+            briers.append(fde + (1.0 - stable_softmax(logits[0])[winner]) ** 2)
         assert report.n_scenes == len(scenes)
         assert report.min_ade == pytest.approx(np.mean(ades), abs=1e-12)
         assert report.min_fde == pytest.approx(np.mean(fdes), abs=1e-12)

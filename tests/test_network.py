@@ -9,20 +9,18 @@ import pytest
 from wtalab import (
     ConfigurationError,
     GradientBuffer,
-    HypothesisSet,
-    InputError,
     LossConfig,
     ModelConfig,
     ModelParams,
     NonFiniteError,
     adam_step,
-    forward,
     gradient_check,
     init_adam,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
+from wtalab.losses import stable_softmax
 from wtalab.network import backward_batch, forward_batch
 
 
@@ -125,6 +123,12 @@ class TestInitParams:
         traj_bias = params.biases[-1][: cfg.n_heads * span].reshape(cfg.n_heads, span)
         assert not np.array_equal(traj_bias[1], traj_bias[0])
 
+    def test_copy_is_independent(self):
+        params = init_params(small_config(), seed=0)
+        dup = params.copy()
+        dup.weights[0][0, 0] += 1.0
+        assert params.weights[0][0, 0] != dup.weights[0][0, 0]
+
 
 class TestForward:
     def test_batch_shapes(self):
@@ -137,14 +141,6 @@ class TestForward:
         assert len(activations) == 2
         assert activations[0] is not None and activations[1].shape == (7, 8)
 
-    def test_single_scene_returns_hypothesis_set(self):
-        cfg = small_config()
-        params = init_params(cfg, seed=0)
-        out = forward(params, np.zeros(6))
-        assert isinstance(out, HypothesisSet)
-        assert out.n_heads == 3 and out.horizon == 4
-        assert out.scores.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_zeroed_parameters_give_uniform_scores(self):
         cfg = small_config()
         params = init_params(cfg, seed=0)
@@ -152,15 +148,16 @@ class TestForward:
             w[:] = 0.0
         for b in params.biases:
             b[:] = 0.0
-        out = forward(params, np.ones(6))
-        assert np.allclose(out.scores, np.full(3, 1.0 / 3.0), rtol=0, atol=1e-15)
-        assert np.all(out.trajectories == 0.0)
+        traj, logits, _ = forward_batch(params, np.ones((1, 6)))
+        scores = stable_softmax(logits[0])
+        assert np.allclose(scores, np.full(3, 1.0 / 3.0), rtol=0, atol=1e-15)
+        assert np.all(traj == 0.0)
 
     def test_no_hidden_layers_is_affine(self):
         cfg = ModelConfig(input_dim=2, n_heads=2, horizon=1, hidden=())
         params = init_params(cfg, seed=0)
-        out = forward(params, np.zeros(2))
-        flat = np.concatenate([out.trajectories.reshape(-1), out.score_logits])
+        traj, logits, _ = forward_batch(params, np.zeros((1, 2)))
+        flat = np.concatenate([traj[0].reshape(-1), logits[0]])
         expected = np.concatenate(
             [
                 params.biases[-1][:4],
@@ -180,9 +177,9 @@ class TestForward:
     def test_bad_context_shapes_rejected(self):
         params = init_params(small_config(), seed=0)
         with pytest.raises(ConfigurationError):
-            forward(params, np.zeros((2, 6)))
+            forward_batch(params, np.zeros((1, 2, 6)))
         with pytest.raises(ConfigurationError):
-            forward(params, np.zeros(5))
+            forward_batch(params, np.zeros(6))
         with pytest.raises(ConfigurationError):
             forward_batch(params, np.zeros((4, 5)))
 
@@ -368,10 +365,10 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         context = np.random.default_rng(8).normal(size=6)
-        a = forward(params, context)
-        b = forward(loaded, context)
-        assert np.array_equal(a.trajectories, b.trajectories)
-        assert np.array_equal(a.score_logits, b.score_logits)
+        a = forward_batch(params, context[None])
+        b = forward_batch(loaded, context[None])
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_version_mismatch_rejected(self, tmp_path):
         params = init_params(small_config(), seed=0)
@@ -421,32 +418,3 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="mismatched"):
             load_checkpoint(path)
-
-
-class TestHypothesisSet:
-    def test_from_outputs_builds_softmax_scores(self):
-        traj = np.zeros((2, 3, 2))
-        logits = np.array([1.0, 3.0])
-        hs = HypothesisSet.from_outputs(traj, logits)
-        expected = np.exp([1.0, 3.0]) / np.exp([1.0, 3.0]).sum()
-        assert np.allclose(hs.scores, expected, atol=1e-15)
-
-    @pytest.mark.parametrize(
-        "traj, logits, scores",
-        [
-            (np.zeros((2, 3)), np.zeros(2), np.full(2, 0.5)),
-            (np.zeros((2, 3, 2)), np.zeros(3), np.full(2, 0.5)),
-            (np.full((2, 3, 2), np.nan), np.zeros(2), np.full(2, 0.5)),
-            (np.zeros((2, 3, 2)), np.zeros(2), np.array([1.5, -0.5])),
-            (np.zeros((2, 3, 2)), np.zeros(2), np.array([0.6, 0.6])),
-        ],
-    )
-    def test_invalid_sets_rejected(self, traj, logits, scores):
-        with pytest.raises(InputError):
-            HypothesisSet(traj, logits, scores)
-
-    def test_copy_is_independent(self):
-        params = init_params(small_config(), seed=0)
-        dup = params.copy()
-        dup.weights[0][0, 0] += 1.0
-        assert params.weights[0][0, 0] != dup.weights[0][0, 0]

@@ -7,7 +7,6 @@ import pytest
 
 from wtalab import (
     ConfigurationError,
-    HypothesisSet,
     InputError,
     ModelConfig,
     NMSConfig,
@@ -23,13 +22,16 @@ from wtalab.network import forward_batch
 from wtalab.postselect import truncate_top_k
 
 
-def reference_nms(hypotheses: HypothesisSet, config: NMSConfig) -> list[int]:
-    """Greedy suppression over one scene with plain lists, as an oracle.
+def reference_nms(
+    trajectories: np.ndarray, logits: np.ndarray, config: NMSConfig
+) -> list[int]:
+    """Greedy suppression over one scene's (K, L, 2) trajectories and (K,)
+    logits with plain lists, as an oracle.
 
     Returns the kept head indices in the order they were kept.
     """
-    endpoints = hypotheses.trajectories[:, -1, :]
-    order = np.argsort(-hypotheses.scores, kind="stable")
+    endpoints = trajectories[:, -1, :]
+    order = np.argsort(-stable_softmax(logits), kind="stable")
     accepted: list[int] = []
     suppressed: list[int] = []
     for candidate in order:
@@ -50,9 +52,10 @@ def reference_nms(hypotheses: HypothesisSet, config: NMSConfig) -> list[int]:
     return accepted
 
 
-def reference_top_k(hypotheses: HypothesisSet, top_k: int) -> list[int]:
-    """The top_k highest-score heads of one scene, ties by lowest index."""
-    return np.argsort(-hypotheses.scores, kind="stable")[:top_k].tolist()
+def reference_top_k(logits: np.ndarray, top_k: int) -> list[int]:
+    """The top_k highest-score heads of one scene's (K,) logits, ties by
+    lowest index."""
+    return np.argsort(-stable_softmax(logits), kind="stable")[:top_k].tolist()
 
 
 def select(endpoints, logits, **config):
@@ -191,8 +194,7 @@ class TestAgainstPerSceneReference:
             trajectories, logits, config = random_batch(rng)
             kept_traj, kept_logits = nms_select(trajectories, logits, config)
             for i in range(len(trajectories)):
-                hyps = HypothesisSet.from_outputs(trajectories[i], logits[i])
-                keep = reference_nms(hyps, config)
+                keep = reference_nms(trajectories[i], logits[i], config)
                 assert np.array_equal(kept_traj[i], trajectories[i, keep])
                 assert np.array_equal(kept_logits[i], logits[i, keep])
 
@@ -202,8 +204,7 @@ class TestAgainstPerSceneReference:
             trajectories, logits, config = random_batch(rng)
             kept_traj, kept_logits = truncate_top_k(trajectories, logits, config.k_out)
             for i in range(len(trajectories)):
-                hyps = HypothesisSet.from_outputs(trajectories[i], logits[i])
-                keep = reference_top_k(hyps, config.k_out)
+                keep = reference_top_k(logits[i], config.k_out)
                 assert np.array_equal(kept_traj[i], trajectories[i, keep])
                 assert np.array_equal(kept_logits[i], logits[i, keep])
 
@@ -218,17 +219,14 @@ class TestAgainstPerSceneReference:
         trajectories, logits, _ = forward_batch(params, features)
         fdes, briers, winners = [], [], []
         for i in range(len(scenes)):
-            hyps = HypothesisSet.from_outputs(trajectories[i], logits[i])
-            kept = reference_nms(hyps, config)
-            hyps = HypothesisSet.from_outputs(trajectories[i, kept], logits[i, kept])
-            top = reference_top_k(hyps, 3)
-            hyps = HypothesisSet.from_outputs(hyps.trajectories[top], hyps.score_logits[top])
-            finals = [math.hypot(*(end - targets[i, -1])) for end in hyps.trajectories[:, -1]]
+            kept = reference_nms(trajectories[i], logits[i], config)
+            top = [kept[j] for j in reference_top_k(logits[i, kept], 3)]
+            finals = [math.hypot(*(end - targets[i, -1])) for end in trajectories[i, top, -1]]
             winner = finals.index(min(finals))
             value = finals[winner]
             fdes.append(value)
             winners.append(winner)
-            briers.append(value + (1.0 - hyps.scores[winner]) ** 2)
+            briers.append(value + (1.0 - stable_softmax(logits[i, top])[winner]) ** 2)
         assert report.winner_histogram == np.bincount(winners, minlength=3).tolist()
         assert report.min_fde == pytest.approx(np.mean(fdes), abs=1e-12)
         assert report.brier_fde == pytest.approx(np.mean(briers), abs=1e-12)
