@@ -17,12 +17,18 @@ from .datagen import generate, save_dataset
 from .errors import ConfigurationError, InputError, WtalabError
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part != ""]
-
-
-def _parse_ints(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part != ""]
+def _parse_list(raw: str, flag: str, kind: type) -> list:
+    """Comma-separated values of one type; a bad item raises InputError."""
+    values = []
+    for part in raw.split(","):
+        if part != "":
+            try:
+                values.append(kind(part))
+            except ValueError:
+                raise InputError(
+                    f"{flag} takes comma-separated {kind.__name__}s, got {part!r}"
+                ) from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,9 +106,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     cells = harness.sweep(
         config,
-        t0_values=_parse_floats(args.t0),
-        rho_values=_parse_floats(args.rho),
-        seeds=_parse_ints(args.seeds),
+        t0_values=_parse_list(args.t0, "--t0", float),
+        rho_values=_parse_list(args.rho, "--rho", float),
+        seeds=_parse_list(args.seeds, "--seeds", int),
         out_dir=args.out_dir,
         workers=args.workers,
     )

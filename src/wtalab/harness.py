@@ -27,7 +27,6 @@ import csv
 import dataclasses
 import io
 import json
-import logging
 import math
 import os
 import time
@@ -60,8 +59,6 @@ from .network import (
 )
 from .postselect import NMSConfig
 from .schedulers import ScheduleState
-
-logger = logging.getLogger(__name__)
 
 OUT_ROOT_ENV = "WTALAB_OUT_ROOT"
 
@@ -256,15 +253,17 @@ def _checked(hint, value, where: str):
 def _from_json(cls, block, where: str, **defaults):
     """An instance of the config dataclass cls from its JSON object block.
 
-    Unknown keys are rejected, a field without a default is required and
-    null takes the default. defaults are used for keys that are absent or
-    null. Fields marked {"json": False} are not JSON keys.
+    Unknown keys are rejected and a field without a default is required.
+    A key that is absent or null takes its value from defaults, else the
+    dataclass default. Fields marked {"json": False} are not JSON keys.
     """
     if block is None:
         block = {}
     if not isinstance(block, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {block!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.metadata.get("json", True)}
+    fields = {
+        f.name: f for f in dataclasses.fields(cls) if f.metadata.get("json", True)
+    }
     unknown = set(block) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -315,7 +314,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
     generator = data.get("generator")
     if generator is not None:
-        generator = _from_json(GeneratorConfig, generator, "generator", seed=config.seed)
+        generator = _from_json(
+            GeneratorConfig, generator, "generator", seed=config.seed
+        )
     config = dataclasses.replace(config, scheduler=scheduler, generator=generator)
     config.validate()
     return config
@@ -381,10 +382,15 @@ def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
     if not lines or lines[0] != ",".join(EPOCH_COLUMNS):
         raise InputError(f"{path} is not an epoch log CSV")
     records = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         v = line.split(",")
-        records.append(
-            EpochRecord(
+        if len(v) != len(EPOCH_COLUMNS):
+            raise InputError(
+                f"{path} line {number}: expected {len(EPOCH_COLUMNS)} fields,"
+                f" got {len(v)}"
+            )
+        try:
+            record = EpochRecord(
                 epoch=int(v[0]),
                 schedule_value=None if v[1] == "" else float(v[1]),
                 train_loss=float(v[2]),
@@ -395,7 +401,12 @@ def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
                 effective_hypotheses=int(v[7]),
                 wall_s=float(v[8]),
             )
-        )
+        except ValueError as exc:
+            raise InputError(f"{path} line {number}: {exc}") from None
+        values = [x for x in dataclasses.astuple(record) if x is not None]
+        if not all(math.isfinite(x) for x in values):
+            raise InputError(f"{path} line {number}: values must be finite")
+        records.append(record)
     return records
 
 
@@ -499,7 +510,6 @@ def _train_epochs(
     best_epoch = -1
     best_fde = math.inf
     best_params = params.copy()
-    clamped_total = 0
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -514,7 +524,6 @@ def _train_epochs(
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 )
-            clamped_total += objective.score_clamped
             grads = backward_batch(
                 params, activations, objective.d_trajectories, objective.d_score_logits
             )
@@ -551,11 +560,6 @@ def _train_epochs(
             best_fde = report.min_fde
             best_epoch = epoch
             best_params = params.copy()
-
-    if clamped_total:
-        logger.warning(
-            "winner score clamped to the probability floor %d times", clamped_total
-        )
     return params, records, best_params, best_epoch
 
 

@@ -25,14 +25,23 @@ from .errors import ConfigurationError, InputError
 
 VARIANTS = ("wta", "rwta", "ewta", "dac", "awta")
 
-SCORE_PROB_FLOOR = 1e-12
-
 
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with the max subtracted before exponentiation."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _winner_score(logits: np.ndarray, winners: np.ndarray) -> np.ndarray:
+    """-log softmax(logits)[winner] per row of (B, K) logits.
+
+    Computed as logsumexp(logits) - logit_winner, which stays finite and
+    exact where the winner's probability underflows to 0.
+    """
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
+    return log_norm - shifted[np.arange(len(winners)), winners]
 
 
 def max_dac_depth(n_heads: int) -> int:
@@ -224,7 +233,6 @@ class BatchObjective:
     costs: np.ndarray
     weights: np.ndarray
     winners: np.ndarray
-    score_clamped: int = 0
 
     @property
     def mean_loss(self) -> float:
@@ -266,14 +274,12 @@ def batch_objective(
     weights = assignment_weights(costs, config)
     winners = np.argmin(costs, axis=1)
 
-    probs = stable_softmax(logits, axis=1)
-    winner_probs = probs[np.arange(batch), winners]
-    clamped = int(np.count_nonzero(winner_probs < SCORE_PROB_FLOOR))
-    loss = np.sum(weights * costs, axis=1) + config.score_coef * -np.log(
-        np.maximum(winner_probs, SCORE_PROB_FLOOR)
+    loss = np.sum(weights * costs, axis=1) + config.score_coef * _winner_score(
+        logits, winners
     )
 
     d_traj = weights[:, :, None, None] * (2.0 / horizon) * residual / batch
+    probs = stable_softmax(logits, axis=1)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(batch), winners] = 1.0
     d_logits = config.score_coef * (probs - one_hot) / batch
@@ -285,5 +291,4 @@ def batch_objective(
         costs=costs,
         weights=weights,
         winners=winners,
-        score_clamped=clamped,
     )

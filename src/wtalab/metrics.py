@@ -18,7 +18,8 @@ from ._files import write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
-from .network import ModelParams, forward_batch, stable_softmax
+from .losses import stable_softmax
+from .network import ModelParams, forward_batch
 from .postselect import NMSConfig, nms_select, truncate_top_k
 
 MISS_THRESHOLD = 2.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._files import write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
-from .losses import LossConfig, batch_objective, stable_softmax
+from .losses import LossConfig, _winner_score, batch_objective
 
 CHECKPOINT_VERSION = 1
 
@@ -301,8 +301,7 @@ def gradient_check(
         p, lg, _ = forward_batch(params, context[None, :])
         residual = p[0] - target
         head_costs = np.mean(np.sum(residual**2, axis=2), axis=1)
-        probs = stable_softmax(lg[0])
-        score = -np.log(max(float(probs[frozen_winner]), 1e-300))
+        score = _winner_score(lg, np.array([frozen_winner]))[0]
         return float(frozen_weights @ head_costs + config.score_coef * score)
 
     horizon2 = params.horizon * 2
@@ -366,11 +365,18 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ConfigurationError unless the payload describes a network that
+    forward_batch can run: at least one layer, one bias vector per weight
+    matrix, chained shapes, an output width of K*(2L+1), finite values.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"checkpoint {path} must hold a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(
@@ -394,13 +400,25 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"checkpoint {path} is malformed: {exc}") from exc
+    if not weights or len(biases) != len(weights):
+        raise ConfigurationError(
+            f"checkpoint {path} needs one bias vector per weight matrix and at"
+            f" least one layer, got {len(weights)} and {len(biases)}"
+        )
+    for layer, (weight, bias) in enumerate(zip(weights, biases)):
+        if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+            raise ConfigurationError(
+                f"checkpoint {path} layer {layer} has weights {weight.shape}"
+                f" and biases {bias.shape}; expected (out, in) and (out,)"
+            )
+        if layer and weight.shape[1] != weights[layer - 1].shape[0]:
+            raise ConfigurationError(f"checkpoint {path} has mismatched layer shapes")
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+            raise ConfigurationError(f"checkpoint {path} layer {layer} is not finite")
     expected_out = params.n_heads * (params.horizon * 2 + 1)
     if params.weights[-1].shape[0] != expected_out:
         raise ConfigurationError(
             f"checkpoint {path} output width {params.weights[-1].shape[0]}"
             f" does not match K*(2L+1) = {expected_out}"
         )
-    for first, second in zip(params.weights[:-1], params.weights[1:]):
-        if second.shape[1] != first.shape[0]:
-            raise ConfigurationError(f"checkpoint {path} has mismatched layer shapes")
     return params

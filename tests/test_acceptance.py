@@ -52,7 +52,12 @@ from wtalab import (
     wta_weights,
 )
 from wtalab.losses import max_dac_depth, stable_softmax
-from wtalab.metrics import REPORT_COLUMNS, _scene_metrics, read_report_csv, write_report_csv
+from wtalab.metrics import (
+    REPORT_COLUMNS,
+    _scene_metrics,
+    read_report_csv,
+    write_report_csv,
+)
 
 
 _terminal = None
@@ -494,7 +499,9 @@ def test_baseline_parity_and_shared_schema(benchmark_runs, tmp_path):
 def one_scene_metrics(trajectories, scores, target):
     """(minADE, minFDE, winner, Brier-FDE) from the batch scorer that
     evaluate runs, on a batch holding one scene."""
-    ade, fde, winner, brier = _scene_metrics(trajectories[None], scores[None], target[None])
+    ade, fde, winner, brier = _scene_metrics(
+        trajectories[None], scores[None], target[None]
+    )
     return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
 
 

@@ -1074,6 +1074,49 @@ class TestCli:
         assert "epoch 0" in payload["message"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [("--t0", "abc"), ("--rho", "0.5,x"), ("--seeds", "1.5")],
+    )
+    def test_bad_sweep_list_item_gives_one_json_line(self, tmp_path, capsys, flag, bad):
+        cfg = self.write_config(tmp_path, epochs=1)
+        args = {"--t0": "5.0", "--rho": "0.5", "--seeds": "1", flag: bad}
+        argv = ["sweep", "--config", cfg, "--out-dir", str(tmp_path / "sweep")]
+        for name, value in args.items():
+            argv += [name, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert flag in payload["message"]
+        assert repr(bad.split(",")[-1]) in payload["message"]
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("0,10.0,1.5,0.6", "expected 9 fields"),
+            ("0,10.0,1.5,0.6,0.7,0.25,0.9,three,0.1", "three"),
+            ("0,10.0,1.5,0.6,0.7,0.25,0.9,3,0.1,extra", "expected 9 fields"),
+            ("0,10.0,nan,0.6,0.7,0.25,0.9,3,0.1", "finite"),
+        ],
+    )
+    def test_malformed_epoch_row_gives_one_json_line(
+        self, tmp_path, capsys, row, problem
+    ):
+        path = tmp_path / "epochs.csv"
+        write_epoch_csv([EpochRecord(0, 10.0, 1.5, 0.6, 0.7, 0.25, 0.9, 3, 0.1)], path)
+        path.write_text(path.read_text() + row + "\n")
+        argv = ["charts", "--epochs-csv", str(path), "--out-dir", str(tmp_path / "c")]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert f"{path} line 3" in payload["message"] and problem in payload["message"]
+
     def test_charts_requires_epochs_csv(self, tmp_path, capsys):
         rc = main(["charts", "--out-dir", str(tmp_path / "charts")])
         assert rc == 1

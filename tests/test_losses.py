@@ -295,12 +295,27 @@ class TestCostsAndLoss:
         assert out.winners.tolist() == [1]
         assert out.loss[0] == pytest.approx(-math.log(0.75), rel=1e-15)
 
-    def test_score_loss_clamps_tiny_probabilities(self):
+    def test_score_loss_exact_when_winner_probability_underflows(self):
+        # Head 1 wins at zero cost, but its probability exp(-1e4) underflows
+        # to 0. The loss is still log-sum-exp of the logits minus the
+        # winner's logit, and the applied gradient probs - one_hot is its
+        # derivative.
         preds = np.array([[[1.0, 0.0]], [[0.0, 0.0]]])
         logits = [0.0, -1e4]
-        out = one_scene_objective(preds, logits, np.zeros((1, 2)), LossConfig(variant="wta"))
-        assert out.score_clamped == 1
-        assert out.loss[0] == pytest.approx(-math.log(1e-12))
+        config = LossConfig(variant="wta")
+        out = one_scene_objective(preds, logits, np.zeros((1, 2)), config)
+        assert out.winners.tolist() == [1]
+        top = max(logits)
+        expected = top + math.log(sum(math.exp(v - top) for v in logits)) - logits[1]
+        assert math.isfinite(out.loss[0])
+        assert out.loss[0] == pytest.approx(expected, rel=1e-15)
+        step = 1e-3
+        for k in range(2):
+            nudge = np.eye(2)[k] * step
+            plus = one_scene_objective(preds, logits + nudge, np.zeros((1, 2)), config)
+            minus = one_scene_objective(preds, logits - nudge, np.zeros((1, 2)), config)
+            numeric = (plus.loss[0] - minus.loss[0]) / (2.0 * step)
+            assert numeric == pytest.approx(out.d_score_logits[0, k], abs=1e-6)
 
     def test_stable_softmax_handles_large_logits(self):
         p = stable_softmax(np.array([1000.0, 1000.0]))

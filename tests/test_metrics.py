@@ -26,19 +26,19 @@ from wtalab.network import forward_batch
 from wtalab.postselect import truncate_top_k
 
 
-def scene_metrics(trajectories, target, logits=None, scores=None):
+def scene_metrics(trajectories, target, scores=None):
     """The batch scorer evaluate runs, on a batch holding one scene.
 
-    Scores default to the softmax of the logits, which default to zeros.
-    Returns (minADE, minFDE, minFDE winner, Brier-FDE).
+    Scores default to the softmax of zero logits. Returns (minADE, minFDE,
+    minFDE winner, Brier-FDE).
     """
     trajectories = np.asarray(trajectories, dtype=float)
     if scores is None:
-        if logits is None:
-            logits = np.zeros(trajectories.shape[0])
-        scores = stable_softmax(np.asarray(logits, dtype=float))
+        scores = stable_softmax(np.zeros(trajectories.shape[0]))
     ade, fde, winner, brier = _scene_metrics(
-        trajectories[None], np.asarray(scores, dtype=float)[None], np.asarray(target)[None]
+        trajectories[None],
+        np.asarray(scores, dtype=float)[None],
+        np.asarray(target, dtype=float)[None],
     )
     return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
 

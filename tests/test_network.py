@@ -141,6 +141,12 @@ class TestForward:
         assert len(activations) == 2
         assert activations[0] is not None and activations[1].shape == (7, 8)
 
+    def test_single_context_batch(self):
+        params = init_params(small_config(), seed=0)
+        traj, logits, _ = forward_batch(params, np.zeros((1, 6)))
+        assert traj.shape == (1, 3, 4, 2) and logits.shape == (1, 3)
+        assert stable_softmax(logits[0]).sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_zeroed_parameters_give_uniform_scores(self):
         cfg = small_config()
         params = init_params(cfg, seed=0)
@@ -404,6 +410,35 @@ class TestCheckpoint:
         payload["n_heads"] = 7
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="output width"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: [1],
+            lambda payload: {**payload, "weights": [], "biases": []},
+            lambda payload: {**payload, "biases": payload["biases"][:-1]},
+            lambda payload: {
+                **payload,
+                "biases": [{"shape": [7], "data": [0.0] * 7}, *payload["biases"][1:]],
+            },
+            lambda payload: {
+                **payload,
+                "weights": [
+                    {"shape": [8, 6], "data": [float("nan")] + [0.0] * 47},
+                    *payload["weights"][1:],
+                ],
+            },
+        ],
+        ids=["not-an-object", "no-layers", "missing-bias", "bias-width", "nan-weight"],
+    )
+    def test_unusable_payload_rejected(self, tmp_path, corrupt):
+        # small_config: 6 inputs, one hidden layer of 8, 3 heads of 4 steps.
+        params = init_params(small_config(), seed=0)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        with pytest.raises(ConfigurationError):
             load_checkpoint(path)
 
     def test_mismatched_layer_shapes_rejected(self, tmp_path):

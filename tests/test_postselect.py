@@ -221,7 +221,8 @@ class TestAgainstPerSceneReference:
         for i in range(len(scenes)):
             kept = reference_nms(trajectories[i], logits[i], config)
             top = [kept[j] for j in reference_top_k(logits[i, kept], 3)]
-            finals = [math.hypot(*(end - targets[i, -1])) for end in trajectories[i, top, -1]]
+            ends = trajectories[i, top, -1]
+            finals = [math.hypot(*(end - targets[i, -1])) for end in ends]
             winner = finals.index(min(finals))
             value = finals[winner]
             fdes.append(value)
