@@ -112,8 +112,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         out_dir=args.out_dir,
         workers=args.workers,
     )
-    failed = sum(1 for c in cells if c.status != "ok")
-    print(f"{len(cells)} cells ({failed} failed) -> {args.out_dir}/sweep.csv")
+    failed = [c for c in cells if c.status != "ok"]
+    print(f"{len(cells)} cells ({len(failed)} failed) -> {args.out_dir}/sweep.csv")
+    if len(failed) == len(cells):
+        raise WtalabError(
+            f"every sweep cell failed; the first with {failed[0].error}"
+            f" (see {args.out_dir}/sweep.csv)"
+        )
     return 0
 
 

@@ -756,12 +756,14 @@ def emit_charts(
     curves against the epoch index. Sweep cells produce final minADE
     against t0 with one line per rho.
     """
-    out = resolve_out_dir(str(out_dir))
-    out.mkdir(parents=True, exist_ok=True)
     if not data:
         raise InputError("no records to chart")
+    kinds = {type(item) for item in data}
+    if kinds != {EpochRecord} and kinds != {SweepCell}:
+        raise InputError("chart input must be all EpochRecord or all SweepCell")
+    out = resolve_out_dir(str(out_dir))
     written: list[Path] = []
-    if isinstance(data[0], EpochRecord):
+    if kinds == {EpochRecord}:
         records: list[EpochRecord] = data  # type: ignore[assignment]
         epochs = [float(r.epoch) for r in records]
         charts = [
@@ -800,6 +802,7 @@ def emit_charts(
                     ],
                 )
             )
+        out.mkdir(parents=True, exist_ok=True)
         for filename, title, y_label, series in charts:
             target = out / filename
             write_text_atomic(target, line_chart(series, title, "epoch", y_label))
@@ -809,9 +812,7 @@ def emit_charts(
         written.append(csv_path)
         return written
 
-    cells: list[SweepCell] = [c for c in data if isinstance(c, SweepCell)]
-    if len(cells) != len(data):
-        raise InputError("chart input must be all EpochRecord or all SweepCell")
+    cells: list[SweepCell] = data  # type: ignore[assignment]
     rhos = sorted({c.rho for c in cells})
     series = []
     for rho in rhos:
@@ -826,6 +827,7 @@ def emit_charts(
             )
     if not series:
         raise InputError("no successful sweep cells to chart")
+    out.mkdir(parents=True, exist_ok=True)
     target = out / "sweep_min_ade_vs_t0.svg"
     write_text_atomic(target, line_chart(series, "Sweep: min ADE vs t0", "t0", "min_ade"))
     written.append(target)

@@ -33,15 +33,31 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _winner_score(logits: np.ndarray, winners: np.ndarray) -> np.ndarray:
-    """-log softmax(logits)[winner] per row of (B, K) logits.
+def _score_terms(
+    logits: np.ndarray, winners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """-log softmax(logits)[winner] and softmax(logits) per row of (B, K) logits.
 
-    Computed as logsumexp(logits) - logit_winner, which stays finite and
-    exact where the winner's probability underflows to 0.
+    The score is logsumexp(logits) - logit_winner, which stays finite and
+    exact where the winner's probability underflows to 0. Both results come
+    from one shift, exp and sum, and equal stable_softmax bit for bit.
     """
     shifted = logits - np.max(logits, axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-    return log_norm - shifted[np.arange(len(winners)), winners]
+    exp = np.exp(shifted)
+    total = np.sum(exp, axis=1, keepdims=True)
+    score = np.log(total[:, 0]) - shifted[np.arange(len(winners)), winners]
+    return score, exp / total
+
+
+def squared_distance(residual: np.ndarray) -> np.ndarray:
+    """x^2 + y^2 over the last axis of a (..., 2) array of coordinate offsets.
+
+    Adding the two coordinate columns gives the same bits as np.sum over the
+    length-2 axis (a two-term sum of nonnegative squares rounds once, in
+    either order) at a fraction of the generic reduction's cost.
+    """
+    sq = residual * residual
+    return sq[..., 0] + sq[..., 1]
 
 
 def max_dac_depth(n_heads: int) -> int:
@@ -270,16 +286,17 @@ def batch_objective(
         )
 
     residual = preds - targets[:, None, :, :]
-    costs = np.mean(np.sum(residual**2, axis=3), axis=2)
+    costs = np.mean(squared_distance(residual), axis=2)
     weights = assignment_weights(costs, config)
     winners = np.argmin(costs, axis=1)
 
-    loss = np.sum(weights * costs, axis=1) + config.score_coef * _winner_score(
-        logits, winners
-    )
+    score, probs = _score_terms(logits, winners)
+    loss = np.sum(weights * costs, axis=1) + config.score_coef * score
 
-    d_traj = weights[:, :, None, None] * (2.0 / horizon) * residual / batch
-    probs = stable_softmax(logits, axis=1)
+    # residual becomes d_trajectories in place: w * (2 / L) * residual / B.
+    scale = weights[:, :, None, None] * (2.0 / horizon)
+    d_traj = np.multiply(scale, residual, out=residual)
+    d_traj /= batch
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(batch), winners] = 1.0
     d_logits = config.score_coef * (probs - one_hot) / batch

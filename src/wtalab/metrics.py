@@ -18,7 +18,7 @@ from ._files import write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
-from .losses import stable_softmax
+from .losses import squared_distance, stable_softmax
 from .network import ModelParams, forward_batch
 from .postselect import NMSConfig, nms_select, truncate_top_k
 
@@ -57,7 +57,7 @@ def _scene_metrics(
     batch, _, horizon, _ = trajectories.shape
     if targets.shape != (batch, horizon, 2):
         raise InputError(f"targets must be {(batch, horizon, 2)}, got {targets.shape}")
-    dists = np.linalg.norm(trajectories - targets[:, None, :, :], axis=3)
+    dists = np.sqrt(squared_distance(trajectories - targets[:, None, :, :]))
     fde = dists[:, :, -1]
     winners = np.argmin(fde, axis=1)
     rows = np.arange(batch)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._files import write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
-from .losses import LossConfig, _winner_score, batch_objective
+from .losses import LossConfig, _score_terms, batch_objective, squared_distance
 
 CHECKPOINT_VERSION = 1
 
@@ -245,11 +245,24 @@ def adam_step(
     )
     for tensors, grad_tensors, m_tensors, v_tensors in groups:
         for tensor, grad, m, v in zip(tensors, grad_tensors, m_tensors, v_tensors):
+            # Two scratch buffers hold every intermediate; the operations and
+            # their order are those of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   tensor -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            update = np.empty_like(tensor)
+            denom = np.empty_like(tensor)
             m *= beta1
-            m += (1.0 - beta1) * grad
+            m += np.multiply(grad, 1.0 - beta1, out=update)
             v *= beta2
-            v += (1.0 - beta2) * grad**2
-            tensor -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+            np.multiply(grad, grad, out=denom)
+            v += np.multiply(denom, 1.0 - beta2, out=denom)
+            np.divide(m, correction1, out=update)
+            update *= lr
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            update /= denom
+            tensor -= update
             if not np.all(np.isfinite(tensor)):
                 raise NonFiniteError("parameters became non-finite after the update")
     return params, state
@@ -299,9 +312,8 @@ def gradient_check(
 
     def frozen_loss() -> float:
         p, lg, _ = forward_batch(params, context[None, :])
-        residual = p[0] - target
-        head_costs = np.mean(np.sum(residual**2, axis=2), axis=1)
-        score = _winner_score(lg, np.array([frozen_winner]))[0]
+        head_costs = np.mean(squared_distance(p[0] - target), axis=1)
+        score = _score_terms(lg, np.array([frozen_winner]))[0][0]
         return float(frozen_weights @ head_costs + config.score_coef * score)
 
     horizon2 = params.horizon * 2

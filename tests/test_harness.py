@@ -914,6 +914,21 @@ class TestCharts:
         with pytest.raises(InputError):
             emit_charts(cells, tmp_path / "charts")
 
+    @pytest.mark.parametrize("case", ["empty", "epoch_then_cell", "cell_then_epoch", "all_failed"])
+    def test_rejected_input_creates_no_directory(self, tmp_path, case):
+        record = EpochRecord(0, None, 1.0, 0.5, 0.5, 0.0, 0.7, 3, 0.01)
+        cell = SweepCell(t0=5.0, rho=0.5, seed=1, status="ok")
+        failed = SweepCell(t0=5.0, rho=0.5, seed=1, status="failed", error="x")
+        data = {
+            "empty": [],
+            "epoch_then_cell": [record, cell],
+            "cell_then_epoch": [cell, record],
+            "all_failed": [failed],
+        }[case]
+        with pytest.raises(InputError):
+            emit_charts(data, tmp_path / "charts")
+        assert not (tmp_path / "charts").exists()
+
 
 class TestAtomicWrites:
     def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
@@ -1026,6 +1041,40 @@ class TestCli:
         ) == 0
         assert "2 cells (0 failed)" in capsys.readouterr().out
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_sweep_with_every_cell_failed_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, epochs=1)
+        argv = ["sweep", "--config", cfg, "--t0", "5.0", "--rho", "0.5"]
+        argv += ["--seeds", "-1", "--out-dir", str(tmp_path / "sweep")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "1 cells (1 failed)" in captured.out
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.err)
+        assert set(payload) == {"error", "message"}
+        assert "every sweep cell failed" in payload["message"]
+        assert "seed must be >= 0" in payload["message"]
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and ",failed," in rows[1]
+
+    def test_sweep_with_some_cells_ok_exits_zero(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, epochs=1)
+        argv = ["sweep", "--config", cfg, "--t0", "5.0", "--rho", "0.5"]
+        argv += ["--seeds", "1,-1", "--out-dir", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "2 cells (1 failed)" in captured.out
+        assert captured.err == ""
+
+    def test_charts_on_header_only_csv_creates_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "epochs.csv"
+        write_epoch_csv([], path)
+        out_dir = tmp_path / "charts"
+        assert main(["charts", "--epochs-csv", str(path), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InputError"
+        assert not out_dir.exists()
 
     def test_missing_config_exits_one_with_json_error(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "missing.json")])

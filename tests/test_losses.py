@@ -1,5 +1,6 @@
 """Unit tests for the assignment-weight kernels and training objective."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -380,6 +381,116 @@ class TestBatchObjective:
         np.testing.assert_allclose(
             out.d_score_logits.sum(axis=1), 0.0, atol=1e-12
         )
+
+
+def reference_batch_objective(preds, logits, targets, config):
+    """The objective as first written, kept as an oracle for batch_objective.
+
+    Costs reduce the (x, y) axis with np.sum; the score term and the softmax
+    gradient each redo the shift, exp and sum; d_trajectories is built from
+    fresh temporaries.
+    """
+    batch, _, horizon, _ = preds.shape
+    residual = preds - targets[:, None, :, :]
+    costs = np.mean(np.sum(residual**2, axis=3), axis=2)
+    weights = assignment_weights(costs, config)
+    winners = np.argmin(costs, axis=1)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
+    score = log_norm - shifted[np.arange(batch), winners]
+    loss = np.sum(weights * costs, axis=1) + config.score_coef * score
+    d_traj = weights[:, :, None, None] * (2.0 / horizon) * residual / batch
+    probs = stable_softmax(logits, axis=1)
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(batch), winners] = 1.0
+    d_logits = config.score_coef * (probs - one_hot) / batch
+    return dict(
+        loss=loss,
+        d_trajectories=d_traj,
+        d_score_logits=d_logits,
+        costs=costs,
+        weights=weights,
+        winners=winners,
+    )
+
+
+def oracle_configs(n_heads):
+    """One config per variant that is valid for n_heads heads."""
+    configs = [
+        LossConfig(variant="wta"),
+        LossConfig(variant="ewta", top_n=(n_heads + 1) // 2),
+        LossConfig(variant="dac", depth=(max_dac_depth(n_heads) + 1) // 2),
+        LossConfig(variant="awta", temperature=0.7, score_coef=0.5),
+    ]
+    if n_heads > 1:
+        configs.append(LossConfig(variant="rwta", epsilon=0.1))
+    return configs
+
+
+class TestObjectiveOracle:
+    """batch_objective against the reference formulas, bit for bit."""
+
+    def assert_matches_reference(self, preds, logits, targets):
+        for config in oracle_configs(preds.shape[1]):
+            out = batch_objective(preds, logits, targets, config)
+            expected = reference_batch_objective(preds, logits, targets, config)
+            for field in dataclasses.fields(out):
+                got = getattr(out, field.name)
+                assert got.dtype == expected[field.name].dtype, field.name
+                assert np.array_equal(got, expected[field.name]), (
+                    f"{config.variant}: {field.name} differs from the reference"
+                )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(64, 6, 30), (64, 2, 1), (7, 1, 5), (5, 3, 1), (1, 1, 1), (33, 12, 4)],
+        ids=lambda s: "B{}-K{}-L{}".format(*s),
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_batches(self, shape, seed):
+        batch, n_heads, horizon = shape
+        rng = np.random.default_rng([seed, batch, n_heads, horizon])
+        scale = rng.uniform(0.1, 30.0)
+        preds = rng.normal(size=(batch, n_heads, horizon, 2)) * scale
+        logits = rng.normal(size=(batch, n_heads)) * 3.0
+        targets = rng.normal(size=(batch, horizon, 2)) * scale
+        self.assert_matches_reference(preds, logits, targets)
+
+    def test_tied_heads(self):
+        # Heads 0 and 2 are copies, and so are 1 and 3: every scene has a
+        # cost tie, and some have the tie at the minimum.
+        rng = np.random.default_rng(11)
+        half = rng.normal(size=(16, 2, 6, 2))
+        preds = np.concatenate([half, half], axis=1)
+        targets = rng.normal(size=(16, 6, 2))
+        logits = np.zeros((16, 4))
+        self.assert_matches_reference(preds, logits, targets)
+
+    def test_exact_and_mirrored_coordinates(self):
+        # Residuals (a, b) and (b, a) and exact hits give equal or zero costs.
+        targets = np.zeros((2, 3, 2))
+        preds = np.array(
+            [
+                [[[1.5, -2.0]] * 3, [[-2.0, 1.5]] * 3, [[0.0, 0.0]] * 3],
+                [[[0.1, 0.2]] * 3, [[0.2, 0.1]] * 3, [[0.1, -0.2]] * 3],
+            ]
+        )
+        logits = np.array([[1.0, 1.0, 1.0], [0.0, -1.0, 2.0]])
+        self.assert_matches_reference(preds, logits, targets)
+
+    def test_winner_probability_underflows(self):
+        # The winning head's logit sits 1e4 below the others, so its
+        # probability is exactly 0 while the score term stays finite.
+        rng = np.random.default_rng(5)
+        preds = rng.normal(size=(8, 4, 3, 2))
+        targets = preds[:, 0] + 1e-3
+        logits = np.zeros((8, 4))
+        logits[:, 0] = -1e4
+        logits[::2, 1] = 800.0
+        self.assert_matches_reference(preds, logits, targets)
+        out = batch_objective(preds, logits, targets, LossConfig(variant="wta"))
+        assert np.all(out.winners == 0)
+        assert np.all(np.isfinite(out.loss))
 
 
 class TestLossConfigValidate:

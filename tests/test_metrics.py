@@ -21,9 +21,10 @@ from wtalab import (
     three_branch_config,
 )
 from wtalab.losses import stable_softmax
+from wtalab import metrics
 from wtalab.metrics import _scene_metrics, read_report_csv, write_report_csv
 from wtalab.network import forward_batch
-from wtalab.postselect import truncate_top_k
+from wtalab.postselect import NMSConfig, truncate_top_k
 
 
 def scene_metrics(trajectories, target, scores=None):
@@ -278,6 +279,69 @@ class TestEvaluate:
         report = evaluate(params, *featurize_split(scenes))
         assert report.n_scenes == 20
         assert sum(report.winner_histogram) == 20
+
+
+def reference_scene_metrics(trajectories, scores, targets):
+    """_scene_metrics as first written, with np.linalg.norm: a test oracle."""
+    batch = trajectories.shape[0]
+    dists = np.linalg.norm(trajectories - targets[:, None, :, :], axis=3)
+    fde = dists[:, :, -1]
+    winners = np.argmin(fde, axis=1)
+    rows = np.arange(batch)
+    scene_min_fde = fde[rows, winners]
+    scene_brier = scene_min_fde + (1.0 - scores[rows, winners]) ** 2
+    return np.min(np.mean(dists, axis=2), axis=1), scene_min_fde, winners, scene_brier
+
+
+class TestSceneMetricsOracle:
+    """_scene_metrics and evaluate against the np.linalg.norm formulas, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(400, 6, 30), (400, 2, 1), (9, 1, 7), (6, 4, 1), (1, 1, 1), (50, 12, 5)],
+        ids=lambda s: "B{}-K{}-L{}".format(*s),
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_batches(self, shape, seed):
+        batch, n_heads, horizon = shape
+        rng = np.random.default_rng([seed, batch, n_heads, horizon])
+        scale = rng.uniform(0.1, 30.0)
+        trajectories = rng.normal(size=(batch, n_heads, horizon, 2)) * scale
+        targets = rng.normal(size=(batch, horizon, 2)) * scale
+        scores = stable_softmax(rng.normal(size=(batch, n_heads)), axis=1)
+        got = _scene_metrics(trajectories, scores, targets)
+        expected = reference_scene_metrics(trajectories, scores, targets)
+        for name, g, e in zip(("min_ade", "min_fde", "winners", "brier"), got, expected):
+            assert g.dtype == e.dtype, name
+            assert np.array_equal(g, e), f"{name} differs from the reference"
+
+    def test_tied_and_mirrored_endpoints(self):
+        targets = np.zeros((1, 2, 2))
+        trajectories = np.array(
+            [[[[1.0, 1.0], [3.0, -4.0]], [[0.5, 0.5], [-4.0, 3.0]], [[0.0, 0.0], [4.0, 3.0]]]]
+        )
+        scores = np.full((1, 3), 1.0 / 3.0)
+        got = _scene_metrics(trajectories, scores, targets)
+        expected = reference_scene_metrics(trajectories, scores, targets)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+        assert got[2].tolist() == [0]
+
+    @pytest.mark.parametrize("post", ["none", "top_k", "nms"])
+    def test_evaluate_report_equal(self, post, monkeypatch):
+        cfg = three_branch_config(seed=3, past_len=5, future_len=8)
+        features, targets = featurize_split(generate(cfg, 120))
+        params = init_params(
+            ModelConfig(input_dim=10, n_heads=6, horizon=8, hidden=(16,)), seed=4
+        )
+        kwargs = {
+            "none": {},
+            "top_k": {"top_k": 3},
+            "nms": {"nms": NMSConfig(k_out=3, radius=0.5)},
+        }[post]
+        report = evaluate(params, features, targets, **kwargs)
+        monkeypatch.setattr(metrics, "_scene_metrics", reference_scene_metrics)
+        assert evaluate(params, features, targets, **kwargs) == report
 
 
 class TestReportCsv:

@@ -305,6 +305,53 @@ class TestAdam:
             assert np.all(np.isfinite(w))
 
 
+def reference_adam_update(tensor, grad, m, v, step, lr, beta1, beta2, eps):
+    """The Adam update as first written, with full-size temporaries: an oracle."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad**2
+    correction1 = 1.0 - beta1**step
+    correction2 = 1.0 - beta2**step
+    tensor -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+class TestAdamOracle:
+    @pytest.mark.parametrize(
+        "cfg",
+        [small_config(), ModelConfig(input_dim=2, n_heads=2, horizon=1, hidden=())],
+        ids=["hidden", "linear"],
+    )
+    def test_matches_reference_bit_for_bit_over_20_steps(self, cfg):
+        params = init_params(cfg, seed=7)
+        expected = params.copy()
+        state = init_adam(params)
+        moments = init_adam(expected)
+        rng = np.random.default_rng(8)
+        lr, beta1, beta2, eps = 0.02, 0.85, 0.995, 1e-7
+        for step in range(1, 21):
+            scale = 10.0 ** rng.uniform(-6, 1)
+            grads = GradientBuffer(
+                weights=[rng.normal(size=w.shape) * scale for w in params.weights],
+                biases=[rng.normal(size=b.shape) * scale for b in params.biases],
+            )
+            adam_step(params, grads, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            for group in ("weights", "biases"):
+                for tensor, grad, m, v in zip(
+                    getattr(expected, group),
+                    getattr(grads, group),
+                    getattr(moments, f"m_{group}"),
+                    getattr(moments, f"v_{group}"),
+                ):
+                    reference_adam_update(tensor, grad, m, v, step, lr, beta1, beta2, eps)
+            for group in ("weights", "biases"):
+                for got, want in zip(getattr(params, group), getattr(expected, group)):
+                    assert np.array_equal(got, want)
+                for name in (f"m_{group}", f"v_{group}"):
+                    for got, want in zip(getattr(state, name), getattr(moments, name)):
+                        assert np.array_equal(got, want)
+
+
 class TestGradientCheck:
     def test_random_model_matches_finite_differences(self):
         cfg = ModelConfig(input_dim=4, n_heads=3, horizon=2, hidden=(6,))

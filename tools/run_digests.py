@@ -1,0 +1,140 @@
+"""Print sha256 digests of every documented run output, for the determinism contract.
+
+Runs, with one BLAS thread and a fresh temporary output root:
+
+    wtalab train     on each file in configs/
+    wtalab eval      of benchmark_wta12_nms's best checkpoint
+    wtalab generate  --config configs/benchmark_awta.json
+
+and prints one "sha256  path" line per output file, the path relative to the
+output root. epochs.csv is hashed without its wall_s column, the one column
+that is not byte-stable. Two checkouts keep the contract when their outputs
+match line for line:
+
+    python tools/run_digests.py > after.txt
+    python tools/run_digests.py --repo ../parent > before.txt
+    diff before.txt after.txt
+
+Nothing is written inside the checkout: outputs go to a temporary directory
+that is removed afterwards, and bytecode caching is off.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN_FILES = (
+    "config.json",
+    "epochs.csv",
+    "metrics.csv",
+    "checkpoint_final.json",
+    "checkpoint_best.json",
+)
+EVAL_CONFIG = "benchmark_wta12_nms"
+GENERATE_CONFIG = "benchmark_awta"
+
+
+def epochs_csv_without_wall_s(path: Path) -> bytes:
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index("wall_s")
+    kept = []
+    for line in lines:
+        fields = line.split(",")
+        del fields[column]
+        kept.append(",".join(fields))
+    return ("\n".join(kept) + "\n").encode()
+
+
+def digest(path: Path) -> str:
+    if path.name == "epochs.csv":
+        return hashlib.sha256(epochs_csv_without_wall_s(path)).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def wtalab(repo: Path, root: Path, *args: str) -> None:
+    env = dict(os.environ)
+    env.update(
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPATH=str(repo / "src"),
+        WTALAB_OUT_ROOT=str(root),
+    )
+    subprocess.run(
+        [sys.executable, "-m", "wtalab", *args],
+        cwd=root,
+        env=env,
+        check=True,
+        stdout=subprocess.DEVNULL,
+    )
+
+
+def run_dir(root: Path, config: Path) -> Path:
+    """Where a train run of config lands: its own relative out_dir under root.
+
+    Keeping the config's out_dir means config.json holds no temporary path.
+    """
+    return root / json.loads(config.read_text())["out_dir"]
+
+
+def run_outputs(repo: Path, root: Path) -> list[Path]:
+    """Produce every output under root and return the files to hash, in order."""
+    outputs: list[Path] = []
+    for config in sorted((repo / "configs").glob("*.json")):
+        wtalab(repo, root, "train", "--config", str(config))
+        outputs.extend(run_dir(root, config) / name for name in RUN_FILES)
+    eval_config = repo / "configs" / f"{EVAL_CONFIG}.json"
+    eval_csv = root / f"{EVAL_CONFIG}_eval.csv"
+    wtalab(
+        repo,
+        root,
+        "eval",
+        "--config",
+        str(eval_config),
+        "--checkpoint",
+        str(run_dir(root, eval_config) / "checkpoint_best.json"),
+        "--out",
+        str(eval_csv),
+    )
+    outputs.append(eval_csv)
+    scenes = root / f"{GENERATE_CONFIG}.jsonl"
+    wtalab(
+        repo,
+        root,
+        "generate",
+        "--config",
+        str(repo / "configs" / f"{GENERATE_CONFIG}.json"),
+        "--out",
+        str(scenes),
+    )
+    outputs.append(scenes)
+    return outputs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--repo",
+        type=Path,
+        default=Path(__file__).resolve().parents[1],
+        help="checkout to run (default: the one holding this script)",
+    )
+    args = parser.parse_args(argv)
+    repo = args.repo.resolve()
+    with tempfile.TemporaryDirectory(prefix="wtalab-digests-") as tmp:
+        root = Path(tmp)
+        for path in run_outputs(repo, root):
+            print(f"{digest(path)}  {path.relative_to(root)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
