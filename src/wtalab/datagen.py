@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import write_text_atomic
+from ._files import read_text, write_text_atomic
 from .errors import ConfigurationError, DatasetParseError, InputError
 
 _SPLIT_SHAPE_MESSAGE = (
@@ -199,54 +199,63 @@ def save_dataset(scenes: list[Scene], path: str | Path) -> None:
     write_text_atomic(path, "".join(lines))
 
 
+# JSON numbers: exact types, so that true and false are not coordinates.
+_NUMBER = (int, float)
+
+
 def _parse_waypoints(raw, key: str, line_number: int) -> np.ndarray:
-    if not isinstance(raw, list) or not raw:
+    if type(raw) is not list or not raw:
         raise DatasetParseError(line_number, f"{key} must be a non-empty list")
     for point in raw:
         if (
-            not isinstance(point, list)
+            type(point) is not list
             or len(point) != 2
-            or not all(isinstance(v, (int, float)) for v in point)
+            or type(point[0]) not in _NUMBER
+            or type(point[1]) not in _NUMBER
         ):
             raise DatasetParseError(line_number, f"{key} must be a list of [x, y] pairs")
-    return np.asarray(raw, dtype=float)
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise DatasetParseError(line_number, "scene coordinates must be finite") from None
 
 
 def load_dataset(path: str | Path) -> list[Scene]:
     """Read a dataset written by save_dataset.
 
     Raises DatasetParseError naming the 1-based line number of the first
-    malformed record. An empty file loads as an empty list.
+    malformed record, and InputError if the file is not UTF-8. An empty
+    file loads as an empty list.
     """
     scenes = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise DatasetParseError(line_number, "record must be a JSON object")
-            missing = {"scene_id", "past", "future", "mode_label"} - record.keys()
-            if missing:
-                raise DatasetParseError(
-                    line_number, f"missing keys: {sorted(missing)}"
+    lines = read_text(path, InputError).split("\n")
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise DatasetParseError(line_number, "record must be a JSON object")
+        missing = {"scene_id", "past", "future", "mode_label"} - record.keys()
+        if missing:
+            raise DatasetParseError(line_number, f"missing keys: {sorted(missing)}")
+        if type(record["scene_id"]) is not str:
+            raise DatasetParseError(line_number, "scene_id must be a string")
+        if type(record["mode_label"]) is not int:
+            raise DatasetParseError(line_number, "mode_label must be an integer")
+        try:
+            scenes.append(
+                Scene(
+                    scene_id=record["scene_id"],
+                    past=_parse_waypoints(record["past"], "past", line_number),
+                    future=_parse_waypoints(record["future"], "future", line_number),
+                    mode_label=record["mode_label"],
                 )
-            if not isinstance(record["mode_label"], int):
-                raise DatasetParseError(line_number, "mode_label must be an integer")
-            try:
-                scenes.append(
-                    Scene(
-                        scene_id=str(record["scene_id"]),
-                        past=_parse_waypoints(record["past"], "past", line_number),
-                        future=_parse_waypoints(record["future"], "future", line_number),
-                        mode_label=record["mode_label"],
-                    )
-                )
-            except InputError as exc:
-                raise DatasetParseError(line_number, str(exc)) from exc
+            )
+        except InputError as exc:
+            raise DatasetParseError(line_number, str(exc)) from exc
     return scenes
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import schedulers
-from ._files import write_text_atomic
+from ._files import read_text, write_text_atomic
 from ._svgchart import line_chart
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
@@ -47,6 +47,7 @@ from .losses import LossConfig, batch_objective
 from .metrics import MetricsReport, evaluate, write_report_csv
 from .network import (
     AdamState,
+    GradientBuffer,
     ModelConfig,
     ModelParams,
     adam_step,
@@ -324,7 +325,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path, ConfigurationError))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -378,7 +379,7 @@ def write_epoch_csv(records: list[EpochRecord], path: str | Path) -> None:
 
 
 def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, InputError).splitlines()
     if not lines or lines[0] != ",".join(EPOCH_COLUMNS):
         raise InputError(f"{path} is not an epoch log CSV")
     records = []
@@ -506,6 +507,7 @@ def _train_epochs(
     n_scenes = features.shape[0]
     shuffle_rng = np.random.default_rng([config.seed, 2])
     adam: AdamState = init_adam(params)
+    grads = GradientBuffer.zeros_like(params)
     records: list[EpochRecord] = []
     best_epoch = -1
     best_fde = math.inf
@@ -524,8 +526,12 @@ def _train_epochs(
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 )
-            grads = backward_batch(
-                params, activations, objective.d_trajectories, objective.d_score_logits
+            backward_batch(
+                params,
+                activations,
+                objective.d_trajectories,
+                objective.d_score_logits,
+                out=grads,
             )
             try:
                 params, adam = adam_step(
@@ -559,7 +565,7 @@ def _train_epochs(
         if report.min_fde < best_fde:
             best_fde = report.min_fde
             best_epoch = epoch
-            best_params = params.copy()
+            best_params.vector[...] = params.vector
     return params, records, best_params, best_epoch
 
 

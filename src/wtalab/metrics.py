@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import write_text_atomic
+from ._files import read_text, write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
@@ -124,7 +124,7 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> MetricsReport:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, InputError).splitlines()
     if len(lines) != 2 or lines[0] != ",".join(REPORT_COLUMNS):
         raise InputError(f"{path} is not a metrics report CSV")
     values = lines[1].split(",")
@@ -163,7 +163,9 @@ def evaluate(
             f"dataset horizon {targets.shape[1]} does not match model horizon"
             f" {params.horizon}"
         )
-    trajectories, logits, _ = forward_batch(params, features)
+    # Only the outputs are kept: holding the hidden activations through the
+    # scoring below would raise the peak memory of every validation pass.
+    trajectories, logits = forward_batch(params, features)[:2]
     if nms is not None:
         trajectories, logits = nms_select(trajectories, logits, nms)
     if top_k is not None:

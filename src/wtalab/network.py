@@ -8,13 +8,15 @@ trajectories in head-major order, the last K entries are the logits.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from ._files import write_text_atomic
+from ._files import read_text, write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
 from .losses import LossConfig, _score_terms, batch_objective, squared_distance
 
@@ -57,12 +59,45 @@ class ModelConfig:
         return self.n_heads * (self.horizon * 2 + 1)
 
 
+def _views(vector: np.ndarray, weights: list, biases: list) -> tuple[list, list]:
+    """Views into vector shaped like weights then biases: every weight
+    matrix in layer order, then every bias vector in layer order."""
+    views = []
+    offset = 0
+    for tensor in (*weights, *biases):
+        size = np.size(tensor)
+        views.append(vector[offset : offset + size].reshape(np.shape(tensor)))
+        offset += size
+    return views[: len(weights)], views[len(weights) :]
+
+
 @dataclasses.dataclass
-class ModelParams:
-    """Dense layer parameters. weights[i] has shape (fan_out, fan_in)."""
+class _FlatTensors:
+    """Per-layer weights and biases stored as views into one float64 vector.
+
+    The layout is every weight matrix in layer order, then every bias vector
+    in layer order. Tensors passed to the constructor are copied in, so an
+    in-place write through weights[i] or biases[i] reaches vector, and an
+    operation on vector covers every tensor at once.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    vector: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tensors = (*self.weights, *self.biases)
+        self.vector = np.empty(sum(np.size(t) for t in tensors))
+        weights, biases = _views(self.vector, self.weights, self.biases)
+        for view, tensor in zip((*weights, *biases), tensors):
+            view[...] = tensor
+        self.weights, self.biases = weights, biases
+
+
+@dataclasses.dataclass
+class ModelParams(_FlatTensors):
+    """Dense layer parameters. weights[i] has shape (fan_out, fan_in)."""
+
     n_heads: int
     horizon: int
 
@@ -79,23 +114,26 @@ class ModelParams:
         return len(self.weights)
 
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.vector.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            n_heads=self.n_heads,
-            horizon=self.horizon,
-        )
+        """An independent copy: one copy of vector, and views into it."""
+        dup = copy.copy(self)
+        dup.vector = self.vector.copy()
+        dup.weights, dup.biases = _views(dup.vector, self.weights, self.biases)
+        return dup
 
 
 @dataclasses.dataclass
-class GradientBuffer:
-    """Gradients with the same shapes as ModelParams."""
+class GradientBuffer(_FlatTensors):
+    """Gradients in the layout of ModelParams."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    @classmethod
+    def zeros_like(cls, params: _FlatTensors) -> "GradientBuffer":
+        return cls(
+            weights=[np.zeros_like(w) for w in params.weights],
+            biases=[np.zeros_like(b) for b in params.biases],
+        )
 
 
 def init_params(config: ModelConfig, seed: int | np.random.Generator = 0) -> ModelParams:
@@ -167,8 +205,14 @@ def backward_batch(
     activations: list[np.ndarray],
     d_trajectories: np.ndarray,
     d_score_logits: np.ndarray,
+    out: GradientBuffer | None = None,
 ) -> GradientBuffer:
-    """Backpropagate output gradients through the cached activations."""
+    """Backpropagate output gradients through the cached activations.
+
+    Each layer's gradient is written straight into out, which must have the
+    layout of params; a training loop passes the same buffer every step. By
+    default a new buffer is allocated.
+    """
     batch = d_trajectories.shape[0]
     expected = (batch, params.n_heads, params.horizon, 2)
     if d_trajectories.shape != expected or d_score_logits.shape != expected[:2]:
@@ -176,18 +220,18 @@ def backward_batch(
             f"upstream gradients must be {expected} and {expected[:2]}, got"
             f" {d_trajectories.shape} and {d_score_logits.shape}"
         )
+    if out is None:
+        out = GradientBuffer.zeros_like(params)
     d_out = np.concatenate(
         [d_trajectories.reshape(batch, -1), d_score_logits], axis=1
     )
-    grad_w: list[np.ndarray] = [np.empty(0)] * params.n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * params.n_layers
     delta = d_out
     for layer in reversed(range(params.n_layers)):
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[layer], out=out.weights[layer])
+        np.sum(delta, axis=0, out=out.biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (activations[layer] > 0.0)
-    return GradientBuffer(weights=grad_w, biases=grad_b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +241,53 @@ def backward_batch(
 
 @dataclasses.dataclass
 class AdamState:
-    """First and second moment accumulators plus the step counter."""
+    """First and second moment accumulators plus the step counter.
+
+    m and v have the layout of the parameters, so one update covers every
+    tensor; update and denom are adam_step's scratch vectors, kept here so a
+    run allocates them once.
+    """
 
     step: int
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: GradientBuffer
+    v: GradientBuffer
+    update: np.ndarray = dataclasses.field(repr=False)
+    denom: np.ndarray = dataclasses.field(repr=False)
+
+    @property
+    def m_weights(self) -> list[np.ndarray]:
+        return self.m.weights
+
+    @property
+    def v_weights(self) -> list[np.ndarray]:
+        return self.v.weights
+
+    @property
+    def m_biases(self) -> list[np.ndarray]:
+        return self.m.biases
+
+    @property
+    def v_biases(self) -> list[np.ndarray]:
+        return self.v.biases
 
 
 def init_adam(params: ModelParams) -> AdamState:
     return AdamState(
         step=0,
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
+        m=GradientBuffer.zeros_like(params),
+        v=GradientBuffer.zeros_like(params),
+        update=np.empty_like(params.vector),
+        denom=np.empty_like(params.vector),
     )
+
+
+def _first_non_finite(tensors: _FlatTensors) -> str | None:
+    """Name the first non-finite tensor, weights then biases in layer order."""
+    for kind, group in (("weights", tensors.weights), ("biases", tensors.biases)):
+        for layer, tensor in enumerate(group):
+            if not np.all(np.isfinite(tensor)):
+                return f"layer {layer} {kind}"
+    return None
 
 
 def adam_step(
@@ -225,46 +299,39 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update of every tensor at once, in place.
 
     Rejects the step with NonFiniteError if any gradient entry is NaN or
-    infinite, naming the offending tensor; parameters are left untouched.
+    infinite, naming the first offending tensor; parameters, moments and
+    the step counter are left untouched.
     """
-    for kind, tensors in (("weights", grads.weights), ("biases", grads.biases)):
-        for layer, grad in enumerate(tensors):
-            if not np.all(np.isfinite(grad)):
-                raise NonFiniteError(
-                    f"non-finite gradient in layer {layer} {kind}; step rejected"
-                )
+    grad = grads.vector
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteError(
+            f"non-finite gradient in {_first_non_finite(grads)}; step rejected"
+        )
     state.step += 1
     correction1 = 1.0 - beta1**state.step
     correction2 = 1.0 - beta2**state.step
-    groups = (
-        (params.weights, grads.weights, state.m_weights, state.v_weights),
-        (params.biases, grads.biases, state.m_biases, state.v_biases),
-    )
-    for tensors, grad_tensors, m_tensors, v_tensors in groups:
-        for tensor, grad, m, v in zip(tensors, grad_tensors, m_tensors, v_tensors):
-            # Two scratch buffers hold every intermediate; the operations and
-            # their order are those of
-            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-            #   tensor -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            update = np.empty_like(tensor)
-            denom = np.empty_like(tensor)
-            m *= beta1
-            m += np.multiply(grad, 1.0 - beta1, out=update)
-            v *= beta2
-            np.multiply(grad, grad, out=denom)
-            v += np.multiply(denom, 1.0 - beta2, out=denom)
-            np.divide(m, correction1, out=update)
-            update *= lr
-            np.divide(v, correction2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            update /= denom
-            tensor -= update
-            if not np.all(np.isfinite(tensor)):
-                raise NonFiniteError("parameters became non-finite after the update")
+    m, v, update, denom = state.m.vector, state.v.vector, state.update, state.denom
+    # Two scratch buffers hold every intermediate; the operations and their
+    # order are those of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    #   params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=update)
+    v *= beta2
+    np.multiply(grad, grad, out=denom)
+    v += np.multiply(denom, 1.0 - beta2, out=denom)
+    np.divide(m, correction1, out=update)
+    update *= lr
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update /= denom
+    params.vector -= update
+    if not np.all(np.isfinite(params.vector)):
+        raise NonFiniteError("parameters became non-finite after the update")
     return params, state
 
 
@@ -316,37 +383,30 @@ def gradient_check(
         score = _score_terms(lg, np.array([frozen_winner]))[0][0]
         return float(frozen_weights @ head_costs + config.score_coef * score)
 
-    horizon2 = params.horizon * 2
-    skipped_rows: set[int] = set()
+    # Entries to leave out, in the layout of params: the tied heads' rows of
+    # the output layer (trajectory rows head-major, then one logit row each).
+    skip = np.zeros(params.vector.size, dtype=bool)
     if tie_case:
-        for head in np.flatnonzero(tied):
-            skipped_rows.update(range(head * horizon2, (head + 1) * horizon2))
-            skipped_rows.add(params.n_heads * horizon2 + head)
+        tied_rows = np.concatenate([np.repeat(tied, params.horizon * 2), tied])
+        skip_weights, skip_biases = _views(skip, params.weights, params.biases)
+        skip_weights[-1][tied_rows] = True
+        skip_biases[-1][tied_rows] = True
 
     max_err = 0.0
     n_checked = 0
-    last = params.n_layers - 1
-    for layer in range(params.n_layers):
-        for tensor, grad in (
-            (params.weights[layer], analytic.weights[layer]),
-            (params.biases[layer], analytic.biases[layer]),
-        ):
-            flat = tensor.reshape(-1)
-            grad_flat = grad.reshape(-1)
-            n_cols = tensor.shape[1] if tensor.ndim == 2 else 1
-            for i in range(flat.size):
-                if layer == last and (i // n_cols) in skipped_rows:
-                    continue
-                original = flat[i]
-                flat[i] = original + step
-                loss_plus = frozen_loss()
-                flat[i] = original - step
-                loss_minus = frozen_loss()
-                flat[i] = original
-                numeric = (loss_plus - loss_minus) / (2.0 * step)
-                scale = max(abs(grad_flat[i]), abs(numeric), 1e-6)
-                max_err = max(max_err, abs(grad_flat[i] - numeric) / scale)
-                n_checked += 1
+    flat = params.vector
+    for i in np.flatnonzero(~skip):
+        original = flat[i]
+        flat[i] = original + step
+        loss_plus = frozen_loss()
+        flat[i] = original - step
+        loss_minus = frozen_loss()
+        flat[i] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        grad = analytic.vector[i]
+        scale = max(abs(grad), abs(numeric), 1e-6)
+        max_err = max(max_err, abs(grad - numeric) / scale)
+        n_checked += 1
     return GradientCheckResult(max_rel_error=max_err, n_checked=n_checked, tie_case=tie_case)
 
 
@@ -376,15 +436,45 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(payload))
 
 
+# JSON numbers and counts: exact types, so that true and "1" are neither.
+_NUMBER_TYPES = {int, float}
+
+
+def _checkpoint_count(value, where: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ConfigurationError(f"{where} must be a positive integer, got {value!r}")
+    return value
+
+
+def _checkpoint_tensor(entry, where: str) -> np.ndarray:
+    """One {"shape": [...], "data": [...]} entry as an array."""
+    if type(entry) is not dict or not {"shape", "data"} <= entry.keys():
+        raise ConfigurationError(f"{where} must be an object with shape and data")
+    shape, data = entry["shape"], entry["data"]
+    counts = type(shape) is list and set(map(type, shape)) <= {int}
+    if not counts or min(shape, default=0) < 0:
+        raise ConfigurationError(f"{where} shape must be a list of counts, got {shape!r}")
+    if type(data) is not list or not set(map(type, data)) <= _NUMBER_TYPES:
+        raise ConfigurationError(f"{where} data must be a list of numbers")
+    if math.prod(shape) != len(data):
+        raise ConfigurationError(f"{where} has {len(data)} values for shape {shape}")
+    try:
+        return np.array(data, dtype=float).reshape(shape)
+    except OverflowError:
+        raise ConfigurationError(f"{where} is not finite") from None
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by save_checkpoint.
 
     Raises ConfigurationError unless the payload describes a network that
     forward_batch can run: at least one layer, one bias vector per weight
     matrix, chained shapes, an output width of K*(2L+1), finite values.
+    Types are checked, not converted: counts are integers, values are JSON
+    numbers, and neither may be a boolean or a string.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(read_text(path, ConfigurationError))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -395,23 +485,23 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"checkpoint {path} has format_version {version!r},"
             f" expected {CHECKPOINT_VERSION}"
         )
-    try:
-        weights = [
-            np.array(entry["data"], dtype=float).reshape(entry["shape"])
-            for entry in payload["weights"]
-        ]
-        biases = [
-            np.array(entry["data"], dtype=float).reshape(entry["shape"])
-            for entry in payload["biases"]
-        ]
-        params = ModelParams(
-            weights=weights,
-            biases=biases,
-            n_heads=int(payload["n_heads"]),
-            horizon=int(payload["horizon"]),
+    missing = {"weights", "biases", "n_heads", "horizon"} - payload.keys()
+    if missing:
+        raise ConfigurationError(
+            f"checkpoint {path} is malformed: missing keys {sorted(missing)}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"checkpoint {path} is malformed: {exc}") from exc
+    n_heads = _checkpoint_count(payload["n_heads"], f"checkpoint {path} n_heads")
+    horizon = _checkpoint_count(payload["horizon"], f"checkpoint {path} horizon")
+    tensors = {}
+    for kind in ("weights", "biases"):
+        entries = payload[kind]
+        if type(entries) is not list:
+            raise ConfigurationError(f"checkpoint {path} {kind} must be a list")
+        tensors[kind] = [
+            _checkpoint_tensor(entry, f"checkpoint {path} {kind}[{i}]")
+            for i, entry in enumerate(entries)
+        ]
+    weights, biases = tensors["weights"], tensors["biases"]
     if not weights or len(biases) != len(weights):
         raise ConfigurationError(
             f"checkpoint {path} needs one bias vector per weight matrix and at"
@@ -425,12 +515,15 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             )
         if layer and weight.shape[1] != weights[layer - 1].shape[0]:
             raise ConfigurationError(f"checkpoint {path} has mismatched layer shapes")
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            raise ConfigurationError(f"checkpoint {path} layer {layer} is not finite")
-    expected_out = params.n_heads * (params.horizon * 2 + 1)
-    if params.weights[-1].shape[0] != expected_out:
+    expected_out = n_heads * (horizon * 2 + 1)
+    if weights[-1].shape[0] != expected_out:
         raise ConfigurationError(
-            f"checkpoint {path} output width {params.weights[-1].shape[0]}"
+            f"checkpoint {path} output width {weights[-1].shape[0]}"
             f" does not match K*(2L+1) = {expected_out}"
+        )
+    params = ModelParams(weights=weights, biases=biases, n_heads=n_heads, horizon=horizon)
+    if not np.all(np.isfinite(params.vector)):
+        raise ConfigurationError(
+            f"checkpoint {path} {_first_non_finite(params)} is not finite"
         )
     return params

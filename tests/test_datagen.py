@@ -355,6 +355,56 @@ class TestDatasetFiles:
         with pytest.raises(DatasetParseError, match="mode_label"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("past", [[True, 0.0]], "past must be a list of \\[x, y\\] pairs"),
+            ("past", [[0.0, False]], "past must be a list of \\[x, y\\] pairs"),
+            ("future", [[1.0, None]], "future must be a list of \\[x, y\\] pairs"),
+            ("future", [[1.0, 10**400]], "finite"),
+            ("mode_label", True, "mode_label must be an integer"),
+            ("mode_label", 1.0, "mode_label must be an integer"),
+            ("scene_id", 7, "scene_id must be a string"),
+            ("scene_id", None, "scene_id must be a string"),
+            ("scene_id", ["a"], "scene_id must be a string"),
+        ],
+        ids=[
+            "bool-x",
+            "bool-y",
+            "null-y",
+            "huge-int",
+            "bool-label",
+            "float-label",
+            "int-id",
+            "null-id",
+            "list-id",
+        ],
+    )
+    def test_wrongly_typed_values_rejected_on_their_line(
+        self, tmp_path, key, value, problem
+    ):
+        record = json.loads(self.good_record())
+        record[key] = value
+        path = self.write_records(tmp_path, [self.good_record(), json.dumps(record)])
+        with pytest.raises(DatasetParseError, match=problem) as excinfo:
+            load_dataset(path)
+        assert excinfo.value.line_number == 2
+
+    def test_integer_coordinates_load_as_floats(self, tmp_path):
+        record = json.loads(self.good_record())
+        record["past"] = [[1, -2], [0, 0]]
+        path = self.write_records(tmp_path, [json.dumps(record)])
+        (scene,) = load_dataset(path)
+        assert scene.past.dtype == np.float64
+        assert scene.past.tolist() == [[1.0, -2.0], [0.0, 0.0]]
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "scenes.jsonl"
+        path.write_bytes(b"\xff\xfe" + self.good_record().encode())
+        with pytest.raises(InputError, match="not UTF-8") as excinfo:
+            load_dataset(path)
+        assert str(path) in str(excinfo.value)
+
 
 class TestFeaturize:
     def test_features_end_at_origin(self):

@@ -39,7 +39,7 @@ from wtalab import (
     train,
 )
 from wtalab import harness
-from wtalab._files import write_text_atomic
+from wtalab._files import read_text, write_text_atomic
 from wtalab.cli import main
 from wtalab.harness import (
     DatasetPaths,
@@ -948,6 +948,37 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
+# A UTF-16 byte order mark: no UTF-8 text starts with these bytes.
+NOT_UTF8 = b"\xff\xfe"
+
+
+class TestReadText:
+    def test_reads_utf8_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes("x\r\ny\u00e9\rz\n".encode())
+        assert read_text(path, InputError) == "x\nyé\nz\n"
+
+    @pytest.mark.parametrize("error_type", [InputError, ConfigurationError])
+    def test_non_utf8_raises_the_callers_type_naming_path(self, tmp_path, error_type):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"ok\n" + NOT_UTF8)
+        with pytest.raises(error_type) as excinfo:
+            read_text(path, error_type)
+        assert type(excinfo.value) is error_type
+        assert str(excinfo.value).startswith(f"{path} is not UTF-8 text")
+        assert "at byte 3" in str(excinfo.value)
+
+    def test_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_text(tmp_path / "missing.txt", InputError)
+
+    def test_metrics_report_reader_checks_encoding(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(InputError, match="not UTF-8"):
+            read_report_csv(path)
+
+
 class TestEpochCsv:
     def test_round_trip(self, tmp_path):
         records = [
@@ -1165,6 +1196,45 @@ class TestCli:
         payload = json.loads(err)
         assert payload["error"] == "InputError"
         assert f"{path} line 3" in payload["message"] and problem in payload["message"]
+
+    def assert_one_json_line(self, capsys, argv, error, path):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == error
+        assert f"{path} is not UTF-8 text" in payload["message"]
+
+    def test_non_utf8_config_gives_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_UTF8 + b"{}")
+        argv = ["train", "--config", str(path)]
+        self.assert_one_json_line(capsys, argv, "ConfigurationError", path)
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_checkpoint_gives_one_json_line(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(NOT_UTF8 + b"{}")
+        argv = ["eval", "--config", cfg, "--checkpoint", str(path)]
+        self.assert_one_json_line(capsys, argv, "ConfigurationError", path)
+
+    def test_non_utf8_epochs_csv_gives_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "epochs.csv"
+        path.write_bytes(NOT_UTF8)
+        argv = ["charts", "--epochs-csv", str(path), "--out-dir", str(tmp_path / "c")]
+        self.assert_one_json_line(capsys, argv, "InputError", path)
+        assert not (tmp_path / "c").exists()
+
+    def test_non_utf8_dataset_gives_one_json_line(self, tmp_path, capsys):
+        save_dataset(generate(tiny_generator(), 8), tmp_path / "train.jsonl")
+        path = tmp_path / "val.jsonl"
+        path.write_bytes(NOT_UTF8)
+        train_path = str(tmp_path / "train.jsonl")
+        dataset = DatasetPaths(train_path=train_path, val_path=str(path))
+        cfg = self.write_config(tmp_path, generator=None, dataset=dataset)
+        self.assert_one_json_line(capsys, ["train", "--config", cfg], "InputError", path)
+        assert not (tmp_path / "run").exists()
 
     def test_charts_requires_epochs_csv(self, tmp_path, capsys):
         rc = main(["charts", "--out-dir", str(tmp_path / "charts")])

@@ -1,6 +1,7 @@
 """Tests for the multi-hypothesis MLP: init, forward, backward, Adam,
 finite-difference checking, and checkpoints."""
 
+import copy
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from wtalab import (
     save_checkpoint,
 )
 from wtalab.losses import stable_softmax
+from wtalab import network
 from wtalab.network import backward_batch, forward_batch
 
 
@@ -397,6 +399,30 @@ class TestGradientCheck:
         assert result.max_rel_error < 1e-4
 
 
+class TestGradientCheckSkipMask:
+    def test_tied_heads_skip_exactly_their_output_rows(self):
+        # Heads 0 and 2 share a trajectory and logit; head 1 sits elsewhere.
+        cfg = ModelConfig(input_dim=2, n_heads=3, horizon=2, hidden=(3,))
+        params = init_params(cfg, seed=0)
+        params.weights[-1][:] = 0.0
+        out_bias = params.biases[-1]
+        trajectories = out_bias[:12].reshape(3, 4)
+        trajectories[0] = trajectories[2] = [1.0, 1.0, 2.0, 2.0]
+        trajectories[1] = [-3.0, 0.0, -6.0, 0.0]
+        out_bias[12:] = [0.2, -0.1, 0.2]
+        result = gradient_check(
+            params,
+            np.array([0.3, -0.2]),
+            np.array([[1.0, 1.0], [2.0, 2.0]]),
+            LossConfig(variant="wta"),
+        )
+        assert result.tie_case
+        rows_per_head = 2 * cfg.horizon + 1
+        fan_in = cfg.hidden[-1] + 1
+        assert result.n_checked == params.n_params() - 2 * rows_per_head * fan_in
+        assert result.max_rel_error < 1e-4
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         cfg = ModelConfig(input_dim=5, n_heads=3, horizon=4, hidden=(7, 6))
@@ -500,3 +526,306 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="mismatched"):
             load_checkpoint(path)
+
+
+def deep_config() -> ModelConfig:
+    # Three layers, so six tensors: weights 0-2, then biases 0-2.
+    return ModelConfig(input_dim=5, n_heads=2, horizon=3, hidden=(7, 4))
+
+
+TENSORS = [(kind, layer) for kind in ("weights", "biases") for layer in range(3)]
+
+
+class TestFlatLayout:
+    def test_every_view_shares_the_one_vector(self):
+        params = init_params(deep_config(), seed=0)
+        state = init_adam(params)
+        for flat in (params, GradientBuffer.zeros_like(params), state.m, state.v):
+            assert flat.vector.dtype == np.float64
+            assert flat.vector.flags.c_contiguous
+            views = [*flat.weights, *flat.biases]
+            assert sum(view.size for view in views) == flat.vector.size
+            for view in views:
+                assert np.shares_memory(view, flat.vector)
+        for name, owner in (
+            ("m_weights", state.m),
+            ("m_biases", state.m),
+            ("v_weights", state.v),
+            ("v_biases", state.v),
+        ):
+            for view in getattr(state, name):
+                assert np.shares_memory(view, owner.vector)
+        assert not np.shares_memory(state.m.vector, state.v.vector)
+
+    def test_layout_is_weights_then_biases_in_layer_order(self):
+        params = init_params(deep_config(), seed=1)
+        expected = np.concatenate(
+            [t.reshape(-1) for t in (*params.weights, *params.biases)]
+        )
+        assert np.array_equal(params.vector, expected)
+        assert params.n_params() == expected.size
+
+    def test_write_through_a_view_reaches_the_vector(self):
+        params = init_params(deep_config(), seed=2)
+        params.biases[1][3] = 123.0
+        params.weights[2][0, 0] = -7.0
+        assert params.vector[params.weights[0].size + params.weights[1].size] == -7.0
+        assert params.vector[-params.biases[2].size - 1] == 123.0
+        params.vector[0] = 5.0
+        assert params.weights[0][0, 0] == 5.0
+
+    def test_copy_is_one_independent_vector(self):
+        params = init_params(deep_config(), seed=3)
+        dup = params.copy()
+        assert not np.shares_memory(dup.vector, params.vector)
+        assert np.array_equal(dup.vector, params.vector)
+        assert (dup.n_heads, dup.horizon) == (params.n_heads, params.horizon)
+        for view in (*dup.weights, *dup.biases):
+            assert np.shares_memory(view, dup.vector)
+        before = params.vector.copy()
+        dup.weights[1][2, 3] += 1.0
+        dup.biases[2][:] = 0.0
+        assert np.array_equal(params.vector, before)
+        params.weights[0][0, 0] = 9.0
+        assert dup.weights[0][0, 0] == before[0]
+
+    def test_gradient_buffer_from_separate_lists_is_packed(self):
+        weights = [np.ones((2, 3)), np.full((1, 2), 2.0)]
+        biases = [np.zeros(2), np.array([3], dtype=np.int64)]
+        grads = GradientBuffer(weights=weights, biases=biases)
+        assert grads.vector.tolist() == [1.0] * 6 + [2.0, 2.0, 0.0, 0.0, 3.0]
+        assert grads.vector.dtype == np.float64
+        for view, original in zip((*grads.weights, *grads.biases), (*weights, *biases)):
+            assert view.shape == original.shape
+            assert np.shares_memory(view, grads.vector)
+            assert not np.shares_memory(view, original)
+        weights[0][0, 0] = 99.0
+        assert grads.weights[0][0, 0] == 1.0
+
+    def test_backward_writes_into_the_buffer_it_is_given(self):
+        params = init_params(deep_config(), seed=4)
+        rng = np.random.default_rng(4)
+        _, _, activations = forward_batch(params, rng.normal(size=(9, 5)))
+        d_traj, d_logits = rng.normal(size=(9, 2, 3, 2)), rng.normal(size=(9, 2))
+        fresh = backward_batch(params, activations, d_traj, d_logits)
+        buffer = GradientBuffer.zeros_like(params)
+        buffer.vector[:] = np.nan
+        vector = buffer.vector
+        assert backward_batch(params, activations, d_traj, d_logits, out=buffer) is buffer
+        assert buffer.vector is vector
+        assert np.array_equal(buffer.vector, fresh.vector)
+
+    def test_adam_keeps_its_scratch_vectors(self):
+        params = init_params(deep_config(), seed=5)
+        state = init_adam(params)
+        def buffers():
+            return (state.update, state.denom, state.m.vector, state.v.vector)
+
+        before = buffers()
+        grads = GradientBuffer.zeros_like(params)
+        grads.vector[:] = 0.5
+        for _ in range(3):
+            adam_step(params, grads, state)
+        assert all(a is b for a, b in zip(before, buffers()))
+
+
+def rejection_setup():
+    """Params and Adam state after one good step, so moments are non-zero."""
+    params = init_params(deep_config(), seed=6)
+    state = init_adam(params)
+    grads = GradientBuffer.zeros_like(params)
+    grads.vector[:] = np.random.default_rng(6).normal(size=grads.vector.size)
+    adam_step(params, grads, state, lr=0.01)
+    vectors = (params.vector, state.m.vector, state.v.vector)
+    snapshot = (*(vector.copy() for vector in vectors), state.step)
+    grads.vector[:] = 0.1
+    return params, state, grads, snapshot
+
+
+def assert_untouched(params, state, snapshot):
+    vector, m, v, step = snapshot
+    assert np.array_equal(params.vector, vector)
+    assert np.array_equal(state.m.vector, m)
+    assert np.array_equal(state.v.vector, v)
+    assert state.step == step
+
+
+class TestAdamRejection:
+    @pytest.mark.parametrize("kind, layer", TENSORS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_its_tensor(self, kind, layer, bad):
+        params, state, grads, snapshot = rejection_setup()
+        getattr(grads, kind)[layer].reshape(-1)[-1] = bad
+        message = f"in layer {layer} {kind}; step rejected"
+        with pytest.raises(NonFiniteError, match=message):
+            adam_step(params, grads, state)
+        assert_untouched(params, state, snapshot)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(a, b) for i, a in enumerate(TENSORS) for b in TENSORS[i + 1 :]],
+    )
+    def test_first_bad_tensor_in_weights_then_biases_order_is_named(self, first, second):
+        params, state, grads, snapshot = rejection_setup()
+        for kind, layer in (second, first):
+            getattr(grads, kind)[layer].reshape(-1)[0] = np.nan
+        kind, layer = first
+        with pytest.raises(NonFiniteError, match=f"in layer {layer} {kind};"):
+            adam_step(params, grads, state)
+        assert_untouched(params, state, snapshot)
+
+
+def separate_copy(params: ModelParams) -> ModelParams:
+    """params with every tensor in its own freshly allocated array."""
+    dup = copy.copy(params)
+    dup.weights = [np.array(w) for w in params.weights]
+    dup.biases = [np.array(b) for b in params.biases]
+    return dup
+
+
+def on_unaligned_vector(flat, offset: int = 1):
+    """flat with its tensors moved to views into a buffer at an odd offset."""
+    buffer = np.empty(flat.vector.size + offset)
+    dup = copy.copy(flat)
+    dup.vector = buffer[offset:]
+    dup.vector[:] = flat.vector
+    dup.weights, dup.biases = network._views(dup.vector, flat.weights, flat.biases)
+    return dup
+
+
+def reference_backward(params, activations, d_trajectories, d_score_logits):
+    """Backpropagation into freshly allocated arrays, as first written: an oracle."""
+    batch = d_trajectories.shape[0]
+    delta = np.concatenate([d_trajectories.reshape(batch, -1), d_score_logits], axis=1)
+    grad_w = [None] * params.n_layers
+    grad_b = [None] * params.n_layers
+    for layer in reversed(range(params.n_layers)):
+        grad_w[layer] = delta.T @ activations[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * (activations[layer] > 0.0)
+    return grad_w, grad_b
+
+
+class TestUnalignedViews:
+    @pytest.mark.parametrize("batch", [1, 7, 64, 400])
+    def test_forward_and_backward_match_separate_arrays_bit_for_bit(self, batch):
+        # The train-branch3 shape: 40 inputs, 64x64 hidden, 6 heads of 30 steps.
+        cfg = ModelConfig(input_dim=40, n_heads=6, horizon=30, hidden=(64, 64))
+        params = init_params(cfg, seed=batch)
+        separate = separate_copy(params)
+        shifted = on_unaligned_vector(params)
+        assert shifted.vector.ctypes.data % 16 != params.vector.ctypes.data % 16
+        rng = np.random.default_rng(batch)
+        contexts = rng.normal(size=(batch, 40))
+        traj_a, logits_a, acts_a = forward_batch(separate, contexts)
+        traj_b, logits_b, acts_b = forward_batch(shifted, contexts)
+        assert np.array_equal(traj_a, traj_b)
+        assert np.array_equal(logits_a, logits_b)
+        for a, b in zip(acts_a, acts_b):
+            assert np.array_equal(a, b)
+
+        d_traj = rng.normal(size=traj_a.shape)
+        d_logits = rng.normal(size=logits_a.shape)
+        want_w, want_b = reference_backward(separate, acts_a, d_traj, d_logits)
+        out = on_unaligned_vector(GradientBuffer.zeros_like(params), offset=3)
+        backward_batch(shifted, acts_b, d_traj, d_logits, out=out)
+        for got, want in zip((*out.weights, *out.biases), (*want_w, *want_b)):
+            assert np.array_equal(got, want)
+        fresh = backward_batch(params, acts_a, d_traj, d_logits)
+        assert np.array_equal(fresh.vector, out.vector)
+
+
+def corrupt_entry(kind, index, **fields):
+    def corrupt(payload):
+        entries = list(payload[kind])
+        entries[index] = {**entries[index], **fields}
+        return {**payload, kind: entries}
+
+    return corrupt
+
+
+class TestCheckpointTypes:
+    """small_config checkpoints: 6 inputs, one hidden layer of 8, 3 heads of 4 steps."""
+
+    def write(self, tmp_path, corrupt):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params(small_config(), seed=0), path)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        return path
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (lambda p: {**p, "n_heads": "3"}, "n_heads must be a positive integer"),
+            (lambda p: {**p, "n_heads": 3.0}, "n_heads must be a positive integer"),
+            (lambda p: {**p, "n_heads": 0}, "n_heads must be a positive integer"),
+            (lambda p: {**p, "horizon": True}, "horizon must be a positive integer"),
+            (lambda p: {k: v for k, v in p.items() if k != "horizon"}, "malformed"),
+            (lambda p: {**p, "weights": {"shape": [8, 6]}}, "weights must be a list"),
+            (lambda p: {**p, "biases": [1.0, *p["biases"][1:]]}, r"biases\[0\] must be"),
+            (corrupt_entry("weights", 0, shape=["8", 6]), r"weights\[0\] shape"),
+            (corrupt_entry("weights", 0, shape=[8.0, 6]), r"weights\[0\] shape"),
+            (corrupt_entry("weights", 1, shape=[True, 8]), r"weights\[1\] shape"),
+            (corrupt_entry("weights", 0, shape=[-8, -6]), r"weights\[0\] shape"),
+            (corrupt_entry("weights", 0, shape=48), r"weights\[0\] shape"),
+            (corrupt_entry("weights", 0, shape=[8, 5]), "48 values for shape"),
+            (corrupt_entry("biases", 0, data=["0.5"] * 8), r"biases\[0\] data"),
+            (corrupt_entry("biases", 0, data=[True] + [0.0] * 7), r"biases\[0\] data"),
+            (corrupt_entry("biases", 1, data=[None] * 27), r"biases\[1\] data"),
+            (corrupt_entry("biases", 1, data="0" * 27), r"biases\[1\] data"),
+            (corrupt_entry("weights", 1, data=[10**400] * 216), "not finite"),
+            (corrupt_entry("biases", 1, data=[1e400] * 27), "layer 1 biases is not"),
+        ],
+        ids=[
+            "string-count",
+            "float-count",
+            "zero-count",
+            "bool-count",
+            "missing-count",
+            "weights-not-list",
+            "entry-not-object",
+            "string-dim",
+            "float-dim",
+            "bool-dim",
+            "negative-dims",
+            "shape-not-list",
+            "size-mismatch",
+            "string-values",
+            "bool-value",
+            "null-values",
+            "data-not-list",
+            "huge-int",
+            "infinite",
+        ],
+    )
+    def test_wrong_types_rejected_naming_path(self, tmp_path, corrupt, problem):
+        path = self.write(tmp_path, corrupt)
+        with pytest.raises(ConfigurationError, match=problem) as excinfo:
+            load_checkpoint(path)
+        assert f"checkpoint {path}" in str(excinfo.value)
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        path = self.write(tmp_path, corrupt_entry("biases", 0, data=list(range(8))))
+        params = load_checkpoint(path)
+        assert params.biases[0].tolist() == [float(i) for i in range(8)]
+        assert params.vector.dtype == np.float64
+
+    def test_loaded_params_are_packed_and_save_the_same_bytes(self, tmp_path):
+        cfg = ModelConfig(input_dim=5, n_heads=3, horizon=4, hidden=(7, 6))
+        params = init_params(cfg, seed=1)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(params, first)
+        loaded = load_checkpoint(first)
+        assert np.array_equal(loaded.vector, params.vector)
+        for view in (*loaded.weights, *loaded.biases):
+            assert np.shares_memory(view, loaded.vector)
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigurationError, match="not UTF-8") as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)

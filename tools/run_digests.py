@@ -9,13 +9,19 @@ Runs, with one BLAS thread and a fresh temporary output root:
 and prints one "sha256  path" line per output file, the path relative to the
 output root. epochs.csv is hashed without its wall_s column, the one column
 that is not byte-stable. Two checkouts keep the contract when their outputs
-match line for line:
+match line for line. One command runs both and compares them:
+
+    python tools/run_digests.py --against ../parent
+
+It prints each line that differs ("- " the other checkout, "+ " this one)
+and a count of identical digests, and exits 1 on any difference, 0 when
+every digest matches. The comparison can also be made by hand:
 
     python tools/run_digests.py > after.txt
     python tools/run_digests.py --repo ../parent > before.txt
     diff before.txt after.txt
 
-Nothing is written inside the checkout: outputs go to a temporary directory
+Nothing is written inside the checkouts: outputs go to a temporary directory
 that is removed afterwards, and bytecode caching is off.
 """
 
@@ -119,6 +125,33 @@ def run_outputs(repo: Path, root: Path) -> list[Path]:
     return outputs
 
 
+def digest_lines(repo: Path) -> list[str]:
+    """Run repo's outputs in a temporary root and return its "sha256  path" lines."""
+    with tempfile.TemporaryDirectory(prefix="wtalab-digests-") as tmp:
+        root = Path(tmp)
+        outputs = run_outputs(repo, root)
+        return [f"{digest(path)}  {path.relative_to(root)}" for path in outputs]
+
+
+def compare(ours: list[str], theirs: list[str]) -> tuple[list[str], int, int]:
+    """The lines that differ, the number of identical digests, the number of paths.
+
+    Lines are matched by output path. A path whose digests differ gives "- "
+    its line from theirs and "+ " its line from ours; a path that only one
+    side produced gives just that side's line.
+    """
+    mine = {line.split("  ", 1)[1]: line for line in ours}
+    other = {line.split("  ", 1)[1]: line for line in theirs}
+    paths = dict.fromkeys([*other, *mine])
+    differing = []
+    for path in paths:
+        if mine.get(path) != other.get(path):
+            differing += [f"- {other[path]}"] if path in other else []
+            differing += [f"+ {mine[path]}"] if path in mine else []
+    same = sum(mine.get(path) == other.get(path) for path in paths)
+    return differing, same, len(paths)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -127,13 +160,22 @@ def main(argv: list[str] | None = None) -> int:
         default=Path(__file__).resolve().parents[1],
         help="checkout to run (default: the one holding this script)",
     )
+    parser.add_argument(
+        "--against",
+        type=Path,
+        help="another checkout to run too; print the lines that differ and"
+        " exit 1 on any difference",
+    )
     args = parser.parse_args(argv)
-    repo = args.repo.resolve()
-    with tempfile.TemporaryDirectory(prefix="wtalab-digests-") as tmp:
-        root = Path(tmp)
-        for path in run_outputs(repo, root):
-            print(f"{digest(path)}  {path.relative_to(root)}")
-    return 0
+    ours = digest_lines(args.repo.resolve())
+    if args.against is None:
+        print("\n".join(ours))
+        return 0
+    differing, same, total = compare(ours, digest_lines(args.against.resolve()))
+    for line in differing:
+        print(line)
+    print(f"{same} of {total} digests identical")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
