@@ -42,6 +42,7 @@ from .harness import (
     train,
 )
 from .losses import (
+    BatchObjective,
     LossConfig,
     assignment_weights,
     awta_weights,

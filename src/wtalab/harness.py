@@ -508,6 +508,10 @@ def _train_epochs(
     shuffle_rng = np.random.default_rng([config.seed, 2])
     adam: AdamState = init_adam(params)
     grads = GradientBuffer.zeros_like(params)
+    # Each epoch gathers the train split once, in shuffled order, into these
+    # buffers; its batches are then contiguous slices of them.
+    shuffled_features = np.empty_like(features)
+    shuffled_targets = np.empty_like(targets)
     records: list[EpochRecord] = []
     best_epoch = -1
     best_fde = math.inf
@@ -517,22 +521,23 @@ def _train_epochs(
         started = time.perf_counter()
         schedule_value, epoch_loss = _schedule_control(config, epoch)
         order = shuffle_rng.permutation(n_scenes)
+        # A permutation is always in range; mode="raise" would copy out first.
+        np.take(features, order, axis=0, out=shuffled_features, mode="clip")
+        np.take(targets, order, axis=0, out=shuffled_targets, mode="clip")
         loss_sum = 0.0
         for batch_index, start in enumerate(range(0, n_scenes, config.batch_size)):
-            rows = order[start : start + config.batch_size]
-            preds, logits, activations = forward_batch(params, features[rows])
-            objective = batch_objective(preds, logits, targets[rows], epoch_loss)
-            if not np.all(np.isfinite(objective.loss)):
+            stop = start + config.batch_size
+            preds, logits, activations = forward_batch(
+                params, shuffled_features[start:stop]
+            )
+            objective = batch_objective(
+                preds, logits, shuffled_targets[start:stop], epoch_loss
+            )
+            if not np.isfinite(objective.loss).all():
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 )
-            backward_batch(
-                params,
-                activations,
-                objective.d_trajectories,
-                objective.d_score_logits,
-                out=grads,
-            )
+            backward_batch(params, activations, objective.d_outputs, out=grads)
             try:
                 params, adam = adam_step(
                     params,
@@ -547,7 +552,7 @@ def _train_epochs(
                 raise NonFiniteError(
                     f"epoch {epoch} batch {batch_index}: {exc}"
                 ) from exc
-            loss_sum += float(np.sum(objective.loss))
+            loss_sum += float(objective.loss.sum())
         report = evaluate(params, val_features, val_targets)
         records.append(
             EpochRecord(

@@ -28,9 +28,9 @@ VARIANTS = ("wta", "rwta", "ewta", "dac", "awta")
 
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with the max subtracted before exponentiation."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _score_terms(
@@ -42,9 +42,9 @@ def _score_terms(
     exact where the winner's probability underflows to 0. Both results come
     from one shift, exp and sum, and equal stable_softmax bit for bit.
     """
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    total = np.sum(exp, axis=1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
     score = np.log(total[:, 0]) - shifted[np.arange(len(winners)), winners]
     return score, exp / total
 
@@ -128,7 +128,7 @@ def wta_weights(costs) -> np.ndarray:
     """One-hot weights on the lowest-cost head, ties to the lowest index."""
     costs = np.asarray(costs, dtype=float)
     weights = np.zeros_like(costs)
-    winners = np.argmin(costs, axis=-1)
+    winners = costs.argmin(axis=-1)
     np.put_along_axis(weights, winners[..., None], 1.0, axis=-1)
     return weights
 
@@ -139,7 +139,7 @@ def rwta_weights(costs, epsilon: float = 0.05) -> np.ndarray:
     n_heads = costs.shape[-1]
     _check_epsilon(epsilon, n_heads)
     weights = np.full_like(costs, epsilon / (n_heads - 1))
-    winners = np.argmin(costs, axis=-1)
+    winners = costs.argmin(axis=-1)
     np.put_along_axis(weights, winners[..., None], 1.0 - epsilon, axis=-1)
     return weights
 
@@ -150,7 +150,7 @@ def ewta_weights(costs, top_n: int) -> np.ndarray:
     n_heads = costs.shape[-1]
     if not 1 <= top_n <= n_heads:
         raise InputError(f"top_n must be in [1, {n_heads}], got {top_n}")
-    order = np.argsort(costs, axis=-1, kind="stable")
+    order = costs.argsort(axis=-1, kind="stable")
     weights = np.zeros_like(costs)
     np.put_along_axis(weights, order[..., :top_n], 1.0 / top_n, axis=-1)
     return weights
@@ -192,7 +192,7 @@ def dac_weights(costs, depth: int) -> np.ndarray:
     costs = np.asarray(costs, dtype=float)
     ids = dac_block_ids(costs.shape[-1], depth)
     block_sizes = np.bincount(ids)
-    winners = np.argmin(costs, axis=-1)
+    winners = costs.argmin(axis=-1)
     winner_blocks = ids[winners]
     member = (ids == winner_blocks[..., None]).astype(costs.dtype)
     return member / block_sizes[winner_blocks][..., None]
@@ -205,9 +205,9 @@ def awta_weights(costs, temperature: float) -> np.ndarray:
         raise InputError(f"temperature must be positive, got {temperature}")
     # Subtracting the row minimum keeps the largest exponent at exactly 0,
     # so the normalizer is always >= 1 and never overflows.
-    shifted = costs - np.min(costs, axis=-1, keepdims=True)
+    shifted = costs - costs.min(axis=-1, keepdims=True)
     weights = np.exp(-shifted / temperature)
-    return weights / np.sum(weights, axis=-1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def assignment_weights(costs, config: LossConfig) -> np.ndarray:
@@ -237,18 +237,30 @@ class BatchObjective:
     """Loss values and output-side gradients for one batch.
 
     loss is per sample: weighted trajectory cost plus the score term.
-    d_trajectories and d_score_logits are the gradients of the batch MEAN
-    loss with respect to the raw network outputs, ready for backward_batch().
-    costs[b, k] is the mean over the L steps of the squared distance between
-    head k's trajectory and the target.
+    d_outputs is the gradient of the batch MEAN loss with respect to the raw
+    network outputs, (B, K*L*2 + K) in the output layout of network, ready
+    for backward_batch(). d_trajectories (B, K, L, 2) and d_score_logits
+    (B, K) are views of its trajectory and logit columns. costs[b, k] is the
+    mean over the L steps of the squared distance between head k's
+    trajectory and the target.
     """
 
     loss: np.ndarray
-    d_trajectories: np.ndarray
-    d_score_logits: np.ndarray
+    d_outputs: np.ndarray
     costs: np.ndarray
     weights: np.ndarray
     winners: np.ndarray
+
+    @property
+    def d_trajectories(self) -> np.ndarray:
+        batch, n_heads = self.costs.shape
+        n_traj = self.d_outputs.shape[1] - n_heads
+        horizon = n_traj // (2 * n_heads)
+        return self.d_outputs[:, :n_traj].reshape(batch, n_heads, horizon, 2)
+
+    @property
+    def d_score_logits(self) -> np.ndarray:
+        return self.d_outputs[:, -self.costs.shape[1] :]
 
     @property
     def mean_loss(self) -> float:
@@ -285,26 +297,33 @@ def batch_objective(
             f"targets must be {(batch, horizon, 2)}, got {targets.shape}"
         )
 
-    residual = preds - targets[:, None, :, :]
-    costs = np.mean(squared_distance(residual), axis=2)
+    # One buffer holds every output gradient. Its trajectory columns first
+    # hold the residual, which becomes d_trajectories in place.
+    n_traj = n_heads * horizon * 2
+    d_outputs = np.empty((batch, n_traj + n_heads))
+    residual = d_outputs[:, :n_traj].reshape(preds.shape)
+    np.subtract(preds, targets[:, None, :, :], out=residual)
+    # A sum then a division in place gives the bits of np.mean.
+    costs = squared_distance(residual).sum(axis=2)
+    costs /= horizon
     weights = assignment_weights(costs, config)
-    winners = np.argmin(costs, axis=1)
+    winners = costs.argmin(axis=1)
 
     score, probs = _score_terms(logits, winners)
-    loss = np.sum(weights * costs, axis=1) + config.score_coef * score
+    loss = (weights * costs).sum(axis=1) + config.score_coef * score
 
-    # residual becomes d_trajectories in place: w * (2 / L) * residual / B.
+    # d_trajectories = w * (2 / L) * residual / B and
+    # d_score_logits = coef * (softmax - one_hot(winner)) / B, where
+    # subtracting 1 at the winners equals subtracting the one-hot row.
     scale = weights[:, :, None, None] * (2.0 / horizon)
-    d_traj = np.multiply(scale, residual, out=residual)
-    d_traj /= batch
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(batch), winners] = 1.0
-    d_logits = config.score_coef * (probs - one_hot) / batch
+    np.multiply(scale, residual, out=residual)
+    probs[np.arange(batch), winners] -= 1.0
+    np.multiply(config.score_coef, probs, out=d_outputs[:, n_traj:])
+    d_outputs /= batch
 
     return BatchObjective(
         loss=loss,
-        d_trajectories=d_traj,
-        d_score_logits=d_logits,
+        d_outputs=d_outputs,
         costs=costs,
         weights=weights,
         winners=winners,

@@ -18,7 +18,7 @@ from ._files import read_text, write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
-from .losses import squared_distance, stable_softmax
+from .losses import stable_softmax
 from .network import ModelParams, forward_batch
 from .postselect import NMSConfig, nms_select, truncate_top_k
 
@@ -57,13 +57,21 @@ def _scene_metrics(
     batch, _, horizon, _ = trajectories.shape
     if targets.shape != (batch, horizon, 2):
         raise InputError(f"targets must be {(batch, horizon, 2)}, got {targets.shape}")
-    dists = np.sqrt(squared_distance(trajectories - targets[:, None, :, :]))
+    # squared_distance with the squares written over the offsets, and the
+    # root taken in place: the same bits with less validation peak memory.
+    squares = trajectories - targets[:, None, :, :]
+    squares *= squares
+    dists = squares[..., 0] + squares[..., 1]
+    np.sqrt(dists, out=dists)
     fde = dists[:, :, -1]
-    winners = np.argmin(fde, axis=1)
+    winners = fde.argmin(axis=1)
     rows = np.arange(batch)
     scene_min_fde = fde[rows, winners]
     scene_brier = scene_min_fde + (1.0 - scores[rows, winners]) ** 2
-    return np.min(np.mean(dists, axis=2), axis=1), scene_min_fde, winners, scene_brier
+    # A sum then a division in place gives the bits of np.mean.
+    ade = dists.sum(axis=2)
+    ade /= horizon
+    return ade.min(axis=1), scene_min_fde, winners, scene_brier
 
 
 def miss_rate(final_errors: Sequence[float], threshold: float = MISS_THRESHOLD) -> float:
@@ -124,19 +132,39 @@ def write_report_csv(report: MetricsReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> MetricsReport:
+    """Read a report written by write_report_csv.
+
+    Raises InputError naming the path unless the file is the header and one
+    row of len(REPORT_COLUMNS) fields that parse as their types, with a
+    winner histogram of nonnegative counts summing to n_scenes.
+    """
     lines = read_text(path, InputError).splitlines()
     if len(lines) != 2 or lines[0] != ",".join(REPORT_COLUMNS):
         raise InputError(f"{path} is not a metrics report CSV")
     values = lines[1].split(",")
-    return MetricsReport(
-        n_scenes=int(values[0]),
-        min_ade=float(values[1]),
-        min_fde=float(values[2]),
-        miss_rate=float(values[3]),
-        brier_fde=float(values[4]),
-        effective_hypotheses=int(values[5]),
-        winner_histogram=[int(c) for c in values[6].split(";")],
-    )
+    if len(values) != len(REPORT_COLUMNS):
+        raise InputError(
+            f"{path}: expected {len(REPORT_COLUMNS)} fields, got {len(values)}"
+        )
+    try:
+        report = MetricsReport(
+            n_scenes=int(values[0]),
+            min_ade=float(values[1]),
+            min_fde=float(values[2]),
+            miss_rate=float(values[3]),
+            brier_fde=float(values[4]),
+            effective_hypotheses=int(values[5]),
+            winner_histogram=[int(c) for c in values[6].split(";")],
+        )
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    histogram = report.winner_histogram
+    if min(histogram) < 0 or sum(histogram) != report.n_scenes:
+        raise InputError(
+            f"{path}: winner_histogram {values[6]!r} must hold nonnegative"
+            f" counts summing to n_scenes {report.n_scenes}"
+        )
+    return report
 
 
 def evaluate(
@@ -179,10 +207,10 @@ def evaluate(
 
     return MetricsReport(
         n_scenes=n_scenes,
-        min_ade=math.fsum(scene_min_ade) / n_scenes,
-        min_fde=math.fsum(scene_min_fde) / n_scenes,
+        min_ade=math.fsum(scene_min_ade.tolist()) / n_scenes,
+        min_fde=math.fsum(scene_min_fde.tolist()) / n_scenes,
         miss_rate=miss_rate(scene_min_fde, miss_threshold),
-        brier_fde=math.fsum(scene_brier) / n_scenes,
+        brier_fde=math.fsum(scene_brier.tolist()) / n_scenes,
         effective_hypotheses=effective_hypotheses(histogram, tau),
         winner_histogram=histogram,
     )

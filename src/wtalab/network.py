@@ -22,6 +22,8 @@ from .losses import LossConfig, _score_terms, batch_objective, squared_distance
 
 CHECKPOINT_VERSION = 1
 
+CHECKPOINT_MODEL = "multihead-mlp"
+
 INIT_MODES = ("glorot", "clustered")
 
 
@@ -190,9 +192,12 @@ def forward_batch(
     activations = [contexts]
     hidden = contexts
     for weight, bias in zip(params.weights[:-1], params.biases[:-1]):
-        hidden = np.maximum(hidden @ weight.T + bias, 0.0)
+        hidden = hidden @ weight.T
+        hidden += bias
+        np.maximum(hidden, 0.0, out=hidden)
         activations.append(hidden)
-    out = hidden @ params.weights[-1].T + params.biases[-1]
+    out = hidden @ params.weights[-1].T
+    out += params.biases[-1]
     batch = out.shape[0]
     n_traj = params.n_heads * params.horizon * 2
     trajectories = out[:, :n_traj].reshape(batch, params.n_heads, params.horizon, 2)
@@ -203,34 +208,46 @@ def forward_batch(
 def backward_batch(
     params: ModelParams,
     activations: list[np.ndarray],
-    d_trajectories: np.ndarray,
-    d_score_logits: np.ndarray,
+    d_outputs: np.ndarray,
+    d_score_logits: np.ndarray | None = None,
+    *,
     out: GradientBuffer | None = None,
 ) -> GradientBuffer:
     """Backpropagate output gradients through the cached activations.
 
-    Each layer's gradient is written straight into out, which must have the
-    layout of params; a training loop passes the same buffer every step. By
-    default a new buffer is allocated.
+    d_outputs is the (B, K*L*2 + K) gradient with respect to the network
+    output, in its layout: BatchObjective.d_outputs. Each layer's gradient
+    is written straight into out, which must have the layout of params; a
+    training loop passes the same buffer every step. By default a new
+    buffer is allocated.
+
+    The two-array form backward_batch(params, activations, d_trajectories,
+    d_score_logits), with (B, K, L, 2) and (B, K) gradients, is still
+    accepted and joins the two first; perfbench/test_perfbench.py calls it.
     """
-    batch = d_trajectories.shape[0]
-    expected = (batch, params.n_heads, params.horizon, 2)
-    if d_trajectories.shape != expected or d_score_logits.shape != expected[:2]:
+    if d_score_logits is not None:
+        batch = d_outputs.shape[0]
+        expected = (batch, params.n_heads, params.horizon, 2)
+        if d_outputs.shape != expected or d_score_logits.shape != expected[:2]:
+            raise ConfigurationError(
+                f"upstream gradients must be {expected} and {expected[:2]}, got"
+                f" {d_outputs.shape} and {d_score_logits.shape}"
+            )
+        d_outputs = np.concatenate([d_outputs.reshape(batch, -1), d_score_logits], axis=1)
+    width = params.n_heads * (params.horizon * 2 + 1)
+    if d_outputs.ndim != 2 or d_outputs.shape[1] != width:
         raise ConfigurationError(
-            f"upstream gradients must be {expected} and {expected[:2]}, got"
-            f" {d_trajectories.shape} and {d_score_logits.shape}"
+            f"output gradient must be (B, {width}), got {d_outputs.shape}"
         )
     if out is None:
         out = GradientBuffer.zeros_like(params)
-    d_out = np.concatenate(
-        [d_trajectories.reshape(batch, -1), d_score_logits], axis=1
-    )
-    delta = d_out
+    delta = d_outputs
     for layer in reversed(range(params.n_layers)):
         np.matmul(delta.T, activations[layer], out=out.weights[layer])
-        np.sum(delta, axis=0, out=out.biases[layer])
+        delta.sum(axis=0, out=out.biases[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * (activations[layer] > 0.0)
+            delta = delta @ params.weights[layer]
+            delta *= activations[layer] > 0.0
     return out
 
 
@@ -285,7 +302,7 @@ def _first_non_finite(tensors: _FlatTensors) -> str | None:
     """Name the first non-finite tensor, weights then biases in layer order."""
     for kind, group in (("weights", tensors.weights), ("biases", tensors.biases)):
         for layer, tensor in enumerate(group):
-            if not np.all(np.isfinite(tensor)):
+            if not np.isfinite(tensor).all():
                 return f"layer {layer} {kind}"
     return None
 
@@ -306,7 +323,7 @@ def adam_step(
     the step counter are left untouched.
     """
     grad = grads.vector
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NonFiniteError(
             f"non-finite gradient in {_first_non_finite(grads)}; step rejected"
         )
@@ -330,7 +347,7 @@ def adam_step(
     denom += eps
     update /= denom
     params.vector -= update
-    if not np.all(np.isfinite(params.vector)):
+    if not np.isfinite(params.vector).all():
         raise NonFiniteError("parameters became non-finite after the update")
     return params, state
 
@@ -367,9 +384,7 @@ def gradient_check(
     target = np.asarray(target, dtype=float)
     preds, logits, activations = forward_batch(params, context[None, :])
     objective = batch_objective(preds, logits, target[None], config)
-    analytic = backward_batch(
-        params, activations, objective.d_trajectories, objective.d_score_logits
-    )
+    analytic = backward_batch(params, activations, objective.d_outputs)
 
     frozen_weights = objective.weights[0]
     frozen_winner = int(objective.winners[0])
@@ -415,25 +430,54 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 
 
+def _json_values(tensor: np.ndarray) -> str:
+    """json.dumps(tensor.reshape(-1).tolist()), built chunk by chunk.
+
+    json writes a finite float as its repr, so joining the reprs gives the
+    same text without a Python float and an encoder string per entry alive
+    at once. Non-finite values, which json spells NaN and Infinity, take
+    json.dumps itself.
+    """
+    flat = tensor.reshape(-1)
+    if not np.isfinite(flat).all():
+        return json.dumps(flat.tolist())
+    chunk = 4096
+    chunks = (
+        ", ".join(map(repr, flat[start : start + chunk].tolist()))
+        for start in range(0, flat.size, chunk)
+    )
+    return "[" + ", ".join(chunks) + "]"
+
+
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write parameters as versioned JSON with shapes and exact float values."""
-    payload = {
+    """Write parameters as versioned JSON with shapes and exact float values.
+
+    The text is json.dumps of {format_version, model, input_dim, n_heads,
+    horizon, hidden, weights, biases}, each tensor an entry {"shape": [...],
+    "data": [...]}. The tensor data is encoded by _json_values, which keeps
+    the peak memory of a save to about one copy of the text.
+    """
+    header = {
         "format_version": CHECKPOINT_VERSION,
-        "model": "multihead-mlp",
+        "model": CHECKPOINT_MODEL,
         "input_dim": params.input_dim,
         "n_heads": params.n_heads,
         "horizon": params.horizon,
         "hidden": list(params.hidden),
-        "weights": [
-            {"shape": list(w.shape), "data": w.reshape(-1).tolist()}
-            for w in params.weights
-        ],
-        "biases": [
-            {"shape": list(b.shape), "data": b.reshape(-1).tolist()}
-            for b in params.biases
-        ],
     }
-    write_text_atomic(path, json.dumps(payload))
+
+    def entries(tensors: list[np.ndarray]) -> str:
+        return ", ".join(
+            f'{{"shape": {json.dumps(list(t.shape))}, "data": {_json_values(t)}}}'
+            for t in tensors
+        )
+
+    text = (
+        json.dumps(header)[:-1]
+        + f', "weights": [{entries(params.weights)}]'
+        + f', "biases": [{entries(params.biases)}]}}'
+    )
+    write_text_atomic(path, text)
 
 
 # JSON numbers and counts: exact types, so that true and "1" are neither.
@@ -459,9 +503,13 @@ def _checkpoint_tensor(entry, where: str) -> np.ndarray:
     if math.prod(shape) != len(data):
         raise ConfigurationError(f"{where} has {len(data)} values for shape {shape}")
     try:
-        return np.array(data, dtype=float).reshape(shape)
+        values = np.array(data, dtype=float)
     except OverflowError:
         raise ConfigurationError(f"{where} is not finite") from None
+    try:
+        return values.reshape(shape)
+    except ValueError as exc:  # an empty shape with a dimension numpy cannot hold
+        raise ConfigurationError(f"{where} shape {shape} is too large: {exc}") from None
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -470,6 +518,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     Raises ConfigurationError unless the payload describes a network that
     forward_batch can run: at least one layer, one bias vector per weight
     matrix, chained shapes, an output width of K*(2L+1), finite values.
+    The model, input_dim and hidden keys must agree with the tensors.
     Types are checked, not converted: counts are integers, values are JSON
     numbers, and neither may be a boolean or a string.
     """
@@ -485,7 +534,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"checkpoint {path} has format_version {version!r},"
             f" expected {CHECKPOINT_VERSION}"
         )
-    missing = {"weights", "biases", "n_heads", "horizon"} - payload.keys()
+    required = ("model", "input_dim", "hidden", "n_heads", "horizon", "weights", "biases")
+    missing = set(required) - payload.keys()
     if missing:
         raise ConfigurationError(
             f"checkpoint {path} is malformed: missing keys {sorted(missing)}"
@@ -521,8 +571,22 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             f"checkpoint {path} output width {weights[-1].shape[0]}"
             f" does not match K*(2L+1) = {expected_out}"
         )
+    described = {
+        "model": CHECKPOINT_MODEL,
+        "input_dim": weights[0].shape[1],
+        "hidden": [weight.shape[0] for weight in weights[:-1]],
+    }
+    for key, value in described.items():
+        # Exact types, so that 4.0 and true are not the count 4 or 1.
+        if type(payload[key]) is not type(value) or payload[key] != value or (
+            key == "hidden" and set(map(type, payload[key])) - {int}
+        ):
+            raise ConfigurationError(
+                f"checkpoint {path} {key} is {payload[key]!r}, but the tensors"
+                f" describe {value!r}"
+            )
     params = ModelParams(weights=weights, biases=biases, n_heads=n_heads, horizon=horizon)
-    if not np.all(np.isfinite(params.vector)):
+    if not np.isfinite(params.vector).all():
         raise ConfigurationError(
             f"checkpoint {path} {_first_non_finite(params)} is not finite"
         )

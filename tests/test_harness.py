@@ -51,7 +51,11 @@ from wtalab.harness import (
     write_epoch_csv,
 )
 from wtalab.metrics import read_report_csv
+from wtalab.network import GradientBuffer, adam_step, init_adam, init_params
 from wtalab.schedulers import exp_temperature, ewta_topn
+
+from test_losses import reference_batch_objective
+from test_network import reference_backward, reference_forward
 
 
 def tiny_generator(seed=3) -> GeneratorConfig:
@@ -636,6 +640,98 @@ class TestDeterminism:
             assert np.allclose(w_soft, w_hard, rtol=0, atol=1e-9)
         for a, b in zip(result_soft.records, result_hard.records):
             assert a.val_min_fde == pytest.approx(b.val_min_fde, abs=1e-9)
+
+
+def reference_train_epochs(config, splits):
+    """The training loop as first written, an oracle for _train_epochs.
+
+    Each batch is gathered from the split with a fancy index of the
+    shuffled order; forward, objective and backward are the first-written
+    oracles, whose costs use np.mean, whose logit gradient subtracts a
+    zeros-plus-one-hot array, and whose backward concatenates the two
+    output gradients. Returns the final parameters and the per-epoch
+    train_loss values.
+    """
+    features, targets = splits[:2]
+    model_config = dataclasses.replace(
+        config.model, input_dim=features.shape[1], horizon=targets.shape[1]
+    )
+    params = init_params(model_config, np.random.default_rng([config.seed, 1]))
+    adam = init_adam(params)
+    shuffle_rng = np.random.default_rng([config.seed, 2])
+    losses = []
+    for epoch in range(config.epochs):
+        loss_config = harness._schedule_control(config, epoch)[1]
+        order = shuffle_rng.permutation(len(features))
+        loss_sum = 0.0
+        for start in range(0, len(features), config.batch_size):
+            rows = order[start : start + config.batch_size]
+            preds, logits, activations = reference_forward(params, features[rows])
+            objective = reference_batch_objective(
+                preds, logits, targets[rows], loss_config
+            )
+            grad_w, grad_b = reference_backward(
+                params,
+                activations,
+                objective["d_trajectories"],
+                objective["d_score_logits"],
+            )
+            grads = GradientBuffer(weights=grad_w, biases=grad_b)
+            optimizer = config.optimizer
+            adam_step(
+                params,
+                grads,
+                adam,
+                lr=optimizer.lr,
+                beta1=optimizer.beta1,
+                beta2=optimizer.beta2,
+                eps=optimizer.eps,
+            )
+            loss_sum += float(np.sum(objective["loss"]))
+        losses.append(loss_sum / len(features))
+    return params, losses
+
+
+LEAN_STEP_LOSSES = {
+    "wta": (LossConfig(variant="wta"), ScheduleState(kind="constant")),
+    "rwta": (LossConfig(variant="rwta", epsilon=0.1), ScheduleState(kind="constant")),
+    "ewta": (
+        LossConfig(variant="ewta"),
+        ScheduleState(kind="ewta-topn", total_steps=3),
+    ),
+    "dac": (
+        LossConfig(variant="dac"),
+        ScheduleState(kind="dac-depth", total_steps=3),
+    ),
+    "awta": (
+        LossConfig(variant="awta"),
+        ScheduleState(kind="exponential", t0=10.0, rho=0.5),
+    ),
+}
+
+
+class TestLeanStepOracle:
+    """A whole training run against reference_train_epochs, byte for byte."""
+
+    @pytest.mark.parametrize("hidden", [(), (8,)], ids=["linear", "hidden"])
+    @pytest.mark.parametrize("variant", sorted(LEAN_STEP_LOSSES))
+    def test_run_matches_first_written_loop(self, tmp_path, variant, hidden):
+        loss, scheduler = LEAN_STEP_LOSSES[variant]
+        # 22 scenes in batches of 8: the last batch holds 6.
+        config = tiny_config(
+            tmp_path,
+            model=ModelConfig(n_heads=3, hidden=hidden),
+            loss=loss,
+            scheduler=scheduler,
+            train_count=22,
+            epochs=3,
+        )
+        config.validate()
+        splits = harness.build_splits(config)
+        result = train(config, write_outputs=False, splits=splits)
+        params, losses = reference_train_epochs(config, splits)
+        assert result.params.vector.tobytes() == params.vector.tobytes()
+        assert [r.train_loss for r in result.records] == losses
 
 
 class TestOutDirResolution:

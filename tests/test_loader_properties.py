@@ -1,0 +1,227 @@
+"""Property tests for the file loaders: the dataset JSONL, checkpoints,
+epochs.csv and metrics.csv.
+
+Each loader is fed arbitrary bytes and near-valid files: a file written by
+the program, then edited at the byte level or, for the JSON formats, with
+one value replaced by arbitrary JSON. Every input must either load or raise
+a WtalabError; any other exception fails the test.
+"""
+
+import functools
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtalab import (
+    EpochRecord,
+    GeneratorConfig,
+    ModelConfig,
+    WtalabError,
+    generate,
+    init_params,
+    load_checkpoint,
+    load_dataset,
+    save_checkpoint,
+    save_dataset,
+)
+from wtalab.harness import read_epoch_csv, write_epoch_csv
+from wtalab.metrics import MetricsReport, read_report_csv, write_report_csv
+from wtalab.network import forward_batch
+
+from test_harness import ANY_JSON
+
+EXAMPLES = 200
+
+
+def written_bytes(write, value) -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "file"
+        write(value, path)
+        return path.read_bytes()
+
+
+@functools.cache
+def valid_dataset() -> bytes:
+    config = GeneratorConfig(
+        n_branches=2,
+        probabilities=(0.5, 0.5),
+        turns=(0.4, -0.4),
+        speed=1.0,
+        noise_std=0.05,
+        past_len=2,
+        future_len=2,
+        seed=1,
+    )
+    return written_bytes(save_dataset, generate(config, 2))
+
+
+@functools.cache
+def valid_checkpoint() -> bytes:
+    config = ModelConfig(input_dim=2, n_heads=2, horizon=1, hidden=(2,))
+    return written_bytes(save_checkpoint, init_params(config, seed=0))
+
+
+@functools.cache
+def valid_epochs_csv() -> bytes:
+    records = [
+        EpochRecord(0, 10.0, 1.5, 0.5, 0.75, 0.0, 0.9, 2, 0.01),
+        EpochRecord(1, None, 1.25, 0.5, 0.5, 0.25, 0.8, 1, 0.02),
+    ]
+    return written_bytes(write_epoch_csv, records)
+
+
+@functools.cache
+def valid_metrics_csv() -> bytes:
+    report = MetricsReport(10, 0.5, 0.75, 0.1, 0.9, 2, [6, 4, 0])
+    return written_bytes(write_report_csv, report)
+
+
+# Pieces that are likely to move a file from valid to almost valid.
+TOKENS = st.sampled_from(
+    [
+        b"0", b"1", b"-", b".", b"e", b"e999", b"1e400", b"NaN", b"Infinity",
+        b"true", b"null", b'"', b",", b";", b":", b"[", b"]", b"{", b"}",
+        b"\n", b"\r", b" ", b"\xff", b"\x00",
+    ]
+) | st.binary(max_size=4)
+
+
+@st.composite
+def byte_edits(draw, valid: bytes) -> bytes:
+    """valid with one to three truncations, deletions, insertions or overwrites."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 6)))
+        edit = draw(st.sampled_from(["truncate", "delete", "insert", "overwrite"]))
+        if edit == "truncate":
+            del data[start:]
+        elif edit == "delete":
+            del data[start:stop]
+        elif edit == "insert":
+            data[start:start] = draw(TOKENS)
+        else:
+            data[start:stop] = draw(TOKENS)
+    return bytes(data)
+
+
+# Shape-like lists, including an empty shape too large to build.
+SHAPES = st.lists(st.sampled_from([0, 1, 2, 10**30]), max_size=3)
+
+
+def one_value_replaced(draw, payload):
+    """payload (parsed JSON) with one value, at any depth, set to arbitrary JSON."""
+    node = payload
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return payload
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(ANY_JSON | st.integers() | st.floats() | SHAPES)
+        return payload
+
+
+@st.composite
+def checkpoint_edits(draw) -> bytes:
+    payload = json.loads(valid_checkpoint())
+    for _ in range(draw(st.integers(1, 3))):
+        payload = one_value_replaced(draw, payload)
+    return json.dumps(payload).encode()
+
+
+@st.composite
+def dataset_edits(draw) -> bytes:
+    lines = valid_dataset().decode().splitlines()
+    line = draw(st.integers(0, len(lines) - 1))
+    lines[line] = json.dumps(one_value_replaced(draw, json.loads(lines[line])))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def csv_field_edits(draw, valid: bytes) -> bytes:
+    """valid with one field of one data row replaced by short text."""
+    lines = valid.decode().splitlines()
+    row = draw(st.integers(1, len(lines) - 1))
+    fields = lines[row].split(",")
+    column = draw(st.integers(0, len(fields) - 1))
+    fields[column] = draw(
+        st.sampled_from(["", "x", "-1", "1e400", "nan", "inf", "2.5", "1;2", "3;-3"])
+        | st.text(max_size=5)
+    )
+    lines[row] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def load_bytes(loader, data: bytes):
+    """loader's result on a file holding data, or None if it raised a WtalabError."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "file"
+        path.write_bytes(data)
+        try:
+            return loader(path)
+        except WtalabError:
+            return None
+
+
+def inputs(valid, *edits):
+    return st.one_of(st.binary(max_size=120), *edits, st.just(valid))
+
+
+class TestLoadersTakeAnyBytes:
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=inputs(valid_dataset(), byte_edits(valid_dataset()), dataset_edits()))
+    def test_dataset(self, data):
+        scenes = load_bytes(load_dataset, data)
+        if scenes is not None:
+            for scene in scenes:
+                assert scene.past.ndim == scene.future.ndim == 2
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(
+        data=inputs(valid_checkpoint(), byte_edits(valid_checkpoint()), checkpoint_edits())
+    )
+    def test_checkpoint(self, data):
+        params = load_bytes(load_checkpoint, data)
+        if params is not None:
+            trajectories, logits, _ = forward_batch(params, np.zeros((1, params.input_dim)))
+            assert logits.shape == (1, params.n_heads)
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(
+        data=inputs(
+            valid_epochs_csv(),
+            byte_edits(valid_epochs_csv()),
+            csv_field_edits(valid_epochs_csv()),
+        )
+    )
+    def test_epochs_csv(self, data):
+        records = load_bytes(read_epoch_csv, data)
+        if records is not None:
+            assert all(isinstance(r, EpochRecord) for r in records)
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(
+        data=inputs(
+            valid_metrics_csv(),
+            byte_edits(valid_metrics_csv()),
+            csv_field_edits(valid_metrics_csv()),
+        )
+    )
+    def test_metrics_csv(self, data):
+        report = load_bytes(read_report_csv, data)
+        if report is not None:
+            assert sum(report.winner_histogram) == report.n_scenes
+
+    def test_the_unedited_files_load(self):
+        assert len(load_bytes(load_dataset, valid_dataset())) == 2
+        assert load_bytes(load_checkpoint, valid_checkpoint()).hidden == (2,)
+        assert len(load_bytes(read_epoch_csv, valid_epochs_csv())) == 2
+        assert load_bytes(read_report_csv, valid_metrics_csv()).n_scenes == 10

@@ -20,7 +20,7 @@ from wtalab import (
     rwta_weights,
     wta_weights,
 )
-from wtalab.losses import dac_block_ids, max_dac_depth, stable_softmax
+from wtalab.losses import BatchObjective, dac_block_ids, max_dac_depth, stable_softmax
 
 RNG = np.random.default_rng(20240817)
 
@@ -386,9 +386,10 @@ class TestBatchObjective:
 def reference_batch_objective(preds, logits, targets, config):
     """The objective as first written, kept as an oracle for batch_objective.
 
-    Costs reduce the (x, y) axis with np.sum; the score term and the softmax
-    gradient each redo the shift, exp and sum; d_trajectories is built from
-    fresh temporaries.
+    Costs reduce the (x, y) axis with np.sum and the steps with np.mean; the
+    score term and the softmax gradient each redo the shift, exp and sum;
+    d_trajectories is built from fresh temporaries, the logit gradient from
+    a zeros-plus-one-hot array, and d_outputs by concatenating the two.
     """
     batch, _, horizon, _ = preds.shape
     residual = preds - targets[:, None, :, :]
@@ -406,6 +407,7 @@ def reference_batch_objective(preds, logits, targets, config):
     d_logits = config.score_coef * (probs - one_hot) / batch
     return dict(
         loss=loss,
+        d_outputs=np.concatenate([d_traj.reshape(batch, -1), d_logits], axis=1),
         d_trajectories=d_traj,
         d_score_logits=d_logits,
         costs=costs,
@@ -431,15 +433,20 @@ class TestObjectiveOracle:
     """batch_objective against the reference formulas, bit for bit."""
 
     def assert_matches_reference(self, preds, logits, targets):
+        names = [field.name for field in dataclasses.fields(BatchObjective)]
+        assert "d_outputs" in names
         for config in oracle_configs(preds.shape[1]):
             out = batch_objective(preds, logits, targets, config)
             expected = reference_batch_objective(preds, logits, targets, config)
-            for field in dataclasses.fields(out):
-                got = getattr(out, field.name)
-                assert got.dtype == expected[field.name].dtype, field.name
-                assert np.array_equal(got, expected[field.name]), (
-                    f"{config.variant}: {field.name} differs from the reference"
+            for name in [*names, "d_trajectories", "d_score_logits"]:
+                got, want = getattr(out, name), expected[name]
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), (
+                    f"{config.variant}: {name} differs from the reference"
                 )
+            assert np.shares_memory(out.d_trajectories, out.d_outputs)
+            assert np.shares_memory(out.d_score_logits, out.d_outputs)
 
     @pytest.mark.parametrize(
         "shape",

@@ -22,7 +22,12 @@ from wtalab import (
 )
 from wtalab.losses import stable_softmax
 from wtalab import metrics
-from wtalab.metrics import _scene_metrics, read_report_csv, write_report_csv
+from wtalab.metrics import (
+    REPORT_COLUMNS,
+    _scene_metrics,
+    read_report_csv,
+    write_report_csv,
+)
 from wtalab.network import forward_batch
 from wtalab.postselect import NMSConfig, truncate_top_k
 
@@ -375,3 +380,39 @@ class TestReportCsv:
         path.write_text("nope\n1,2\n")
         with pytest.raises(InputError):
             read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("abc", "expected 7 fields, got 1"),
+            ("100,0.1,0.2,0.0,0.3,2", "expected 7 fields, got 6"),
+            ("100,0.1,0.2,0.0,0.3,2,60;40,7", "expected 7 fields, got 8"),
+            ("abc,0.1,0.2,0.0,0.3,2,60;40", "invalid literal for int"),
+            ("100,0.1,x,0.0,0.3,2,60;40", "could not convert string to float"),
+            ("100,0.1,0.2,0.0,0.3,2.5,60;40", "invalid literal for int"),
+            ("100,0.1,0.2,0.0,0.3,2,60;x", "invalid literal for int"),
+            ("100,0.1,0.2,0.0,0.3,2,", "invalid literal for int"),
+            ("100,0.1,0.2,0.0,0.3,2,60;;40", "invalid literal for int"),
+            ("100,0.1,0.2,0.0,0.3,2,60;41", "summing to n_scenes 100"),
+            ("100,0.1,0.2,0.0,0.3,2,110;-10", "nonnegative counts"),
+        ],
+        ids=[
+            "abc-row",
+            "short-row",
+            "long-row",
+            "abc-count",
+            "bad-float",
+            "float-count",
+            "bad-histogram",
+            "empty-histogram",
+            "empty-bin",
+            "histogram-sum",
+            "negative-bin",
+        ],
+    )
+    def test_malformed_row_raises_input_error_naming_path(self, tmp_path, row, problem):
+        path = tmp_path / "metrics.csv"
+        path.write_text(",".join(REPORT_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(InputError, match=problem) as excinfo:
+            read_report_csv(path)
+        assert str(path) in str(excinfo.value)

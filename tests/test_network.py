@@ -192,10 +192,15 @@ class TestForward:
             forward_batch(params, np.zeros((4, 5)))
 
 
+def join(d_traj, d_logits):
+    """(B, K, L, 2) and (B, K) gradients as one (B, K*L*2 + K) output gradient."""
+    return np.concatenate([d_traj.reshape(len(d_traj), -1), d_logits], axis=1)
+
+
 def backward_one(params, context, d_traj, d_logits):
     """backward_batch for a batch holding one context."""
     _, _, activations = forward_batch(params, np.asarray(context)[None, :])
-    return backward_batch(params, activations, d_traj[None], d_logits[None])
+    return backward_batch(params, activations, join(d_traj[None], d_logits[None]))
 
 
 class TestBackward:
@@ -218,7 +223,7 @@ class TestBackward:
         d_traj = rng.normal(size=(4, 3, 4, 2))
         d_logits = rng.normal(size=(4, 3))
         _, _, activations = forward_batch(params, contexts)
-        whole = backward_batch(params, activations, d_traj, d_logits)
+        whole = backward_batch(params, activations, join(d_traj, d_logits))
         parts = [
             backward_one(params, contexts[i], d_traj[i], d_logits[i]) for i in range(4)
         ]
@@ -230,14 +235,29 @@ class TestBackward:
 
     def test_gradient_shape_mismatches_rejected(self):
         params = init_params(small_config(), seed=0)
-        # The last pair has the right total width but the wrong head split.
+        _, _, activations = forward_batch(params, np.zeros((1, 6)))
+        # The output is 3 heads x (4 steps x 2 + 1 logit) = 27 wide.
+        for d_outputs in (np.zeros((1, 26)), np.zeros((1, 28)), np.zeros(27)):
+            with pytest.raises(ConfigurationError, match="must be"):
+                backward_batch(params, activations, d_outputs)
+        # Two-array form; the last pair has the right total width but the
+        # wrong head split.
         for d_traj, d_logits in (
             (np.zeros((3, 4, 2)), np.zeros(2)),
             (np.zeros((2, 4, 2)), np.zeros(3)),
             (np.zeros((2, 4, 2)), np.zeros(11)),
         ):
-            with pytest.raises(ConfigurationError):
-                backward_one(params, np.zeros(6), d_traj, d_logits)
+            with pytest.raises(ConfigurationError, match="must be"):
+                backward_batch(params, activations, d_traj[None], d_logits[None])
+
+    def test_two_array_form_equals_the_joined_gradient(self):
+        params = init_params(deep_config(), seed=3)
+        rng = np.random.default_rng(3)
+        _, _, activations = forward_batch(params, rng.normal(size=(5, 5)))
+        d_traj, d_logits = rng.normal(size=(5, 2, 3, 2)), rng.normal(size=(5, 2))
+        joined = backward_batch(params, activations, join(d_traj, d_logits))
+        split = backward_batch(params, activations, d_traj, d_logits)
+        assert split.vector.tobytes() == joined.vector.tobytes()
 
 
 class TestAdam:
@@ -606,12 +626,12 @@ class TestFlatLayout:
         params = init_params(deep_config(), seed=4)
         rng = np.random.default_rng(4)
         _, _, activations = forward_batch(params, rng.normal(size=(9, 5)))
-        d_traj, d_logits = rng.normal(size=(9, 2, 3, 2)), rng.normal(size=(9, 2))
-        fresh = backward_batch(params, activations, d_traj, d_logits)
+        d_outputs = rng.normal(size=(9, 2 * (3 * 2 + 1)))
+        fresh = backward_batch(params, activations, d_outputs)
         buffer = GradientBuffer.zeros_like(params)
         buffer.vector[:] = np.nan
         vector = buffer.vector
-        assert backward_batch(params, activations, d_traj, d_logits, out=buffer) is buffer
+        assert backward_batch(params, activations, d_outputs, out=buffer) is buffer
         assert buffer.vector is vector
         assert np.array_equal(buffer.vector, fresh.vector)
 
@@ -693,8 +713,24 @@ def on_unaligned_vector(flat, offset: int = 1):
     return dup
 
 
+def reference_forward(params, contexts):
+    """The forward pass as first written, with fresh temporaries: an oracle."""
+    activations = [contexts]
+    hidden = contexts
+    for weight, bias in zip(params.weights[:-1], params.biases[:-1]):
+        hidden = np.maximum(hidden @ weight.T + bias, 0.0)
+        activations.append(hidden)
+    out = hidden @ params.weights[-1].T + params.biases[-1]
+    n_traj = params.n_heads * params.horizon * 2
+    trajectories = out[:, :n_traj].reshape(len(out), params.n_heads, params.horizon, 2)
+    return trajectories, out[:, n_traj:], activations
+
+
 def reference_backward(params, activations, d_trajectories, d_score_logits):
-    """Backpropagation into freshly allocated arrays, as first written: an oracle."""
+    """Backpropagation into freshly allocated arrays, as first written: an oracle.
+
+    The two output gradients are concatenated into one, then backpropagated.
+    """
     batch = d_trajectories.shape[0]
     delta = np.concatenate([d_trajectories.reshape(batch, -1), d_score_logits], axis=1)
     grad_w = [None] * params.n_layers
@@ -729,11 +765,39 @@ class TestUnalignedViews:
         d_logits = rng.normal(size=logits_a.shape)
         want_w, want_b = reference_backward(separate, acts_a, d_traj, d_logits)
         out = on_unaligned_vector(GradientBuffer.zeros_like(params), offset=3)
-        backward_batch(shifted, acts_b, d_traj, d_logits, out=out)
+        backward_batch(shifted, acts_b, join(d_traj, d_logits), out=out)
         for got, want in zip((*out.weights, *out.biases), (*want_w, *want_b)):
             assert np.array_equal(got, want)
-        fresh = backward_batch(params, acts_a, d_traj, d_logits)
+        fresh = backward_batch(params, acts_a, join(d_traj, d_logits))
         assert np.array_equal(fresh.vector, out.vector)
+
+
+
+class TestStepOracle:
+    """forward_batch and backward_batch against the first-written forms, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(input_dim=4, n_heads=2, horizon=3, hidden=()),
+            ModelConfig(input_dim=40, n_heads=6, horizon=30, hidden=(64, 64)),
+        ],
+        ids=["linear", "hidden"],
+    )
+    @pytest.mark.parametrize("batch", [1, 13, 64])
+    def test_forward_and_backward_match_reference(self, cfg, batch):
+        params = init_params(cfg, seed=batch)
+        rng = np.random.default_rng(batch)
+        contexts = rng.normal(size=(batch, cfg.input_dim))
+        got = forward_batch(params, contexts)
+        want = reference_forward(params, contexts)
+        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        d_traj, d_logits = rng.normal(size=got[0].shape), rng.normal(size=got[1].shape)
+        grads = backward_batch(params, got[2], join(d_traj, d_logits))
+        want_w, want_b = reference_backward(params, want[2], d_traj, d_logits)
+        for a, b in zip((*grads.weights, *grads.biases), (*want_w, *want_b)):
+            assert a.tobytes() == b.tobytes()
 
 
 def corrupt_entry(kind, index, **fields):
@@ -770,12 +834,22 @@ class TestCheckpointTypes:
             (corrupt_entry("weights", 0, shape=[-8, -6]), r"weights\[0\] shape"),
             (corrupt_entry("weights", 0, shape=48), r"weights\[0\] shape"),
             (corrupt_entry("weights", 0, shape=[8, 5]), "48 values for shape"),
+            (corrupt_entry("weights", 0, shape=[10**30, 0], data=[]), "is too large"),
             (corrupt_entry("biases", 0, data=["0.5"] * 8), r"biases\[0\] data"),
             (corrupt_entry("biases", 0, data=[True] + [0.0] * 7), r"biases\[0\] data"),
             (corrupt_entry("biases", 1, data=[None] * 27), r"biases\[1\] data"),
             (corrupt_entry("biases", 1, data="0" * 27), r"biases\[1\] data"),
             (corrupt_entry("weights", 1, data=[10**400] * 216), "not finite"),
             (corrupt_entry("biases", 1, data=[1e400] * 27), "layer 1 biases is not"),
+            (lambda p: {**p, "model": "other"}, "model is 'other'"),
+            (lambda p: {**p, "model": None}, "model is None"),
+            (lambda p: {**p, "input_dim": 99}, "input_dim is 99, but the tensors describe 6"),
+            (lambda p: {**p, "input_dim": 6.0}, "input_dim is 6.0"),
+            (lambda p: {**p, "hidden": [1]}, r"hidden is \[1\], but the tensors describe \[8\]"),
+            (lambda p: {**p, "hidden": [8.0]}, r"hidden is \[8.0\]"),
+            (lambda p: {**p, "hidden": [True] * 8}, "hidden is"),
+            (lambda p: {**p, "hidden": 8}, "hidden is 8"),
+            (lambda p: {k: v for k, v in p.items() if k != "hidden"}, r"missing keys \['hidden'\]"),
         ],
         ids=[
             "string-count",
@@ -791,12 +865,22 @@ class TestCheckpointTypes:
             "negative-dims",
             "shape-not-list",
             "size-mismatch",
+            "huge-empty-dim",
             "string-values",
             "bool-value",
             "null-values",
             "data-not-list",
             "huge-int",
             "infinite",
+            "other-model",
+            "null-model",
+            "wrong-input-dim",
+            "float-input-dim",
+            "wrong-hidden",
+            "float-hidden",
+            "bool-hidden",
+            "hidden-not-list",
+            "missing-hidden",
         ],
     )
     def test_wrong_types_rejected_naming_path(self, tmp_path, corrupt, problem):
@@ -805,11 +889,63 @@ class TestCheckpointTypes:
             load_checkpoint(path)
         assert f"checkpoint {path}" in str(excinfo.value)
 
+    def test_metadata_disagreeing_with_the_tensors_names_the_key(self, tmp_path):
+        # A payload once seen to load as the (8,)-hidden, 6-input network.
+        payload = {"hidden": [1], "input_dim": 99, "model": "other"}
+        path = self.write(tmp_path, lambda p: {**p, **payload})
+        with pytest.raises(ConfigurationError, match="model is 'other'"):
+            load_checkpoint(path)
+        payload["model"] = "multihead-mlp"
+        path = self.write(tmp_path, lambda p: {**p, **payload})
+        with pytest.raises(ConfigurationError, match="input_dim is 99"):
+            load_checkpoint(path)
+        payload["input_dim"] = 6
+        path = self.write(tmp_path, lambda p: {**p, **payload})
+        with pytest.raises(ConfigurationError, match=r"hidden is \[1\]"):
+            load_checkpoint(path)
+
     def test_integer_values_load_as_floats(self, tmp_path):
         path = self.write(tmp_path, corrupt_entry("biases", 0, data=list(range(8))))
         params = load_checkpoint(path)
         assert params.biases[0].tolist() == [float(i) for i in range(8)]
         assert params.vector.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ModelConfig(input_dim=2, n_heads=2, horizon=1, hidden=()),
+            ModelConfig(input_dim=64, n_heads=1, horizon=1, hidden=(64,)),
+            ModelConfig(input_dim=4097, n_heads=1, horizon=1, hidden=(1,)),
+            ModelConfig(input_dim=40, n_heads=6, horizon=30, hidden=(64, 64)),
+        ],
+        ids=["linear", "chunk-sized", "chunk-plus-one", "branch3"],
+    )
+    @pytest.mark.parametrize("special", [False, True], ids=["plain", "special-values"])
+    def test_text_is_json_dumps_of_the_payload(self, tmp_path, cfg, special):
+        params = init_params(cfg, seed=2)
+        if special:
+            values = [-0.0, 5e-324, 1e300, -2.5e-310, np.nan, np.inf, -np.inf, 1 / 3]
+            params.vector[: len(values)] = values[: params.vector.size]
+        # The payload as first written, with json.dumps as the encoder.
+        payload = {
+            "format_version": 1,
+            "model": "multihead-mlp",
+            "input_dim": params.input_dim,
+            "n_heads": params.n_heads,
+            "horizon": params.horizon,
+            "hidden": list(params.hidden),
+            "weights": [
+                {"shape": list(w.shape), "data": w.reshape(-1).tolist()}
+                for w in params.weights
+            ],
+            "biases": [
+                {"shape": list(b.shape), "data": b.reshape(-1).tolist()}
+                for b in params.biases
+            ],
+        }
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        assert path.read_bytes() == json.dumps(payload).encode()
 
     def test_loaded_params_are_packed_and_save_the_same_bytes(self, tmp_path):
         cfg = ModelConfig(input_dim=5, n_heads=3, horizon=4, hidden=(7, 6))
