@@ -54,10 +54,13 @@ def squared_distance(residual: np.ndarray) -> np.ndarray:
 
     Adding the two coordinate columns gives the same bits as np.sum over the
     length-2 axis (a two-term sum of nonnegative squares rounds once, in
-    either order) at a fraction of the generic reduction's cost.
+    either order) at a fraction of the generic reduction's cost. Squaring
+    each column on its own holds half-size temporaries, not a squared copy
+    of the residual.
     """
-    sq = residual * residual
-    return sq[..., 0] + sq[..., 1]
+    d = residual[..., 0] * residual[..., 0]
+    d += residual[..., 1] * residual[..., 1]
+    return d
 
 
 def max_dac_depth(n_heads: int) -> int:

@@ -18,7 +18,7 @@ from ._files import read_text, write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
-from .losses import stable_softmax
+from .losses import squared_distance, stable_softmax
 from .network import ModelParams, forward_batch
 from .postselect import NMSConfig, nms_select, truncate_top_k
 
@@ -38,14 +38,13 @@ REPORT_COLUMNS = (
 
 
 def _scene_metrics(
-    trajectories: np.ndarray, scores: np.ndarray, targets: np.ndarray
+    offsets: np.ndarray, scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-scene metrics of a batch of hypothesis sets.
 
     Args:
-        trajectories: (B, K, L, 2) candidate trajectories.
+        offsets: (B, K, L, 2) candidate trajectories minus the ground truth.
         scores: (B, K) confidence scores.
-        targets: (B, L, 2) ground-truth trajectories in the same frame.
 
     Returns:
         (minADE, minFDE, minFDE winner, Brier-FDE), each of shape (B,).
@@ -54,14 +53,8 @@ def _scene_metrics(
         lowest index. Brier-FDE is minFDE + (1 - delta)^2 with delta the
         winner's score, penalizing low confidence on the best hypothesis.
     """
-    batch, _, horizon, _ = trajectories.shape
-    if targets.shape != (batch, horizon, 2):
-        raise InputError(f"targets must be {(batch, horizon, 2)}, got {targets.shape}")
-    # squared_distance with the squares written over the offsets, and the
-    # root taken in place: the same bits with less validation peak memory.
-    squares = trajectories - targets[:, None, :, :]
-    squares *= squares
-    dists = squares[..., 0] + squares[..., 1]
+    batch, _, horizon, _ = offsets.shape
+    dists = squared_distance(offsets)
     np.sqrt(dists, out=dists)
     fde = dists[:, :, -1]
     winners = fde.argmin(axis=1)
@@ -191,6 +184,9 @@ def evaluate(
             f"dataset horizon {targets.shape[1]} does not match model horizon"
             f" {params.horizon}"
         )
+    expected = (len(features), params.horizon, 2)
+    if targets.shape != expected:
+        raise InputError(f"targets must be {expected}, got {targets.shape}")
     # Only the outputs are kept: holding the hidden activations through the
     # scoring below would raise the peak memory of every validation pass.
     trajectories, logits = forward_batch(params, features)[:2]
@@ -199,11 +195,12 @@ def evaluate(
     if top_k is not None:
         trajectories, logits = truncate_top_k(trajectories, logits, top_k)
     scores = stable_softmax(logits, axis=1)
-    scene_min_ade, scene_min_fde, winners, scene_brier = _scene_metrics(
-        trajectories, scores, targets
-    )
+    # The predictions are not read again, so their offsets overwrite them:
+    # one less array the size of the outputs at the validation peak.
+    offsets = np.subtract(trajectories, targets[:, None, :, :], out=trajectories)
+    scene_min_ade, scene_min_fde, winners, scene_brier = _scene_metrics(offsets, scores)
     n_scenes = len(winners)
-    histogram = np.bincount(winners, minlength=trajectories.shape[1]).tolist()
+    histogram = np.bincount(winners, minlength=offsets.shape[1]).tolist()
 
     return MetricsReport(
         n_scenes=n_scenes,

@@ -433,17 +433,13 @@ def gradient_check(
 def _json_values(tensor: np.ndarray) -> str:
     """json.dumps(tensor.reshape(-1).tolist()), built chunk by chunk.
 
-    json writes a finite float as its repr, so joining the reprs gives the
-    same text without a Python float and an encoder string per entry alive
-    at once. Non-finite values, which json spells NaN and Infinity, take
-    json.dumps itself.
+    Each chunk is json.dumps of a slice with its brackets stripped, so only
+    one chunk's Python floats are alive at a time.
     """
     flat = tensor.reshape(-1)
-    if not np.isfinite(flat).all():
-        return json.dumps(flat.tolist())
     chunk = 4096
     chunks = (
-        ", ".join(map(repr, flat[start : start + chunk].tolist()))
+        json.dumps(flat[start : start + chunk].tolist())[1:-1]
         for start in range(0, flat.size, chunk)
     )
     return "[" + ", ".join(chunks) + "]"

@@ -20,7 +20,13 @@ from wtalab import (
     rwta_weights,
     wta_weights,
 )
-from wtalab.losses import BatchObjective, dac_block_ids, max_dac_depth, stable_softmax
+from wtalab.losses import (
+    BatchObjective,
+    dac_block_ids,
+    max_dac_depth,
+    squared_distance,
+    stable_softmax,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -223,6 +229,17 @@ class TestMaxDacDepth:
     )
     def test_values(self, k, expected):
         assert max_dac_depth(k) == expected
+
+
+def test_squared_distance_has_the_bits_of_a_summed_square():
+    residual = RNG.normal(scale=10.0, size=(3, 4, 5, 2))
+    residual[0, 0, :, 0] = [-0.0, 5e-324, 1e154, -2.5e-160, 1 / 3]
+    residual[0, 1, :, 1] = [np.nan, np.inf, -np.inf, 1e200, 3e-170]
+    with np.errstate(over="ignore"):
+        got = squared_distance(residual)
+        expected = np.sum(residual**2, axis=3)
+    assert got.tobytes() == expected.tobytes()
+    assert not np.shares_memory(got, residual)
 
 
 class TestAssignmentWeightsDispatch:

@@ -41,10 +41,9 @@ def scene_metrics(trajectories, target, scores=None):
     trajectories = np.asarray(trajectories, dtype=float)
     if scores is None:
         scores = stable_softmax(np.zeros(trajectories.shape[0]))
+    offsets = trajectories - np.asarray(target, dtype=float)
     ade, fde, winner, brier = _scene_metrics(
-        trajectories[None],
-        np.asarray(scores, dtype=float)[None],
-        np.asarray(target, dtype=float)[None],
+        offsets[None], np.asarray(scores, dtype=float)[None]
     )
     return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
 
@@ -208,11 +207,15 @@ class TestTruncateTopK:
 
 class TestShapes:
     def test_target_shape_mismatch_rejected(self):
-        traj = np.zeros((2, 3, 2))
-        with pytest.raises(InputError):
-            scene_metrics(traj, np.zeros((4, 2)))
-        with pytest.raises(InputError):
-            scene_metrics(traj, np.zeros((3, 3)))
+        # evaluate checks the targets before it subtracts them, where numpy
+        # would broadcast one target row over the whole batch.
+        params = init_params(
+            ModelConfig(input_dim=8, n_heads=3, horizon=2, hidden=()), seed=0
+        )
+        features = np.zeros((4, 8))
+        for targets in (np.zeros((1, 2, 2)), np.zeros((5, 2, 2)), np.zeros((4, 2, 3))):
+            with pytest.raises(InputError, match="targets must be"):
+                evaluate(params, features, targets)
 
 
 class TestEvaluate:
@@ -286,10 +289,10 @@ class TestEvaluate:
         assert sum(report.winner_histogram) == 20
 
 
-def reference_scene_metrics(trajectories, scores, targets):
+def reference_scene_metrics(offsets, scores):
     """_scene_metrics as first written, with np.linalg.norm: a test oracle."""
-    batch = trajectories.shape[0]
-    dists = np.linalg.norm(trajectories - targets[:, None, :, :], axis=3)
+    batch = offsets.shape[0]
+    dists = np.linalg.norm(offsets, axis=3)
     fde = dists[:, :, -1]
     winners = np.argmin(fde, axis=1)
     rows = np.arange(batch)
@@ -314,8 +317,9 @@ class TestSceneMetricsOracle:
         trajectories = rng.normal(size=(batch, n_heads, horizon, 2)) * scale
         targets = rng.normal(size=(batch, horizon, 2)) * scale
         scores = stable_softmax(rng.normal(size=(batch, n_heads)), axis=1)
-        got = _scene_metrics(trajectories, scores, targets)
-        expected = reference_scene_metrics(trajectories, scores, targets)
+        offsets = trajectories - targets[:, None, :, :]
+        got = _scene_metrics(offsets, scores)
+        expected = reference_scene_metrics(offsets, scores)
         for name, g, e in zip(("min_ade", "min_fde", "winners", "brier"), got, expected):
             assert g.dtype == e.dtype, name
             assert np.array_equal(g, e), f"{name} differs from the reference"
@@ -326,8 +330,9 @@ class TestSceneMetricsOracle:
             [[[[1.0, 1.0], [3.0, -4.0]], [[0.5, 0.5], [-4.0, 3.0]], [[0.0, 0.0], [4.0, 3.0]]]]
         )
         scores = np.full((1, 3), 1.0 / 3.0)
-        got = _scene_metrics(trajectories, scores, targets)
-        expected = reference_scene_metrics(trajectories, scores, targets)
+        offsets = trajectories - targets[:, None, :, :]
+        got = _scene_metrics(offsets, scores)
+        expected = reference_scene_metrics(offsets, scores)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
         assert got[2].tolist() == [0]
