@@ -9,7 +9,6 @@ from .datagen import (
     FeaturizedScene,
     GeneratorConfig,
     Scene,
-    denormalize_prediction,
     endpoint_ring_config,
     featurize,
     featurize_split,
@@ -17,6 +16,7 @@ from .datagen import (
     generate_scene,
     generate_split,
     load_dataset,
+    load_split,
     save_dataset,
     three_branch_config,
 )

@@ -14,9 +14,12 @@ pass.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import operator
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,7 +50,7 @@ class Scene:
             raise InputError(f"past must be (P, 2) with P >= 1, got {past.shape}")
         if future.ndim != 2 or future.shape[1] != 2 or future.shape[0] < 1:
             raise InputError(f"future must be (L, 2) with L >= 1, got {future.shape}")
-        if not (np.all(np.isfinite(past)) and np.all(np.isfinite(future))):
+        if not (np.isfinite(past).all() and np.isfinite(future).all()):
             raise InputError("scene coordinates must be finite")
 
 
@@ -173,8 +176,17 @@ def generate_split(
     _, pasts, futures = _generate_arrays(config, count, start_index)
     if count == 0:
         raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
+    return _model_frame(pasts, futures)
+
+
+def _model_frame(pasts: np.ndarray, futures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Features and targets of (N, P, 2) pasts and (N, L, 2) futures.
+
+    Each scene moves so that its last past point is the origin, exactly as
+    featurize does one scene.
+    """
     offsets = pasts[:, -1:, :]
-    return (pasts - offsets).reshape(count, -1), futures - offsets
+    return (pasts - offsets).reshape(len(pasts), -1), futures - offsets
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,24 @@ def save_dataset(scenes: list[Scene], path: str | Path) -> None:
 
 
 # JSON numbers: exact types, so that true and false are not coordinates.
-_NUMBER = (int, float)
+_NUMBER = frozenset({int, float})
+
+# Records held as parsed JSON at one time. A record's Python objects take
+# about five times the memory of its arrays, so a file is parsed and turned
+# into arrays a bounded chunk at a time: parsing a whole split first raises
+# the peak memory of reading it, and larger chunks are no faster.
+CHUNK_RECORDS = 64
+
+_FIELDS = operator.itemgetter("scene_id", "past", "future", "mode_label")
+
+
+class _Block(NamedTuple):
+    """Consecutive records of one past length and one future length."""
+
+    scene_ids: tuple[str, ...]
+    mode_labels: tuple[int, ...]
+    pasts: np.ndarray
+    futures: np.ndarray
 
 
 def _parse_waypoints(raw, key: str, line_number: int) -> np.ndarray:
@@ -220,43 +249,150 @@ def _parse_waypoints(raw, key: str, line_number: int) -> np.ndarray:
         raise DatasetParseError(line_number, "scene coordinates must be finite") from None
 
 
+def _parse_record(line_number: int, line: str) -> Scene:
+    """One line's Scene, or the DatasetParseError of its first problem."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise DatasetParseError(line_number, "record must be a JSON object")
+    missing = {"scene_id", "past", "future", "mode_label"} - record.keys()
+    if missing:
+        raise DatasetParseError(line_number, f"missing keys: {sorted(missing)}")
+    if type(record["scene_id"]) is not str:
+        raise DatasetParseError(line_number, "scene_id must be a string")
+    if type(record["mode_label"]) is not int:
+        raise DatasetParseError(line_number, "mode_label must be an integer")
+    past = _parse_waypoints(record["past"], "past", line_number)
+    future = _parse_waypoints(record["future"], "future", line_number)
+    try:
+        return Scene(record["scene_id"], past, future, record["mode_label"])
+    except InputError as exc:
+        raise DatasetParseError(line_number, str(exc)) from exc
+
+
+def _waypoint_array(lists: tuple) -> np.ndarray | None:
+    """(n, P, 2) array of n waypoint lists, each of which _parse_waypoints
+    and Scene accept with one shared P; None if any of them would fail."""
+    lengths = set(map(len, lists)) if set(map(type, lists)) == {list} else set()
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    points = list(itertools.chain.from_iterable(lists))
+    try:
+        if set(map(len, points)) != {2}:
+            return None
+    except TypeError:  # a number or null
+        return None
+    # A JSON value of length 2 is a list, an object or a string; the items
+    # of the last two are strings, so this check also makes every point a list.
+    coordinates = list(itertools.chain.from_iterable(points))
+    if not set(map(type, coordinates)) <= _NUMBER:
+        return None
+    try:
+        array = np.array(coordinates, dtype=float)
+    except OverflowError:
+        return None
+    return array.reshape(len(lists), -1, 2) if np.isfinite(array).all() else None
+
+
+def _bulk_block(records: list) -> _Block | None:
+    """records as one block if every one passes _parse_record's checks and
+    they share their lengths, else None. Each check runs over the whole
+    chunk at once."""
+    if set(map(type, records)) != {dict}:
+        return None
+    try:
+        scene_ids, pasts, futures, mode_labels = zip(*map(_FIELDS, records))
+    except KeyError:
+        return None
+    if set(map(type, scene_ids)) != {str} or set(map(type, mode_labels)) != {int}:
+        return None
+    past_array = _waypoint_array(pasts)
+    future_array = None if past_array is None else _waypoint_array(futures)
+    if future_array is None:
+        return None
+    return _Block(scene_ids, mode_labels, past_array, future_array)
+
+
+def _read_chunk(chunk: list[tuple[int, str]]) -> list[_Block]:
+    """Blocks of (line number, line) pairs, in order.
+
+    A chunk that fails a bulk check is walked record by record, which raises
+    the error of its first bad record, or, when every record is good but
+    their lengths differ, gives one block per record.
+    """
+    try:
+        records = [json.loads(line) for _, line in chunk]
+    except (ValueError, RecursionError):  # bad JSON: the walk reports it in order
+        records = None
+    block = None if records is None else _bulk_block(records)
+    if block is not None:
+        return [block]
+    blocks = []
+    for line_number, line in chunk:
+        scene = _parse_record(line_number, line)
+        blocks.append(
+            _Block(
+                (scene.scene_id,), (scene.mode_label,), scene.past[None], scene.future[None]
+            )
+        )
+    return blocks
+
+
+def _read_blocks(path: str | Path) -> Iterator[_Block]:
+    """The records of a dataset file as blocks, CHUNK_RECORDS lines at a time.
+
+    Blank lines are skipped but counted, so errors name the file's own line
+    numbers. The file is read whole through read_text, so non-UTF-8 bytes
+    raise InputError before any record is parsed.
+    """
+    text = read_text(path, InputError)
+    numbered = (pair for pair in enumerate(_lines(text), start=1) if pair[1].strip())
+    while chunk := list(itertools.islice(numbered, CHUNK_RECORDS)):
+        yield from _read_chunk(chunk)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text.split("\n"), one line at a time, so that no second copy of the
+    file is held as a list of lines."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def load_split(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """(N, P*2) features and (N, L, 2) targets of a dataset file.
+
+    The same bytes and the same errors as featurize_split(load_dataset(path)),
+    without a Scene per line: a malformed record raises DatasetParseError
+    naming its line, and only a well-formed file that is empty or mixes
+    lengths raises ConfigurationError.
+    """
+    features, targets = [], []
+    for block in _read_blocks(path):
+        block_features, block_targets = _model_frame(block.pasts, block.futures)
+        features.append(block_features)
+        targets.append(block_targets)
+    if len({f.shape[1] for f in features}) != 1 or len({t.shape[1] for t in targets}) != 1:
+        raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
+    return np.concatenate(features), np.concatenate(targets)
+
+
 def load_dataset(path: str | Path) -> list[Scene]:
     """Read a dataset written by save_dataset.
 
     Raises DatasetParseError naming the 1-based line number of the first
     malformed record, and InputError if the file is not UTF-8. An empty
-    file loads as an empty list.
+    file loads as an empty list, and scenes may differ in length.
     """
-    scenes = []
-    lines = read_text(path, InputError).split("\n")
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise DatasetParseError(line_number, "record must be a JSON object")
-        missing = {"scene_id", "past", "future", "mode_label"} - record.keys()
-        if missing:
-            raise DatasetParseError(line_number, f"missing keys: {sorted(missing)}")
-        if type(record["scene_id"]) is not str:
-            raise DatasetParseError(line_number, "scene_id must be a string")
-        if type(record["mode_label"]) is not int:
-            raise DatasetParseError(line_number, "mode_label must be an integer")
-        try:
-            scenes.append(
-                Scene(
-                    scene_id=record["scene_id"],
-                    past=_parse_waypoints(record["past"], "past", line_number),
-                    future=_parse_waypoints(record["future"], "future", line_number),
-                    mode_label=record["mode_label"],
-                )
-            )
-        except InputError as exc:
-            raise DatasetParseError(line_number, str(exc)) from exc
-    return scenes
+    return [
+        Scene(scene_id, past, future, mode_label)
+        for block in _read_blocks(path)
+        for scene_id, mode_label, past, future in zip(*block)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +437,6 @@ def featurize_split(scenes: list[Scene]) -> tuple[np.ndarray, np.ndarray]:
     if len(widths) != 1 or len(horizons) != 1:
         raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
     return np.stack([f.features for f in feats]), np.stack([f.target for f in feats])
-
-
-def denormalize_prediction(trajectory: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Move a model-frame trajectory back into the scene frame."""
-    trajectory = np.asarray(trajectory, dtype=float)
-    offset = np.asarray(offset, dtype=float)
-    if offset.shape != (2,):
-        raise InputError(f"offset must have shape (2,), got {offset.shape}")
-    return trajectory + offset
 
 
 # ---------------------------------------------------------------------------

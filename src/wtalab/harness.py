@@ -41,7 +41,7 @@ from ._files import read_text, write_text_atomic
 from ._svgchart import line_chart
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
-from .datagen import GeneratorConfig, featurize_split, generate_split, load_dataset
+from .datagen import GeneratorConfig, generate_split, load_split
 from .errors import ConfigurationError, InputError, NonFiniteError
 from .losses import LossConfig, batch_objective
 from .metrics import MetricsReport, evaluate, write_report_csv
@@ -451,7 +451,7 @@ def _split_arrays(config: ExperimentConfig, split: str) -> tuple[np.ndarray, np.
             return generate_split(config.generator, config.train_count, 0)
         return generate_split(config.generator, config.val_count, config.train_count)
     assert config.dataset is not None
-    return featurize_split(load_dataset(getattr(config.dataset, f"{split}_path")))
+    return load_split(getattr(config.dataset, f"{split}_path"))
 
 
 def build_splits(config: ExperimentConfig) -> Splits:

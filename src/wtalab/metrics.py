@@ -171,11 +171,11 @@ def evaluate(
 ) -> MetricsReport:
     """Run the model over a featurized split and aggregate the metrics.
 
-    features (N, D) and targets (N, L, 2) are a split as stacked by
-    datagen.featurize_split. The predictions optionally pass through
-    endpoint suppression (nms) and then truncation to the top_k
-    highest-score hypotheses before scoring. The histogram counts minFDE
-    winners by their position in the evaluated hypothesis set.
+    features (N, D) and targets (N, L, 2) are a split as datagen builds
+    it (generate_split, load_split or featurize_split). The predictions
+    optionally pass through endpoint suppression (nms) and then truncation
+    to the top_k highest-score hypotheses before scoring. The histogram
+    counts minFDE winners by their position in the evaluated hypothesis set.
     """
     if len(features) == 0:
         raise InputError("cannot evaluate on an empty dataset")

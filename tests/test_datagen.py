@@ -15,7 +15,6 @@ from wtalab import (
     GeneratorConfig,
     InputError,
     Scene,
-    denormalize_prediction,
     endpoint_ring_config,
     featurize,
     featurize_split,
@@ -389,6 +388,7 @@ class TestDatasetFiles:
         with pytest.raises(DatasetParseError, match=problem) as excinfo:
             load_dataset(path)
         assert excinfo.value.line_number == 2
+        assert str(excinfo.value).count("line 2") == 1
 
     def test_integer_coordinates_load_as_floats(self, tmp_path):
         record = json.loads(self.good_record())
@@ -413,12 +413,6 @@ class TestFeaturize:
         assert feat.features.shape == (8,)
         assert np.allclose(feat.features[-2:], [0.0, 0.0], atol=1e-15)
 
-    def test_denormalize_inverts_featurize(self):
-        scene = generate_scene(tiny_config(), 9)
-        feat = featurize(scene)
-        restored = denormalize_prediction(feat.target, feat.offset)
-        assert np.allclose(restored, scene.future, atol=1e-9)
-
     def test_offset_is_last_past_point(self):
         scene = generate_scene(tiny_config(), 2)
         feat = featurize(scene)
@@ -429,10 +423,6 @@ class TestFeaturize:
         feat = featurize(scene)
         assert feat.scene_id == scene.scene_id
         assert feat.mode_label == scene.mode_label
-
-    def test_denormalize_rejects_bad_offset(self):
-        with pytest.raises(InputError):
-            denormalize_prediction(np.zeros((3, 2)), np.zeros(3))
 
     def test_split_stacks_featurized_scenes_in_order(self):
         scenes = generate(tiny_config(), 5)

@@ -854,14 +854,14 @@ class TestSweep:
         gen = tiny_generator()
         save_dataset(generate(gen, 24), tmp_path / "train.jsonl")
         save_dataset(generate(gen, 16, start_index=24), tmp_path / "val.jsonl")
-        real = harness.load_dataset
+        real = harness.load_split
         paths = []
 
-        def counting_load_dataset(path):
+        def counting_load_split(path):
             paths.append(path)
             return real(path)
 
-        monkeypatch.setattr(harness, "load_dataset", counting_load_dataset)
+        monkeypatch.setattr(harness, "load_split", counting_load_split)
         base = tiny_config(
             tmp_path,
             generator=None,

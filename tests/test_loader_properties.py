@@ -5,11 +5,18 @@ Each loader is fed arbitrary bytes and near-valid files: a file written by
 the program, then edited at the byte level or, for the JSON formats, with
 one value replaced by arbitrary JSON. Every input must either load or raise
 a WtalabError; any other exception fails the test.
+
+The same files go through the command line (`train` on a dataset block,
+`eval --checkpoint`, `charts --epochs-csv`): each command must exit 0, or
+exit 1 with exactly one JSON line on stderr.
 """
 
+import contextlib
 import functools
+import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +32,11 @@ from wtalab import (
     init_params,
     load_checkpoint,
     load_dataset,
+    load_split,
     save_checkpoint,
     save_dataset,
 )
+from wtalab.cli import main
 from wtalab.harness import read_epoch_csv, write_epoch_csv
 from wtalab.metrics import MetricsReport, read_report_csv, write_report_csv
 from wtalab.network import forward_batch
@@ -185,6 +194,15 @@ class TestLoadersTakeAnyBytes:
                 assert scene.past.ndim == scene.future.ndim == 2
 
     @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=inputs(valid_dataset(), byte_edits(valid_dataset()), dataset_edits()))
+    def test_dataset_split(self, data):
+        split = load_bytes(load_split, data)
+        if split is not None:
+            features, targets = split
+            assert features.ndim == 2 and targets.ndim == 3
+            assert len(features) == len(targets) >= 1
+
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(
         data=inputs(valid_checkpoint(), byte_edits(valid_checkpoint()), checkpoint_edits())
     )
@@ -222,6 +240,113 @@ class TestLoadersTakeAnyBytes:
 
     def test_the_unedited_files_load(self):
         assert len(load_bytes(load_dataset, valid_dataset())) == 2
+        assert load_bytes(load_split, valid_dataset())[1].shape == (2, 2, 2)
         assert load_bytes(load_checkpoint, valid_checkpoint()).hidden == (2,)
         assert len(load_bytes(read_epoch_csv, valid_epochs_csv())) == 2
         assert load_bytes(read_report_csv, valid_metrics_csv()).n_scenes == 10
+
+
+def run_cli(argv: list[str]) -> tuple[int, list[str]]:
+    """main's exit code and the lines it wrote to stderr.
+
+    A warning would print on stderr of a real process, so each one counts
+    as a line.
+    """
+    stderr = io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(stderr),
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def assert_exit_zero_or_one_json_line(code: int, lines: list[str]) -> None:
+    if code != 0:
+        assert code == 1
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message"}
+        assert isinstance(payload["message"], str)
+
+
+# Small enough that a valid file trains in milliseconds.
+TINY_CONFIG = {"model": {"n_heads": 2, "hidden": [2]}, "epochs": 1, "batch_size": 2}
+
+# One-point pasts and futures fit valid_checkpoint's input and horizon.
+ONE_POINT_GENERATOR = {
+    "n_branches": 1,
+    "probabilities": [1.0],
+    "turns": [0.0],
+    "past_len": 1,
+    "future_len": 1,
+}
+
+
+def train_on_dataset(data: bytes) -> tuple[int, list[str]]:
+    """`wtalab train` of a config whose train and val splits are data."""
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "scenes.jsonl").write_bytes(data)
+        path = str(root / "scenes.jsonl")
+        config = dict(TINY_CONFIG, out_dir=str(root / "run"))
+        config["dataset"] = {"train_path": path, "val_path": path}
+        (root / "config.json").write_text(json.dumps(config))
+        return run_cli(["train", "--config", str(root / "config.json")])
+
+
+def eval_checkpoint(data: bytes) -> tuple[int, list[str]]:
+    """`wtalab eval --checkpoint` of data on generated one-point scenes."""
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "checkpoint.json").write_bytes(data)
+        config = dict(TINY_CONFIG, generator=ONE_POINT_GENERATOR, train_count=2, val_count=3)
+        (root / "config.json").write_text(json.dumps(config))
+        argv = ["eval", "--config", str(root / "config.json")]
+        return run_cli(argv + ["--checkpoint", str(root / "checkpoint.json")])
+
+
+def charts_of_epochs_csv(data: bytes) -> tuple[int, list[str]]:
+    """`wtalab charts --epochs-csv` of data."""
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "epochs.csv").write_bytes(data)
+        argv = ["charts", "--epochs-csv", str(root / "epochs.csv")]
+        return run_cli(argv + ["--out-dir", str(root / "charts")])
+
+
+class TestCliReportsOneJsonLine:
+    @settings(max_examples=EXAMPLES // 2, deadline=None)
+    @given(data=inputs(valid_dataset(), byte_edits(valid_dataset()), dataset_edits()))
+    def test_train_on_a_dataset_block(self, data):
+        assert_exit_zero_or_one_json_line(*train_on_dataset(data))
+
+    @settings(max_examples=EXAMPLES // 2, deadline=None)
+    @given(
+        data=inputs(valid_checkpoint(), byte_edits(valid_checkpoint()), checkpoint_edits())
+    )
+    def test_eval_checkpoint(self, data):
+        assert_exit_zero_or_one_json_line(*eval_checkpoint(data))
+
+    @settings(max_examples=EXAMPLES // 2, deadline=None)
+    @given(
+        data=inputs(
+            valid_epochs_csv(),
+            byte_edits(valid_epochs_csv()),
+            csv_field_edits(valid_epochs_csv()),
+        )
+    )
+    def test_charts_epochs_csv(self, data):
+        assert_exit_zero_or_one_json_line(*charts_of_epochs_csv(data))
+
+    def test_the_unedited_files_exit_zero(self):
+        assert train_on_dataset(valid_dataset()) == (0, [])
+        assert eval_checkpoint(valid_checkpoint()) == (0, [])
+        assert charts_of_epochs_csv(valid_epochs_csv()) == (0, [])
+
+    def test_a_bad_record_exits_one(self):
+        code, lines = train_on_dataset(valid_dataset().replace(b"[", b"{", 1))
+        assert code == 1
+        assert json.loads(lines[0])["message"].startswith("line 1: invalid JSON")

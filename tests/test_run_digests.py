@@ -1,7 +1,9 @@
-"""Tests for the comparison in tools/run_digests.py; the runs themselves are
-whole `wtalab` commands and are not repeated here."""
+"""Tests for tools/run_digests.py: the comparison, and the commands that
+run_outputs runs. The runs themselves are whole `wtalab` commands and are
+not repeated here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "run_digests.py"
@@ -47,3 +49,30 @@ def test_without_against_prints_the_lines(monkeypatch, capsys):
     monkeypatch.setattr(run_digests, "digest_lines", lambda repo: OURS)
     assert run_digests.main(["--repo", "ours"]) == 0
     assert capsys.readouterr().out.splitlines() == OURS
+
+
+def test_an_eval_reads_the_generated_jsonl_through_a_dataset_block(tmp_path, monkeypatch):
+    repo = TOOL.parents[1]
+    calls = []
+
+    def fake_wtalab(repo, root, *args):
+        calls.append(args)
+        if args[0] == "eval":
+            config = json.loads(Path(args[args.index("--config") + 1]).read_text())
+            calls[-1] = (*args, config)
+            Path(args[args.index("--out") + 1]).write_text("csv\n")
+
+    monkeypatch.setattr(run_digests, "wtalab", fake_wtalab)
+    outputs = run_digests.run_outputs(repo, tmp_path)
+    scenes = tmp_path / "benchmark_awta.jsonl"
+    jsonl_csv = tmp_path / "benchmark_wta12_nms_eval_benchmark_awta_jsonl.csv"
+    assert outputs[-2:] == [scenes, jsonl_csv]
+    assert [call[0] for call in calls[-3:]] == ["eval", "generate", "eval"]
+    *args, config = calls[-1]
+    first_eval_checkpoint = calls[-3][calls[-3].index("--checkpoint") + 1]
+    assert args[args.index("--checkpoint") + 1] == first_eval_checkpoint
+    assert "generator" not in config
+    assert config["dataset"] == {"train_path": str(scenes), "val_path": str(scenes)}
+    eval_config = json.loads((repo / "configs" / "benchmark_wta12_nms.json").read_text())
+    del eval_config["generator"]
+    assert {k: v for k, v in config.items() if k != "dataset"} == eval_config

@@ -5,6 +5,8 @@ Runs, with one BLAS thread and a fresh temporary output root:
     wtalab train     on each file in configs/
     wtalab eval      of benchmark_wta12_nms's best checkpoint
     wtalab generate  --config configs/benchmark_awta.json
+    wtalab eval      of the same checkpoint on the generated JSONL file, read
+                     through a dataset block as both splits
 
 and prints one "sha256  path" line per output file, the path relative to the
 output root. epochs.csv is hashed without its wall_s column, the one column
@@ -91,6 +93,32 @@ def run_dir(root: Path, config: Path) -> Path:
     return root / json.loads(config.read_text())["out_dir"]
 
 
+def dataset_config(eval_config: Path, scenes: Path, path: Path) -> Path:
+    """Write eval_config to path with a dataset block in place of its
+    generator: both splits read the JSONL file scenes."""
+    raw = json.loads(eval_config.read_text())
+    del raw["generator"]
+    raw["dataset"] = {"train_path": str(scenes), "val_path": str(scenes)}
+    path.write_text(json.dumps(raw, indent=2))
+    return path
+
+
+def evaluate(repo: Path, root: Path, config: Path, checkpoint: Path, out: Path) -> Path:
+    """Write the eval CSV of checkpoint on config's val split to out."""
+    wtalab(
+        repo,
+        root,
+        "eval",
+        "--config",
+        str(config),
+        "--checkpoint",
+        str(checkpoint),
+        "--out",
+        str(out),
+    )
+    return out
+
+
 def run_outputs(repo: Path, root: Path) -> list[Path]:
     """Produce every output under root and return the files to hash, in order."""
     outputs: list[Path] = []
@@ -98,19 +126,10 @@ def run_outputs(repo: Path, root: Path) -> list[Path]:
         wtalab(repo, root, "train", "--config", str(config))
         outputs.extend(run_dir(root, config) / name for name in RUN_FILES)
     eval_config = repo / "configs" / f"{EVAL_CONFIG}.json"
-    eval_csv = root / f"{EVAL_CONFIG}_eval.csv"
-    wtalab(
-        repo,
-        root,
-        "eval",
-        "--config",
-        str(eval_config),
-        "--checkpoint",
-        str(run_dir(root, eval_config) / "checkpoint_best.json"),
-        "--out",
-        str(eval_csv),
+    checkpoint = run_dir(root, eval_config) / "checkpoint_best.json"
+    outputs.append(
+        evaluate(repo, root, eval_config, checkpoint, root / f"{EVAL_CONFIG}_eval.csv")
     )
-    outputs.append(eval_csv)
     scenes = root / f"{GENERATE_CONFIG}.jsonl"
     wtalab(
         repo,
@@ -122,6 +141,10 @@ def run_outputs(repo: Path, root: Path) -> list[Path]:
         str(scenes),
     )
     outputs.append(scenes)
+    # The one eval that reads a dataset file; both configs have P=20, L=30.
+    jsonl_config = dataset_config(eval_config, scenes, root / f"{EVAL_CONFIG}_jsonl.json")
+    jsonl_csv = root / f"{EVAL_CONFIG}_eval_{GENERATE_CONFIG}_jsonl.csv"
+    outputs.append(evaluate(repo, root, jsonl_config, checkpoint, jsonl_csv))
     return outputs
 
 
