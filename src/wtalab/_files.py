@@ -1,8 +1,14 @@
-"""Checked text reads, and atomic writes: a reader sees the old file or the
-whole new one."""
+"""Checked text reads, atomic writes (a reader sees the old file or the
+whole new one), and the cell format of the CSV run files.
+
+A CSV file's columns are the fields of its record dataclass, in order. Each
+cell is written by csv_field and read back by its field's annotation, so a
+float or a histogram round-trips exactly.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import uuid
 from pathlib import Path
@@ -41,3 +47,48 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def csv_field(value) -> str:
+    """One CSV cell: empty for None, repr for a float, counts joined by ";"
+    for a list, str otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+def csv_header(cls) -> tuple[str, ...]:
+    """The column names of the record dataclass cls: its fields, in order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+# Cell parsers by field annotation, as the record modules write it: they
+# postpone annotations, so a field's type is this text.
+_CSV_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda text: None if text == "" else float(text),
+    "list[int]": lambda text: [int(count) for count in text.split(";")],
+}
+
+
+def parse_csv_row(cls, line: str, where: str, error_type: type[WtalabError]):
+    """The instance of the record dataclass cls that one line of csv_field
+    cells describes.
+
+    Each cell is parsed by its field's annotation: int, float, float | None
+    or list[int]. A wrong number of cells, or a cell that does not parse,
+    raises error_type with a message that starts with where.
+    """
+    fields = dataclasses.fields(cls)
+    cells = line.split(",")
+    if len(cells) != len(fields):
+        raise error_type(f"{where}: expected {len(fields)} fields, got {len(cells)}")
+    try:
+        return cls(*(_CSV_PARSERS[f.type](cell) for f, cell in zip(fields, cells)))
+    except ValueError as exc:
+        raise error_type(f"{where}: {exc}") from None

@@ -366,16 +366,27 @@ def _lines(text: str) -> Iterator[str]:
 def load_split(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """(N, P*2) features and (N, L, 2) targets of a dataset file.
 
-    The same bytes and the same errors as featurize_split(load_dataset(path)),
-    without a Scene per line: a malformed record raises DatasetParseError
-    naming its line, and only a well-formed file that is empty or mixes
-    lengths raises ConfigurationError.
+    The same bytes as featurize_split(load_dataset(path)), without a Scene
+    per line. A malformed record raises DatasetParseError naming its line;
+    else a scene whose offsets from its last past point overflow raises
+    InputError naming it; else a file that is empty or mixes lengths raises
+    ConfigurationError.
     """
-    features, targets = [], []
+    features, targets, overflowed = [], [], []
     for block in _read_blocks(path):
-        block_features, block_targets = _model_frame(block.pasts, block.futures)
+        # The check below reports an overflow; numpy's warning would repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            block_features, block_targets = _model_frame(block.pasts, block.futures)
+        finite = np.isfinite(block_features).all(axis=1)
+        finite &= np.isfinite(block_targets).all(axis=(1, 2))
+        overflowed.extend(itertools.compress(block.scene_ids, ~finite))
         features.append(block_features)
         targets.append(block_targets)
+    if overflowed:
+        raise InputError(
+            f"{path}: scene {overflowed[0]!r} overflows the model frame: its"
+            " coordinates less its last past point are not finite"
+        )
     if len({f.shape[1] for f in features}) != 1 or len({t.shape[1] for t in targets}) != 1:
         raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
     return np.concatenate(features), np.concatenate(targets)

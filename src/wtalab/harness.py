@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import schedulers
-from ._files import read_text, write_text_atomic
+from ._files import csv_field, csv_header, parse_csv_row, read_text, write_text_atomic
 from ._svgchart import line_chart
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
@@ -64,31 +64,6 @@ from .schedulers import ScheduleState
 OUT_ROOT_ENV = "WTALAB_OUT_ROOT"
 
 TEMPERATURE_KINDS = ("exponential", "linear", "constant")
-
-EPOCH_COLUMNS = (
-    "epoch",
-    "schedule_value",
-    "train_loss",
-    "val_min_ade",
-    "val_min_fde",
-    "val_miss_rate",
-    "val_brier_fde",
-    "effective_hypotheses",
-    "wall_s",
-)
-
-SWEEP_COLUMNS = (
-    "t0",
-    "rho",
-    "seed",
-    "status",
-    "error",
-    "min_ade",
-    "min_fde",
-    "miss_rate",
-    "brier_fde",
-    "effective_hypotheses",
-)
 
 
 @dataclasses.dataclass
@@ -358,21 +333,13 @@ class EpochRecord:
 
 
 def write_epoch_csv(records: list[EpochRecord], path: str | Path) -> None:
-    lines = [",".join(EPOCH_COLUMNS)]
+    columns = csv_header(EpochRecord)
+    lines = [",".join(columns)]
     for r in records:
         lines.append(
             ",".join(
-                [
-                    str(r.epoch),
-                    "" if r.schedule_value is None else repr(r.schedule_value),
-                    repr(r.train_loss),
-                    repr(r.val_min_ade),
-                    repr(r.val_min_fde),
-                    repr(r.val_miss_rate),
-                    repr(r.val_brier_fde),
-                    str(r.effective_hypotheses),
-                    f"{r.wall_s:.4f}",
-                ]
+                f"{r.wall_s:.4f}" if name == "wall_s" else csv_field(getattr(r, name))
+                for name in columns
             )
         )
     write_text_atomic(path, "\n".join(lines) + "\n")
@@ -380,33 +347,15 @@ def write_epoch_csv(records: list[EpochRecord], path: str | Path) -> None:
 
 def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
     lines = read_text(path, InputError).splitlines()
-    if not lines or lines[0] != ",".join(EPOCH_COLUMNS):
+    if not lines or lines[0] != ",".join(csv_header(EpochRecord)):
         raise InputError(f"{path} is not an epoch log CSV")
     records = []
     for number, line in enumerate(lines[1:], start=2):
-        v = line.split(",")
-        if len(v) != len(EPOCH_COLUMNS):
-            raise InputError(
-                f"{path} line {number}: expected {len(EPOCH_COLUMNS)} fields,"
-                f" got {len(v)}"
-            )
-        try:
-            record = EpochRecord(
-                epoch=int(v[0]),
-                schedule_value=None if v[1] == "" else float(v[1]),
-                train_loss=float(v[2]),
-                val_min_ade=float(v[3]),
-                val_min_fde=float(v[4]),
-                val_miss_rate=float(v[5]),
-                val_brier_fde=float(v[6]),
-                effective_hypotheses=int(v[7]),
-                wall_s=float(v[8]),
-            )
-        except ValueError as exc:
-            raise InputError(f"{path} line {number}: {exc}") from None
-        values = [x for x in dataclasses.astuple(record) if x is not None]
+        where = f"{path} line {number}"
+        record = parse_csv_row(EpochRecord, line, where, InputError)
+        values = [x for x in vars(record).values() if x is not None]
         if not all(math.isfinite(x) for x in values):
-            raise InputError(f"{path} line {number}: values must be finite")
+            raise InputError(f"{where}: values must be finite")
         records.append(record)
     return records
 
@@ -660,6 +609,9 @@ class SweepCell:
     report: MetricsReport | None = None
 
 
+SWEEP_METRICS = ("min_ade", "min_fde", "miss_rate", "brier_fde", "effective_hypotheses")
+
+
 def _run_cell(
     config: ExperimentConfig, write_outputs: bool, splits: Splits | None
 ) -> SweepCell:
@@ -732,23 +684,20 @@ def sweep(
 
 
 def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
+    """One row per cell: its own fields, then its report's SWEEP_METRICS,
+    empty for a failed cell. csv.writer quotes an error that holds a comma,
+    a quote or a newline."""
+    columns = tuple(name for name in csv_header(SweepCell) if name != "report")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    writer.writerow(columns + SWEEP_METRICS)
     for cell in cells:
-        if cell.report is not None:
-            metric_values = [
-                repr(cell.report.min_ade),
-                repr(cell.report.min_fde),
-                repr(cell.report.miss_rate),
-                repr(cell.report.brier_fde),
-                str(cell.report.effective_hypotheses),
-            ]
-        else:
-            metric_values = ["", "", "", "", ""]
         writer.writerow(
-            [repr(cell.t0), repr(cell.rho), str(cell.seed), cell.status, cell.error]
-            + metric_values
+            [csv_field(getattr(cell, name)) for name in columns]
+            + [
+                csv_field(None if cell.report is None else getattr(cell.report, name))
+                for name in SWEEP_METRICS
+            ]
         )
     write_text_atomic(path, buffer.getvalue())
 
@@ -756,6 +705,20 @@ def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Charts.
 # ---------------------------------------------------------------------------
+
+
+# (file, title, y label, EpochRecord column) of each epoch chart. A column
+# that is None in every record, such as schedule_value for wta, gets none.
+EPOCH_CHARTS = (
+    ("loss_vs_epoch.svg", "Training loss", "loss", "train_loss"),
+    (
+        "effective_hypotheses_vs_epoch.svg",
+        "Effective hypotheses",
+        "heads in use",
+        "effective_hypotheses",
+    ),
+    ("schedule_vs_epoch.svg", "Schedule control value", "value", "schedule_value"),
+)
 
 
 def emit_charts(
@@ -770,79 +733,40 @@ def emit_charts(
     if not data:
         raise InputError("no records to chart")
     kinds = {type(item) for item in data}
-    if kinds != {EpochRecord} and kinds != {SweepCell}:
+    if kinds == {EpochRecord}:
+        charts = []
+        for filename, title, y_label, column in EPOCH_CHARTS:
+            points = [
+                (float(r.epoch), float(value))
+                for r in data
+                if (value := getattr(r, column)) is not None
+            ]
+            if points:
+                series = [(column, *map(list, zip(*points)))]
+                charts.append((filename, title, "epoch", y_label, series))
+        csv_name, write_csv = "charts_data.csv", write_epoch_csv
+    elif kinds == {SweepCell}:
+        series = []
+        for rho in sorted({c.rho for c in data}):
+            points = sorted(
+                (c.t0, c.report.min_ade)
+                for c in data
+                if c.rho == rho and c.report is not None
+            )
+            if points:
+                series.append((f"rho={rho:g}", *map(list, zip(*points))))
+        if not series:
+            raise InputError("no successful sweep cells to chart")
+        charts = [("sweep_min_ade_vs_t0.svg", "Sweep: min ADE vs t0", "t0", "min_ade", series)]
+        csv_name, write_csv = "sweep_data.csv", write_sweep_csv
+    else:
         raise InputError("chart input must be all EpochRecord or all SweepCell")
     out = resolve_out_dir(str(out_dir))
-    written: list[Path] = []
-    if kinds == {EpochRecord}:
-        records: list[EpochRecord] = data  # type: ignore[assignment]
-        epochs = [float(r.epoch) for r in records]
-        charts = [
-            (
-                "loss_vs_epoch.svg",
-                "Training loss",
-                "loss",
-                [("train_loss", epochs, [r.train_loss for r in records])],
-            ),
-            (
-                "effective_hypotheses_vs_epoch.svg",
-                "Effective hypotheses",
-                "heads in use",
-                [
-                    (
-                        "effective_hypotheses",
-                        epochs,
-                        [float(r.effective_hypotheses) for r in records],
-                    )
-                ],
-            ),
-        ]
-        scheduled = [r for r in records if r.schedule_value is not None]
-        if scheduled:
-            charts.append(
-                (
-                    "schedule_vs_epoch.svg",
-                    "Schedule control value",
-                    "value",
-                    [
-                        (
-                            "schedule_value",
-                            [float(r.epoch) for r in scheduled],
-                            [float(r.schedule_value) for r in scheduled],
-                        )
-                    ],
-                )
-            )
-        out.mkdir(parents=True, exist_ok=True)
-        for filename, title, y_label, series in charts:
-            target = out / filename
-            write_text_atomic(target, line_chart(series, title, "epoch", y_label))
-            written.append(target)
-        csv_path = out / "charts_data.csv"
-        write_epoch_csv(records, csv_path)
-        written.append(csv_path)
-        return written
-
-    cells: list[SweepCell] = data  # type: ignore[assignment]
-    rhos = sorted({c.rho for c in cells})
-    series = []
-    for rho in rhos:
-        points = sorted(
-            (c.t0, c.report.min_ade)
-            for c in cells
-            if c.rho == rho and c.report is not None
-        )
-        if points:
-            series.append(
-                (f"rho={rho:g}", [p[0] for p in points], [p[1] for p in points])
-            )
-    if not series:
-        raise InputError("no successful sweep cells to chart")
     out.mkdir(parents=True, exist_ok=True)
-    target = out / "sweep_min_ade_vs_t0.svg"
-    write_text_atomic(target, line_chart(series, "Sweep: min ADE vs t0", "t0", "min_ade"))
-    written.append(target)
-    csv_path = out / "sweep_data.csv"
-    write_sweep_csv(cells, csv_path)
-    written.append(csv_path)
+    written = []
+    for filename, title, x_label, y_label, series in charts:
+        written.append(out / filename)
+        write_text_atomic(written[-1], line_chart(series, title, x_label, y_label))
+    written.append(out / csv_name)
+    write_csv(data, written[-1])
     return written

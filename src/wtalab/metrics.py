@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import read_text, write_text_atomic
+from ._files import csv_field, csv_header, parse_csv_row, read_text, write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
@@ -25,16 +25,6 @@ from .postselect import NMSConfig, nms_select, truncate_top_k
 MISS_THRESHOLD = 2.0
 
 EFFECTIVE_TAU = 0.01
-
-REPORT_COLUMNS = (
-    "n_scenes",
-    "min_ade",
-    "min_fde",
-    "miss_rate",
-    "brier_fde",
-    "effective_hypotheses",
-    "winner_histogram",
-)
 
 
 def _scene_metrics(
@@ -108,16 +98,11 @@ class MetricsReport:
     winner_histogram: list[int]
 
     def to_csv(self) -> str:
-        row = [
-            str(self.n_scenes),
-            repr(self.min_ade),
-            repr(self.min_fde),
-            repr(self.miss_rate),
-            repr(self.brier_fde),
-            str(self.effective_hypotheses),
-            ";".join(str(c) for c in self.winner_histogram),
-        ]
-        return ",".join(REPORT_COLUMNS) + "\n" + ",".join(row) + "\n"
+        row = ",".join(csv_field(getattr(self, name)) for name in REPORT_COLUMNS)
+        return ",".join(REPORT_COLUMNS) + "\n" + row + "\n"
+
+
+REPORT_COLUMNS = csv_header(MetricsReport)
 
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
@@ -134,27 +119,12 @@ def read_report_csv(path: str | Path) -> MetricsReport:
     lines = read_text(path, InputError).splitlines()
     if len(lines) != 2 or lines[0] != ",".join(REPORT_COLUMNS):
         raise InputError(f"{path} is not a metrics report CSV")
-    values = lines[1].split(",")
-    if len(values) != len(REPORT_COLUMNS):
-        raise InputError(
-            f"{path}: expected {len(REPORT_COLUMNS)} fields, got {len(values)}"
-        )
-    try:
-        report = MetricsReport(
-            n_scenes=int(values[0]),
-            min_ade=float(values[1]),
-            min_fde=float(values[2]),
-            miss_rate=float(values[3]),
-            brier_fde=float(values[4]),
-            effective_hypotheses=int(values[5]),
-            winner_histogram=[int(c) for c in values[6].split(";")],
-        )
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    report = parse_csv_row(MetricsReport, lines[1], str(path), InputError)
     histogram = report.winner_histogram
     if min(histogram) < 0 or sum(histogram) != report.n_scenes:
+        cell = lines[1].split(",")[REPORT_COLUMNS.index("winner_histogram")]
         raise InputError(
-            f"{path}: winner_histogram {values[6]!r} must hold nonnegative"
+            f"{path}: winner_histogram {cell!r} must hold nonnegative"
             f" counts summing to n_scenes {report.n_scenes}"
         )
     return report

@@ -271,22 +271,6 @@ class AdamState:
     update: np.ndarray = dataclasses.field(repr=False)
     denom: np.ndarray = dataclasses.field(repr=False)
 
-    @property
-    def m_weights(self) -> list[np.ndarray]:
-        return self.m.weights
-
-    @property
-    def v_weights(self) -> list[np.ndarray]:
-        return self.v.weights
-
-    @property
-    def m_biases(self) -> list[np.ndarray]:
-        return self.m.biases
-
-    @property
-    def v_biases(self) -> list[np.ndarray]:
-        return self.v.biases
-
 
 def init_adam(params: ModelParams) -> AdamState:
     return AdamState(

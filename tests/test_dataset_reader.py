@@ -4,8 +4,10 @@ reference_load_split is the loader as it was before load_split existed:
 parse every line into a record, check it coordinate by coordinate, build
 one scene per line, then translate and stack the scenes. load_split must
 give the same bytes on every valid file and the same exception, message and
-line on every malformed one. load_dataset, which now wraps the same reader,
-must give the reference's scenes.
+line on every malformed one. The one outcome that changed since: a scene
+whose translation into the model frame overflows, which the reference
+stacked as inf, is now an InputError (reference_outcome). load_dataset,
+which now wraps the same reader, must give the reference's scenes.
 """
 
 import json
@@ -106,11 +108,33 @@ def outcome(loader, path):
     return features.shape, features.tobytes(), targets.shape, targets.tobytes()
 
 
+def overflow_message(path, scene_id):
+    return (
+        f"{path}: scene {scene_id!r} overflows the model frame: its"
+        " coordinates less its last past point are not finite"
+    )
+
+
+def reference_outcome(path):
+    """outcome(reference_load_split, path), except that when every record
+    parses, the first scene whose coordinates less its last past point are
+    not finite gives InputError."""
+    try:
+        records = reference_load_records(path)
+    except WtalabError:
+        records = []
+    with np.errstate(over="ignore"):
+        for scene_id, past, future, _ in records:
+            if not (np.isfinite(past - past[-1]).all() and np.isfinite(future - past[-1]).all()):
+                return InputError, overflow_message(path, scene_id), None
+    return outcome(reference_load_split, path)
+
+
 def assert_same_as_reference(text: str, newline: str = "\n"):
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "split.jsonl"
         path.write_bytes(text.replace("\n", newline).encode())
-        want = outcome(reference_load_split, path)
+        want = reference_outcome(path)
         assert outcome(load_split, path) == want
         try:
             want_scenes = reference_load_records(path)
@@ -210,7 +234,8 @@ class TestValidFiles:
     @given(text=valid_files(), newline=st.sampled_from(["\n", "\r\n"]))
     def test_same_bytes_as_reference(self, text, newline):
         want = assert_same_as_reference(text, newline)
-        assert type(want[0]) is tuple  # the reference loaded the file
+        # The reference loaded the file, or a scene overflowed the model frame.
+        assert type(want[0]) is tuple or want[0] is InputError
 
     def test_round_number_of_chunks(self):
         for count in (CHUNK_RECORDS, 2 * CHUNK_RECORDS, 2 * CHUNK_RECORDS + 1):
@@ -308,6 +333,20 @@ class TestMalformedFiles:
         error, _, _ = assert_same_as_reference(text)
         assert error is ConfigurationError
         assert load_dataset_of(text) == []
+
+    @pytest.mark.parametrize("line_number", [1, 65, 140])
+    def test_overflow_in_the_model_frame_names_the_scene(self, line_number):
+        lines = good_lines(150)
+        huge = record_line("far", past=[(-1e308, 0.0), (1e308, 0.0)], future=[(0.0, 0.0)])
+        lines[line_number - 1] = huge
+        lines[line_number + 5] = huge.replace('"far"', '"later"')
+        # The other records' pasts are shorter, so it also wins over mixed lengths.
+        error, message, _ = assert_same_as_reference("\n".join(lines))
+        assert error is InputError and "scene 'far' overflows" in message
+        # A malformed record anywhere in the file still wins.
+        lines[-1] = BAD_LINES["float-label"]
+        error, message, line = assert_same_as_reference("\n".join(lines))
+        assert (error, line) == (DatasetParseError, 150)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "split.jsonl"

@@ -51,7 +51,13 @@ from wtalab.harness import (
     write_epoch_csv,
 )
 from wtalab.metrics import read_report_csv
-from wtalab.network import GradientBuffer, adam_step, init_adam, init_params
+from wtalab.network import (
+    GradientBuffer,
+    adam_step,
+    init_adam,
+    init_params,
+    save_checkpoint,
+)
 from wtalab.schedulers import exp_temperature, ewta_topn
 
 from test_losses import reference_batch_objective
@@ -1330,6 +1336,34 @@ class TestCli:
         dataset = DatasetPaths(train_path=train_path, val_path=str(path))
         cfg = self.write_config(tmp_path, generator=None, dataset=dataset)
         self.assert_one_json_line(capsys, ["train", "--config", cfg], "InputError", path)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_overflow_in_the_model_frame_gives_one_json_line(
+        self, tmp_path, capsys, command
+    ):
+        # Finite coordinates whose offsets from the last past point are not.
+        path = tmp_path / "far.jsonl"
+        record = {"past": [[-1e308, 0], [1e308, 0]], "future": [[0, 0]], "mode_label": 0}
+        lines = [json.dumps({"scene_id": f"far-{i}", **record}) for i in range(4)]
+        path.write_text("\n".join(lines) + "\n")
+        dataset = DatasetPaths(train_path=str(path), val_path=str(path))
+        cfg = self.write_config(tmp_path, generator=None, dataset=dataset)
+        argv = ["train", "--config", cfg]
+        if command == "eval":
+            checkpoint = tmp_path / "checkpoint.json"
+            model = ModelConfig(input_dim=4, n_heads=3, horizon=1, hidden=(8,))
+            save_checkpoint(init_params(model, 0), checkpoint)
+            argv = ["eval", "--config", cfg, "--checkpoint", str(checkpoint)]
+        with warnings.catch_warnings():
+            # A numpy RuntimeWarning would otherwise print before the error.
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert f"{path}: scene 'far-0' overflows the model frame" in payload["message"]
         assert not (tmp_path / "run").exists()
 
     def test_charts_requires_epochs_csv(self, tmp_path, capsys):

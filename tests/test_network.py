@@ -294,7 +294,7 @@ class TestAdam:
         adam_step(params, grads, state, lr=0.001)
         assert state.step == 2
         m_expected = 0.9 * (0.1 * 0.5) + 0.1 * 0.5
-        assert np.allclose(state.m_weights[0], m_expected, rtol=1e-12)
+        assert np.allclose(state.m.weights[0], m_expected, rtol=1e-12)
 
     def test_non_finite_gradient_rejected_and_names_tensor(self):
         params = init_params(small_config(), seed=0)
@@ -362,15 +362,17 @@ class TestAdamOracle:
                 for tensor, grad, m, v in zip(
                     getattr(expected, group),
                     getattr(grads, group),
-                    getattr(moments, f"m_{group}"),
-                    getattr(moments, f"v_{group}"),
+                    getattr(moments.m, group),
+                    getattr(moments.v, group),
                 ):
                     reference_adam_update(tensor, grad, m, v, step, lr, beta1, beta2, eps)
             for group in ("weights", "biases"):
                 for got, want in zip(getattr(params, group), getattr(expected, group)):
                     assert np.array_equal(got, want)
-                for name in (f"m_{group}", f"v_{group}"):
-                    for got, want in zip(getattr(state, name), getattr(moments, name)):
+                for name in ("m", "v"):
+                    got_moment = getattr(getattr(state, name), group)
+                    want_moment = getattr(getattr(moments, name), group)
+                    for got, want in zip(got_moment, want_moment):
                         assert np.array_equal(got, want)
 
 
@@ -567,13 +569,13 @@ class TestFlatLayout:
             assert sum(view.size for view in views) == flat.vector.size
             for view in views:
                 assert np.shares_memory(view, flat.vector)
-        for name, owner in (
-            ("m_weights", state.m),
-            ("m_biases", state.m),
-            ("v_weights", state.v),
-            ("v_biases", state.v),
+        for views, owner in (
+            (state.m.weights, state.m),
+            (state.m.biases, state.m),
+            (state.v.weights, state.v),
+            (state.v.biases, state.v),
         ):
-            for view in getattr(state, name):
+            for view in views:
                 assert np.shares_memory(view, owner.vector)
         assert not np.shares_memory(state.m.vector, state.v.vector)
 

@@ -51,8 +51,9 @@ def test_without_against_prints_the_lines(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == OURS
 
 
-def test_an_eval_reads_the_generated_jsonl_through_a_dataset_block(tmp_path, monkeypatch):
-    repo = TOOL.parents[1]
+def run_stubbed(repo, root, monkeypatch):
+    """run_outputs with wtalab stubbed: the commands it ran, each eval's
+    config appended, and the outputs it returned."""
     calls = []
 
     def fake_wtalab(repo, root, *args):
@@ -63,16 +64,68 @@ def test_an_eval_reads_the_generated_jsonl_through_a_dataset_block(tmp_path, mon
             Path(args[args.index("--out") + 1]).write_text("csv\n")
 
     monkeypatch.setattr(run_digests, "wtalab", fake_wtalab)
-    outputs = run_digests.run_outputs(repo, tmp_path)
+    return calls, run_digests.run_outputs(repo, root)
+
+
+def test_an_eval_reads_the_generated_jsonl_through_a_dataset_block(tmp_path, monkeypatch):
+    repo = TOOL.parents[1]
+    calls, outputs = run_stubbed(repo, tmp_path, monkeypatch)
     scenes = tmp_path / "benchmark_awta.jsonl"
     jsonl_csv = tmp_path / "benchmark_wta12_nms_eval_benchmark_awta_jsonl.csv"
-    assert outputs[-2:] == [scenes, jsonl_csv]
-    assert [call[0] for call in calls[-3:]] == ["eval", "generate", "eval"]
-    *args, config = calls[-1]
-    first_eval_checkpoint = calls[-3][calls[-3].index("--checkpoint") + 1]
+    assert outputs[-7:-5] == [scenes, jsonl_csv]
+    assert [call[0] for call in calls[-5:-2]] == ["eval", "generate", "eval"]
+    *args, config = calls[-3]
+    first_eval_checkpoint = calls[-5][calls[-5].index("--checkpoint") + 1]
     assert args[args.index("--checkpoint") + 1] == first_eval_checkpoint
     assert "generator" not in config
     assert config["dataset"] == {"train_path": str(scenes), "val_path": str(scenes)}
     eval_config = json.loads((repo / "configs" / "benchmark_wta12_nms.json").read_text())
     del eval_config["generator"]
     assert {k: v for k, v in config.items() if k != "dataset"} == eval_config
+
+
+def test_a_sweep_and_the_charts_of_a_run_are_digested(tmp_path, monkeypatch):
+    repo = TOOL.parents[1]
+    calls, outputs = run_stubbed(repo, tmp_path, monkeypatch)
+    sweep_dir = tmp_path / "phase_transition_sweep"
+    charts_dir = tmp_path / "benchmark_awta_charts"
+    assert calls[-2:] == [
+        (
+            "sweep",
+            "--config",
+            str(repo / "configs" / "phase_transition.json"),
+            "--t0",
+            "40,10",
+            "--rho",
+            "0.78",
+            "--seeds",
+            "4",
+            "--out-dir",
+            str(sweep_dir),
+        ),
+        (
+            "charts",
+            "--epochs-csv",
+            str(tmp_path / "runs" / "benchmark_awta" / "epochs.csv"),
+            "--out-dir",
+            str(charts_dir),
+        ),
+    ]
+    assert outputs[-5:] == [
+        sweep_dir / "sweep.csv",
+        charts_dir / "loss_vs_epoch.svg",
+        charts_dir / "effective_hypotheses_vs_epoch.svg",
+        charts_dir / "schedule_vs_epoch.svg",
+        charts_dir / "charts_data.csv",
+    ]
+
+
+def test_epoch_logs_are_digested_without_wall_s(tmp_path):
+    header = "epoch,train_loss,wall_s\n"
+    for name in ("epochs.csv", "charts_data.csv", "other.csv"):
+        a, b = tmp_path / "a" / name, tmp_path / "b" / name
+        for path, wall_s in ((a, "0.1234"), (b, "9.8765")):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(f"{header}0,1.5,{wall_s}\n")
+        same = run_digests.digest(a) == run_digests.digest(b)
+        assert same == (name != "other.csv")

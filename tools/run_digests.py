@@ -7,11 +7,15 @@ Runs, with one BLAS thread and a fresh temporary output root:
     wtalab generate  --config configs/benchmark_awta.json
     wtalab eval      of the same checkpoint on the generated JSONL file, read
                      through a dataset block as both splits
+    wtalab sweep     on configs/phase_transition.json: two t0 values, one rho,
+                     one seed
+    wtalab charts    of benchmark_awta's epochs.csv
 
 and prints one "sha256  path" line per output file, the path relative to the
-output root. epochs.csv is hashed without its wall_s column, the one column
-that is not byte-stable. Two checkouts keep the contract when their outputs
-match line for line. One command runs both and compares them:
+output root. epochs.csv and the charts' copy of it, charts_data.csv, are
+hashed without their wall_s column, the one column that is not byte-stable.
+Two checkouts keep the contract when their outputs match line for line. One
+command runs both and compares them:
 
     python tools/run_digests.py --against ../parent
 
@@ -47,6 +51,16 @@ RUN_FILES = (
 )
 EVAL_CONFIG = "benchmark_wta12_nms"
 GENERATE_CONFIG = "benchmark_awta"
+SWEEP_CONFIG = "phase_transition"
+SWEEP_ARGS = ("--t0", "40,10", "--rho", "0.78", "--seeds", "4")
+CHARTS_CONFIG = "benchmark_awta"
+CHART_FILES = (
+    "loss_vs_epoch.svg",
+    "effective_hypotheses_vs_epoch.svg",
+    "schedule_vs_epoch.svg",
+    "charts_data.csv",
+)
+WITHOUT_WALL_S = ("epochs.csv", "charts_data.csv")
 
 
 def epochs_csv_without_wall_s(path: Path) -> bytes:
@@ -61,7 +75,7 @@ def epochs_csv_without_wall_s(path: Path) -> bytes:
 
 
 def digest(path: Path) -> str:
-    if path.name == "epochs.csv":
+    if path.name in WITHOUT_WALL_S:
         return hashlib.sha256(epochs_csv_without_wall_s(path)).hexdigest()
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -145,6 +159,15 @@ def run_outputs(repo: Path, root: Path) -> list[Path]:
     jsonl_config = dataset_config(eval_config, scenes, root / f"{EVAL_CONFIG}_jsonl.json")
     jsonl_csv = root / f"{EVAL_CONFIG}_eval_{GENERATE_CONFIG}_jsonl.csv"
     outputs.append(evaluate(repo, root, jsonl_config, checkpoint, jsonl_csv))
+    sweep_config = repo / "configs" / f"{SWEEP_CONFIG}.json"
+    sweep_dir = root / f"{SWEEP_CONFIG}_sweep"
+    sweep_args = ("--config", str(sweep_config), *SWEEP_ARGS, "--out-dir", str(sweep_dir))
+    wtalab(repo, root, "sweep", *sweep_args)
+    outputs.append(sweep_dir / "sweep.csv")
+    charts_dir = root / f"{CHARTS_CONFIG}_charts"
+    epochs_csv = run_dir(root, repo / "configs" / f"{CHARTS_CONFIG}.json") / "epochs.csv"
+    wtalab(repo, root, "charts", "--epochs-csv", str(epochs_csv), "--out-dir", str(charts_dir))
+    outputs.extend(charts_dir / name for name in CHART_FILES)
     return outputs
 
 
