@@ -66,14 +66,6 @@ from .network import (
     save_checkpoint,
 )
 from .postselect import NMSConfig, nms_select
-from .schedulers import (
-    ScheduleState,
-    constant_temperature,
-    dac_depth,
-    ewta_topn,
-    exp_temperature,
-    linear_temperature,
-    temperature,
-)
+from .schedulers import ScheduleState
 
 __version__ = "0.1.0"

@@ -63,8 +63,6 @@ from .schedulers import ScheduleState
 
 OUT_ROOT_ENV = "WTALAB_OUT_ROOT"
 
-TEMPERATURE_KINDS = ("exponential", "linear", "constant")
-
 
 @dataclasses.dataclass
 class OptimizerConfig:
@@ -145,19 +143,11 @@ class ExperimentConfig:
                 f"eval_top_k must be in [1, {n_kept}], the hypotheses left"
                 f" after post-selection; got {self.eval_top_k}"
             )
-        variant = self.loss.variant
-        kind = self.scheduler.kind
-        if variant == "awta" and kind not in TEMPERATURE_KINDS:
+        control = schedulers.CONTROLS.get(self.loss.variant)
+        if control is not None and self.scheduler.kind not in control[1]:
             raise ConfigurationError(
-                f"awta needs a temperature schedule, got kind {kind!r}"
-            )
-        if variant == "ewta" and kind not in ("ewta-topn", "constant"):
-            raise ConfigurationError(
-                f"ewta needs an ewta-topn or constant schedule, got kind {kind!r}"
-            )
-        if variant == "dac" and kind not in ("dac-depth", "constant"):
-            raise ConfigurationError(
-                f"dac needs a dac-depth or constant schedule, got kind {kind!r}"
+                f"{self.loss.variant} needs a schedule of kind"
+                f" {' or '.join(control[1])}, got kind {self.scheduler.kind!r}"
             )
 
 
@@ -365,28 +355,6 @@ def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _schedule_control(
-    config: ExperimentConfig, epoch: int
-) -> tuple[float | None, LossConfig]:
-    """Resolve the per-epoch loss settings from the schedule."""
-    state = config.scheduler.at(epoch)
-    loss = config.loss
-    if loss.variant == "awta":
-        value = schedulers.temperature(state)
-        return value, dataclasses.replace(loss, temperature=value)
-    if loss.variant == "ewta":
-        if state.kind == "constant":
-            return float(loss.top_n), loss
-        n = schedulers.ewta_topn(state, config.model.n_heads)
-        return float(n), dataclasses.replace(loss, top_n=n)
-    if loss.variant == "dac":
-        if state.kind == "constant":
-            return float(loss.depth), loss
-        depth = schedulers.dac_depth(state, config.model.n_heads)
-        return float(depth), dataclasses.replace(loss, depth=depth)
-    return None, loss
-
-
 Splits = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -468,7 +436,9 @@ def _train_epochs(
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        schedule_value, epoch_loss = _schedule_control(config, epoch)
+        schedule_value, epoch_loss = schedulers.control(
+            config.loss, config.scheduler, epoch, config.model.n_heads
+        )
         order = shuffle_rng.permutation(n_scenes)
         # A permutation is always in range; mode="raise" would copy out first.
         np.take(features, order, axis=0, out=shuffled_features, mode="clip")

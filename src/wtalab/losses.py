@@ -265,10 +265,6 @@ class BatchObjective:
     def d_score_logits(self) -> np.ndarray:
         return self.d_outputs[:, -self.costs.shape[1] :]
 
-    @property
-    def mean_loss(self) -> float:
-        return float(np.mean(self.loss))
-
 
 def batch_objective(
     preds: np.ndarray,

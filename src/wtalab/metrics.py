@@ -114,7 +114,9 @@ def read_report_csv(path: str | Path) -> MetricsReport:
 
     Raises InputError naming the path unless the file is the header and one
     row of len(REPORT_COLUMNS) fields that parse as their types, with a
-    winner histogram of nonnegative counts summing to n_scenes.
+    winner histogram of nonnegative counts summing to n_scenes, finite
+    distances, a miss rate in [0, 1] and at most one effective hypothesis
+    per head of the histogram.
     """
     lines = read_text(path, InputError).splitlines()
     if len(lines) != 2 or lines[0] != ",".join(REPORT_COLUMNS):
@@ -127,6 +129,19 @@ def read_report_csv(path: str | Path) -> MetricsReport:
             f"{path}: winner_histogram {cell!r} must hold nonnegative"
             f" counts summing to n_scenes {report.n_scenes}"
         )
+    for name in ("min_ade", "min_fde", "brier_fde"):
+        distance = getattr(report, name)
+        if not math.isfinite(distance):
+            raise InputError(f"{path}: {name} must be finite, got {distance}")
+    if not 0.0 <= report.miss_rate <= 1.0:
+        raise InputError(
+            f"{path}: miss_rate must be in [0, 1], got {report.miss_rate}"
+        )
+    if not 0 <= report.effective_hypotheses <= len(histogram):
+        raise InputError(
+            f"{path}: effective_hypotheses must be in [0, {len(histogram)}], the"
+            f" heads of winner_histogram; got {report.effective_hypotheses}"
+        )
     return report
 
 
@@ -136,8 +151,6 @@ def evaluate(
     targets: np.ndarray,
     top_k: int | None = None,
     nms: NMSConfig | None = None,
-    miss_threshold: float = MISS_THRESHOLD,
-    tau: float = EFFECTIVE_TAU,
 ) -> MetricsReport:
     """Run the model over a featurized split and aggregate the metrics.
 
@@ -176,8 +189,8 @@ def evaluate(
         n_scenes=n_scenes,
         min_ade=math.fsum(scene_min_ade.tolist()) / n_scenes,
         min_fde=math.fsum(scene_min_fde.tolist()) / n_scenes,
-        miss_rate=miss_rate(scene_min_fde, miss_threshold),
+        miss_rate=miss_rate(scene_min_fde),
         brier_fde=math.fsum(scene_brier.tolist()) / n_scenes,
-        effective_hypotheses=effective_hypotheses(histogram, tau),
+        effective_hypotheses=effective_hypotheses(histogram),
         winner_histogram=histogram,
     )

@@ -1,7 +1,8 @@
-"""Annealing schedules that drive the loss variants across training.
+"""Annealing schedules, and which loss setting each one drives.
 
-The step counter t is the epoch index, starting at 0. Each schedule is a pure
-function of its state, so logged values can be recomputed exactly.
+The step counter t is the epoch index, starting at 0. A schedule's value is
+a pure function of the schedule, the step and the head count, so logged
+values can be recomputed exactly.
 """
 
 from __future__ import annotations
@@ -9,19 +10,26 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import ConfigurationError, InputError
-from .losses import max_dac_depth
+from .losses import LossConfig, max_dac_depth
 
 KINDS = ("exponential", "linear", "ewta-topn", "dac-depth", "constant")
 
 LINEAR_HORIZON = 100
 
+# The scheduled variants: the LossConfig field the schedule sets each epoch,
+# and the schedule kinds that may drive it. wta and rwta have no schedule.
+CONTROLS = {
+    "awta": ("temperature", ("exponential", "linear", "constant")),
+    "ewta": ("top_n", ("ewta-topn", "constant")),
+    "dac": ("depth", ("dac-depth", "constant")),
+}
+
 
 @dataclasses.dataclass(frozen=True)
 class ScheduleState:
-    """One schedule evaluated at one step.
+    """One schedule: the scheduler block of a config.
 
     kind: which schedule family.
-    step: epoch index t >= 0.
     t0: initial temperature (exponential, linear, constant).
     rho: per-epoch decay factor (exponential).
     t_floor: lowest temperature ever returned.
@@ -30,7 +38,6 @@ class ScheduleState:
     """
 
     kind: str
-    step: int = dataclasses.field(default=0, metadata={"json": False})
     t0: float = 10.0
     rho: float = 0.834
     t_floor: float = 1e-8
@@ -41,8 +48,6 @@ class ScheduleState:
             raise ConfigurationError(
                 f"unknown schedule kind {self.kind!r}, expected one of {KINDS}"
             )
-        if self.step < 0:
-            raise InputError(f"step must be >= 0, got {self.step}")
         if self.kind in ("exponential", "linear", "constant") and not self.t0 > 0.0:
             raise ConfigurationError(f"t0 must be positive, got {self.t0}")
         if self.kind == "exponential" and not 0.0 < self.rho < 1.0:
@@ -54,65 +59,56 @@ class ScheduleState:
                 f"total_steps must be >= 1, got {self.total_steps}"
             )
 
-    def at(self, step: int) -> "ScheduleState":
-        """The same schedule evaluated at another step."""
-        return dataclasses.replace(self, step=step)
 
+def value(schedule: ScheduleState, step: int, n_heads: int) -> float:
+    """The schedule's value at epoch step for a model of n_heads heads.
 
-def exp_temperature(state: ScheduleState) -> float:
-    """Geometric decay t0 * rho^t, clamped below at t_floor."""
-    if state.kind != "exponential":
-        raise ConfigurationError(f"expected an exponential schedule, got {state.kind!r}")
-    return max(state.t0 * state.rho**state.step, state.t_floor)
-
-
-def linear_temperature(state: ScheduleState) -> float:
-    """Linear ramp t0 * (1 - t / 100), then held at t_floor."""
-    if state.kind != "linear":
-        raise ConfigurationError(f"expected a linear schedule, got {state.kind!r}")
-    if state.step >= LINEAR_HORIZON:
-        return state.t_floor
-    return max(state.t0 * (1.0 - state.step / LINEAR_HORIZON), state.t_floor)
-
-
-def ewta_topn(state: ScheduleState, n_heads: int) -> int:
-    """Piecewise-constant ladder from K heads down to 1.
-
-    The run is cut into K equal segments; the i-th segment keeps the K - i
-    lowest-cost heads. Steps at or past total_steps stay at 1.
+    exponential: t0 * rho^t, clamped below at t_floor.
+    linear: t0 * (1 - t / 100), clamped below at t_floor, and t_floor from
+        t = 100 on.
+    constant: t0.
+    ewta-topn: a ladder from K heads down to 1. The run is cut into K equal
+        segments; the i-th keeps the K - i lowest-cost heads.
+    dac-depth: a ladder from depth 0 up to max_dac_depth(K), one equal
+        segment per depth.
+    A ladder holds its last rung at and past total_steps. A temperature is
+    returned as the expression gives it, so an integer t0 or t_floor can
+    come back as an int.
     """
-    if state.kind != "ewta-topn":
-        raise ConfigurationError(f"expected an ewta-topn schedule, got {state.kind!r}")
-    if n_heads < 1:
-        raise InputError(f"need at least one head, got {n_heads}")
-    return max(1, n_heads - (state.step * n_heads) // state.total_steps)
-
-
-def dac_depth(state: ScheduleState, n_heads: int) -> int:
-    """Piecewise-constant ladder from depth 0 up to max_dac_depth(K).
-
-    The run is cut into max_dac_depth(K) + 1 equal segments, one per depth.
-    Steps at or past total_steps stay at the deepest level.
-    """
-    if state.kind != "dac-depth":
-        raise ConfigurationError(f"expected a dac-depth schedule, got {state.kind!r}")
+    if step < 0:
+        raise InputError(f"step must be >= 0, got {step}")
+    kind = schedule.kind
+    if kind == "exponential":
+        return max(schedule.t0 * schedule.rho**step, schedule.t_floor)
+    if kind == "linear":
+        if step >= LINEAR_HORIZON:
+            return schedule.t_floor
+        return max(schedule.t0 * (1.0 - step / LINEAR_HORIZON), schedule.t_floor)
+    if kind == "constant":
+        return schedule.t0
+    if kind == "ewta-topn":
+        if n_heads < 1:
+            raise InputError(f"need at least one head, got {n_heads}")
+        return max(1, n_heads - (step * n_heads) // schedule.total_steps)
     deepest = max_dac_depth(n_heads)
-    return min(deepest, (state.step * (deepest + 1)) // state.total_steps)
+    return min(deepest, (step * (deepest + 1)) // schedule.total_steps)
 
 
-def constant_temperature(state: ScheduleState) -> float:
-    """A flat schedule; useful for fixed-temperature runs and baselines."""
-    if state.kind != "constant":
-        raise ConfigurationError(f"expected a constant schedule, got {state.kind!r}")
-    return state.t0
+def control(
+    loss: LossConfig, schedule: ScheduleState, step: int, n_heads: int
+) -> tuple[float | None, LossConfig]:
+    """The schedule value logged at step and the loss config trained with.
 
-
-def temperature(state: ScheduleState) -> float:
-    """Temperature at the state's step for any temperature-valued kind."""
-    if state.kind == "exponential":
-        return exp_temperature(state)
-    if state.kind == "linear":
-        return linear_temperature(state)
-    if state.kind == "constant":
-        return constant_temperature(state)
-    raise ConfigurationError(f"schedule kind {state.kind!r} has no temperature")
+    The schedule sets the LossConfig field that CONTROLS names for the
+    variant. A constant schedule sets awta's temperature to t0 but leaves
+    ewta's top_n and dac's depth at their loss config values. A ladder
+    value is logged as a float; wta and rwta log None.
+    """
+    if loss.variant not in CONTROLS:
+        return None, loss
+    field = CONTROLS[loss.variant][0]
+    if field != "temperature" and schedule.kind == "constant":
+        return float(getattr(loss, field)), loss
+    setting = value(schedule, step, n_heads)
+    logged = setting if field == "temperature" else float(setting)
+    return logged, dataclasses.replace(loss, **{field: setting})

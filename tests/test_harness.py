@@ -58,7 +58,8 @@ from wtalab.network import (
     init_params,
     save_checkpoint,
 )
-from wtalab.schedulers import exp_temperature, ewta_topn
+from wtalab.losses import VARIANTS
+from wtalab.schedulers import CONTROLS, KINDS, control, value
 
 from test_losses import reference_batch_objective
 from test_network import reference_backward, reference_forward
@@ -392,6 +393,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="schedule"):
             config.validate()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_schedule_kinds_accepted_per_variant(self, variant, kind):
+        data = {
+            "generator": {},
+            "loss": {"variant": variant},
+            "scheduler": {"kind": kind},
+        }
+        if variant in ("wta", "rwta") or kind in CONTROLS[variant][1]:
+            config_from_dict(data)
+        else:
+            with pytest.raises(ConfigurationError, match="schedule"):
+                config_from_dict(data)
+
     def test_hard_variants_ignore_schedule_kind(self, tmp_path):
         config = tiny_config(
             tmp_path,
@@ -470,7 +485,7 @@ class TestTraining:
         config = tiny_config(tmp_path, epochs=3)
         result = train(config, write_outputs=False)
         for record in result.records:
-            expected = exp_temperature(config.scheduler.at(record.epoch))
+            expected = value(config.scheduler, record.epoch, 3)
             assert record.schedule_value == expected
 
     def test_ewta_ladder_logged_as_schedule_value(self, tmp_path):
@@ -482,7 +497,7 @@ class TestTraining:
         )
         result = train(config, write_outputs=False)
         for record in result.records:
-            expected = ewta_topn(config.scheduler.at(record.epoch), 3)
+            expected = value(config.scheduler, record.epoch, 3)
             assert record.schedule_value == float(expected)
 
     def test_hard_wta_logs_no_schedule_value(self, tmp_path):
@@ -667,7 +682,9 @@ def reference_train_epochs(config, splits):
     shuffle_rng = np.random.default_rng([config.seed, 2])
     losses = []
     for epoch in range(config.epochs):
-        loss_config = harness._schedule_control(config, epoch)[1]
+        loss_config = control(
+            config.loss, config.scheduler, epoch, config.model.n_heads
+        )[1]
         order = shuffle_rng.permutation(len(features))
         loss_sum = 0.0
         for start in range(0, len(features), config.batch_size):

@@ -15,6 +15,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -237,6 +238,10 @@ class TestLoadersTakeAnyBytes:
         report = load_bytes(read_report_csv, data)
         if report is not None:
             assert sum(report.winner_histogram) == report.n_scenes
+            distances = (report.min_ade, report.min_fde, report.brier_fde)
+            assert all(math.isfinite(x) for x in distances)
+            assert 0.0 <= report.miss_rate <= 1.0
+            assert 0 <= report.effective_hypotheses <= len(report.winner_histogram)
 
     def test_the_unedited_files_load(self):
         assert len(load_bytes(load_dataset, valid_dataset())) == 2

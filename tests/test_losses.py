@@ -386,11 +386,6 @@ class TestBatchObjective:
             assert np.all(out.d_trajectories[i, losers] == 0.0)
             assert np.any(out.d_trajectories[i, winner] != 0.0)
 
-    def test_mean_loss_is_batch_mean(self):
-        preds, logits, targets = self.make_batch()
-        out = batch_objective(preds, logits, targets, LossConfig(variant="awta"))
-        assert out.mean_loss == pytest.approx(out.loss.mean(), rel=1e-12)
-
     def test_score_gradient_sums_to_zero_when_coef_balanced(self):
         # softmax minus one-hot has zero row sums
         preds, logits, targets = self.make_batch()

@@ -400,6 +400,16 @@ class TestReportCsv:
             ("100,0.1,0.2,0.0,0.3,2,60;;40", "invalid literal for int"),
             ("100,0.1,0.2,0.0,0.3,2,60;41", "summing to n_scenes 100"),
             ("100,0.1,0.2,0.0,0.3,2,110;-10", "nonnegative counts"),
+            ("4,nan,inf,-5.0,1e999,2,3;1", "min_ade must be finite, got nan"),
+            ("100,nan,0.2,0.0,0.3,2,60;40", "min_ade must be finite, got nan"),
+            ("100,-inf,0.2,0.0,0.3,2,60;40", "min_ade must be finite, got -inf"),
+            ("100,0.1,inf,0.0,0.3,2,60;40", "min_fde must be finite, got inf"),
+            ("100,0.1,0.2,0.0,1e999,2,60;40", "brier_fde must be finite, got inf"),
+            ("100,0.1,0.2,-5.0,0.3,2,60;40", r"miss_rate must be in \[0, 1\], got -5.0"),
+            ("100,0.1,0.2,1.5,0.3,2,60;40", r"miss_rate must be in \[0, 1\], got 1.5"),
+            ("100,0.1,0.2,nan,0.3,2,60;40", r"miss_rate must be in \[0, 1\], got nan"),
+            ("100,0.1,0.2,0.0,0.3,3,60;40", r"effective_hypotheses must be in \[0, 2\]"),
+            ("100,0.1,0.2,0.0,0.3,-1,60;40", r"effective_hypotheses must be in \[0, 2\]"),
         ],
         ids=[
             "abc-row",
@@ -413,6 +423,16 @@ class TestReportCsv:
             "empty-bin",
             "histogram-sum",
             "negative-bin",
+            "all-bad-values",
+            "nan-min-ade",
+            "inf-min-ade",
+            "inf-min-fde",
+            "inf-brier-fde",
+            "negative-miss-rate",
+            "miss-rate-above-one",
+            "nan-miss-rate",
+            "more-effective-than-heads",
+            "negative-effective",
         ],
     )
     def test_malformed_row_raises_input_error_naming_path(self, tmp_path, row, problem):

@@ -6,6 +6,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+from wtalab.losses import VARIANTS
+from wtalab.schedulers import CONTROLS, KINDS
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "run_digests.py"
 spec = importlib.util.spec_from_file_location("run_digests", TOOL)
 run_digests = importlib.util.module_from_spec(spec)
@@ -129,3 +132,39 @@ def test_epoch_logs_are_digested_without_wall_s(tmp_path):
             path.write_text(f"{header}0,1.5,{wall_s}\n")
         same = run_digests.digest(a) == run_digests.digest(b)
         assert same == (name != "other.csv")
+
+
+def test_every_variant_trains_on_every_schedule_kind_it_accepts(tmp_path, monkeypatch):
+    repo = TOOL.parents[1]
+    calls, outputs = run_stubbed(repo, tmp_path, monkeypatch)
+    paths = [Path(call[2]) for call in calls if call[0] == "train"]
+    derived = [path for path in paths if path.parent == tmp_path / "pairings"]
+    configs = [json.loads(path.read_text()) for path in derived]
+    pairings = [(c["loss"]["variant"], c["scheduler"]["kind"]) for c in configs]
+    accepted = {
+        (variant, kind)
+        for variant in VARIANTS
+        for kind in KINDS
+        if variant in ("wta", "rwta") or kind in CONTROLS[variant][1]
+    }
+    assert set(pairings) == accepted
+    assert len(pairings) == len(accepted) + 2
+    integer = [
+        (c["loss"]["variant"], c["scheduler"])
+        for c in configs
+        if int in (type(c["scheduler"]["t0"]), type(c["scheduler"].get("t_floor")))
+    ]
+    assert integer == [
+        ("awta", {"kind": "constant", "t0": 2, "rho": 0.78}),
+        ("awta", {"kind": "exponential", "t0": 2.0, "rho": 0.78, "t_floor": 1}),
+    ]
+    base = json.loads((repo / "configs" / "phase_transition.json").read_text())
+    for config in configs:
+        assert config["model"] == dict(base["model"], n_heads=4)
+        assert config["epochs"] == 8
+        assert "total_steps" not in config["scheduler"]
+        assert config["generator"] == base["generator"]
+        run = tmp_path / config["out_dir"]
+        assert [run / name for name in run_digests.RUN_FILES] == [
+            path for path in outputs if path.parent == run
+        ]

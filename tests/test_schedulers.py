@@ -2,64 +2,57 @@
 
 import pytest
 
-from wtalab import (
-    ConfigurationError,
-    InputError,
-    ScheduleState,
-    constant_temperature,
-    dac_depth,
-    ewta_topn,
-    exp_temperature,
-    linear_temperature,
-    temperature,
-)
+from wtalab import ConfigurationError, InputError, ScheduleState
 from wtalab.losses import max_dac_depth
+from wtalab.schedulers import value
 
 
 def test_exponential_matches_closed_form():
     s = ScheduleState(kind="exponential", t0=10.0, rho=0.834)
     for t in (0, 1, 7, 42):
-        assert exp_temperature(s.at(t)) == 10.0 * 0.834**t
+        assert value(s, t, 6) == 10.0 * 0.834**t
 
 
 def test_exponential_clamps_at_floor():
     s = ScheduleState(kind="exponential", t0=10.0, rho=0.5, t_floor=1e-8)
-    assert exp_temperature(s.at(500)) == 1e-8
+    assert value(s, 500, 6) == 1e-8
 
 
 def test_linear_ramp_values():
     s = ScheduleState(kind="linear", t0=20.0)
-    assert linear_temperature(s.at(0)) == 20.0
-    assert linear_temperature(s.at(50)) == 10.0
-    assert linear_temperature(s.at(99)) == pytest.approx(0.2)
+    assert value(s, 0, 6) == 20.0
+    assert value(s, 50, 6) == 10.0
+    assert value(s, 99, 6) == pytest.approx(0.2)
 
 
 def test_linear_holds_floor_at_and_past_horizon():
     s = ScheduleState(kind="linear", t0=20.0, t_floor=1e-8)
-    assert linear_temperature(s.at(100)) == 1e-8
-    assert linear_temperature(s.at(1000)) == 1e-8
+    assert value(s, 100, 6) == 1e-8
+    assert value(s, 1000, 6) == 1e-8
 
 
 def test_constant_is_flat():
     s = ScheduleState(kind="constant", t0=3.5)
-    assert constant_temperature(s.at(0)) == 3.5
-    assert constant_temperature(s.at(10_000)) == 3.5
+    assert value(s, 0, 6) == 3.5
+    assert value(s, 10_000, 6) == 3.5
 
 
 def test_temperature_dispatch():
-    assert temperature(ScheduleState(kind="constant", t0=2.0)) == 2.0
-    assert temperature(ScheduleState(kind="exponential", t0=8.0, rho=0.5).at(1)) == 4.0
-    assert temperature(ScheduleState(kind="linear", t0=8.0).at(50)) == 4.0
+    assert value(ScheduleState(kind="constant", t0=2.0), 0, 6) == 2.0
+    assert value(ScheduleState(kind="exponential", t0=8.0, rho=0.5), 1, 6) == 4.0
+    assert value(ScheduleState(kind="linear", t0=8.0), 50, 6) == 4.0
 
 
-def test_temperature_rejects_ladder_kinds():
-    with pytest.raises(ConfigurationError):
-        temperature(ScheduleState(kind="ewta-topn"))
+def test_integer_temperatures_keep_their_type():
+    assert type(value(ScheduleState(kind="constant", t0=2), 3, 6)) is int
+    s = ScheduleState(kind="exponential", t0=2.0, rho=0.4, t_floor=1)
+    assert [value(s, t, 6) for t in range(3)] == [2.0, 1, 1]
+    assert [type(value(s, t, 6)) for t in range(3)] == [float, int, int]
 
 
 def test_ewta_ladder_descends_from_k_to_one():
     s = ScheduleState(kind="ewta-topn", total_steps=100)
-    values = [ewta_topn(s.at(t), 6) for t in range(100)]
+    values = [value(s, t, 6) for t in range(100)]
     assert values[0] == 6
     assert values[-1] == 1
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -68,20 +61,20 @@ def test_ewta_ladder_descends_from_k_to_one():
 
 def test_ewta_ladder_stays_at_one_past_the_end():
     s = ScheduleState(kind="ewta-topn", total_steps=10)
-    assert ewta_topn(s.at(10), 4) == 1
-    assert ewta_topn(s.at(999), 4) == 1
+    assert value(s, 10, 4) == 1
+    assert value(s, 999, 4) == 1
 
 
 def test_ewta_segments_are_equal_length():
     s = ScheduleState(kind="ewta-topn", total_steps=12)
-    values = [ewta_topn(s.at(t), 4) for t in range(12)]
+    values = [value(s, t, 4) for t in range(12)]
     assert values == [4, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1]
 
 
 def test_dac_ladder_climbs_to_max_depth():
     s = ScheduleState(kind="dac-depth", total_steps=100)
     for k in (2, 3, 6, 8):
-        values = [dac_depth(s.at(t), k) for t in range(100)]
+        values = [value(s, t, k) for t in range(100)]
         assert values[0] == 0
         assert values[-1] == max_dac_depth(k)
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -90,16 +83,14 @@ def test_dac_ladder_climbs_to_max_depth():
 
 def test_dac_ladder_holds_deepest_past_the_end():
     s = ScheduleState(kind="dac-depth", total_steps=10)
-    assert dac_depth(s.at(10), 6) == max_dac_depth(6)
-    assert dac_depth(s.at(999), 6) == max_dac_depth(6)
+    assert value(s, 10, 6) == max_dac_depth(6)
+    assert value(s, 999, 6) == max_dac_depth(6)
 
 
-def test_at_returns_new_state():
-    s = ScheduleState(kind="exponential", t0=1.0, rho=0.9)
-    s2 = s.at(5)
-    assert s.step == 0
-    assert s2.step == 5
-    assert s2.t0 == s.t0
+@pytest.mark.parametrize("kind", ["ewta-topn", "dac-depth"])
+def test_ladders_need_a_head(kind):
+    with pytest.raises(InputError, match="head"):
+        value(ScheduleState(kind=kind), 0, 0)
 
 
 def test_kind_validation():
@@ -121,11 +112,4 @@ def test_t0_validation():
 
 def test_negative_step_rejected():
     with pytest.raises(InputError):
-        ScheduleState(kind="constant", step=-1)
-
-
-def test_wrong_kind_cross_calls_rejected():
-    with pytest.raises(ConfigurationError):
-        exp_temperature(ScheduleState(kind="linear"))
-    with pytest.raises(ConfigurationError):
-        dac_depth(ScheduleState(kind="ewta-topn"), 4)
+        value(ScheduleState(kind="constant"), -1, 6)

@@ -2,7 +2,10 @@
 
 Runs, with one BLAS thread and a fresh temporary output root:
 
-    wtalab train     on each file in configs/
+    wtalab train     on each file in configs/, then on short configs derived
+                     from configs/phase_transition.json: one per loss variant
+                     and schedule kind it accepts, and two awta runs with an
+                     integer t0 or t_floor
     wtalab eval      of benchmark_wta12_nms's best checkpoint
     wtalab generate  --config configs/benchmark_awta.json
     wtalab eval      of the same checkpoint on the generated JSONL file, read
@@ -61,6 +64,24 @@ CHART_FILES = (
     "charts_data.csv",
 )
 WITHOUT_WALL_S = ("epochs.csv", "charts_data.csv")
+PAIRINGS_CONFIG = "phase_transition"
+SCHEDULE_KINDS = ("exponential", "linear", "constant", "ewta-topn", "dac-depth")
+# Loss variant -> (its loss block, the schedule kinds it accepts). wta and
+# rwta take no schedule value, so they accept every kind. ewta's top_n and
+# dac's depth are not their defaults, so a constant schedule that kept them
+# shows in the outputs.
+PAIRINGS = {
+    "wta": ({"variant": "wta"}, SCHEDULE_KINDS),
+    "rwta": ({"variant": "rwta"}, SCHEDULE_KINDS),
+    "ewta": ({"variant": "ewta", "top_n": 2}, ("ewta-topn", "constant")),
+    "dac": ({"variant": "dac", "depth": 1}, ("dac-depth", "constant")),
+    "awta": ({"variant": "awta"}, ("exponential", "linear", "constant")),
+}
+# An integer temperature reaches config.json and epochs.csv as an int.
+INTEGER_TEMPERATURES = {
+    "awta_constant_int_t0": {"kind": "constant", "t0": 2},
+    "awta_exponential_int_t_floor": {"kind": "exponential", "t0": 2.0, "t_floor": 1},
+}
 
 
 def epochs_csv_without_wall_s(path: Path) -> bytes:
@@ -117,6 +138,40 @@ def dataset_config(eval_config: Path, scenes: Path, path: Path) -> Path:
     return path
 
 
+def pairing_configs(repo: Path, root: Path) -> list[Path]:
+    """Write the short train configs of PAIRINGS and INTEGER_TEMPERATURES
+    under root and return their paths.
+
+    Each is PAIRINGS_CONFIG with 4 heads and 8 epochs. Its schedule keeps
+    t0 and rho but not total_steps, so a ladder spans the 8 epochs.
+    """
+    base = json.loads((repo / "configs" / f"{PAIRINGS_CONFIG}.json").read_text())
+    schedule = {k: v for k, v in base["scheduler"].items() if k != "total_steps"}
+    runs = [
+        (f"{variant}_{kind}", loss, {"kind": kind})
+        for variant, (loss, kinds) in PAIRINGS.items()
+        for kind in kinds
+    ]
+    awta = PAIRINGS["awta"][0]
+    runs += [(name, awta, block) for name, block in INTEGER_TEMPERATURES.items()]
+    folder = root / "pairings"
+    folder.mkdir()
+    paths = []
+    for name, loss, scheduler in runs:
+        raw = dict(
+            base,
+            model=dict(base["model"], n_heads=4),
+            loss=loss,
+            scheduler=dict(schedule, **scheduler),
+            epochs=8,
+            out_dir=f"runs/pairings/{name}",
+        )
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(raw, indent=2))
+        paths.append(path)
+    return paths
+
+
 def evaluate(repo: Path, root: Path, config: Path, checkpoint: Path, out: Path) -> Path:
     """Write the eval CSV of checkpoint on config's val split to out."""
     wtalab(
@@ -136,7 +191,8 @@ def evaluate(repo: Path, root: Path, config: Path, checkpoint: Path, out: Path) 
 def run_outputs(repo: Path, root: Path) -> list[Path]:
     """Produce every output under root and return the files to hash, in order."""
     outputs: list[Path] = []
-    for config in sorted((repo / "configs").glob("*.json")):
+    configs = sorted((repo / "configs").glob("*.json"))
+    for config in configs + pairing_configs(repo, root):
         wtalab(repo, root, "train", "--config", str(config))
         outputs.extend(run_dir(root, config) / name for name in RUN_FILES)
     eval_config = repo / "configs" / f"{EVAL_CONFIG}.json"
