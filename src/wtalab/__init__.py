@@ -59,7 +59,6 @@ from .network import (
     ModelConfig,
     ModelParams,
     adam_step,
-    gradient_check,
     init_adam,
     init_params,
     load_checkpoint,

@@ -19,16 +19,28 @@ from .errors import WtalabError
 def read_text(path: str | Path, error_type: type[WtalabError]) -> str:
     """Read a UTF-8 text file, with universal newlines like Path.read_text.
 
-    Bytes that are not UTF-8 raise error_type naming the path and the
-    offset of the first bad byte. A missing or unreadable file raises the
-    OSError of open.
+    Bytes that are not UTF-8 raise error_type as decode_text says. A missing
+    or unreadable file raises the OSError of open.
+    """
+    return decode_text(Path(path).read_bytes(), path, error_type)
+
+
+def decode_text(data: bytes, path: str | Path, error_type: type[WtalabError]) -> str:
+    """The text of a file's bytes, as Path.read_text decodes them: UTF-8, with
+    universal newlines (CRLF and a lone CR read as LF).
+
+    Bytes that are not UTF-8 raise error_type naming path and the offset of
+    the first bad byte.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error_type(
             f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from exc
+    if "\r" not in text:  # one fast scan, where each replace is a slow one
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -14,6 +14,7 @@ pass.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._files import read_text, write_text_atomic
+from ._files import decode_text, read_text, write_text_atomic
 from .errors import ConfigurationError, DatasetParseError, InputError
 
 _SPLIT_SHAPE_MESSAGE = (
@@ -220,6 +221,11 @@ _NUMBER = frozenset({int, float})
 # the peak memory of reading it, and larger chunks are no faster.
 CHUNK_RECORDS = 64
 
+# The splits load_split parsed, by the sha256 of their file's bytes, least
+# recently used first. Two, so that a train run's train and val files stay.
+SPLIT_CACHE_SIZE = 2
+_splits: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
 _FIELDS = operator.itemgetter("scene_id", "past", "future", "mode_label")
 
 
@@ -340,14 +346,12 @@ def _read_chunk(chunk: list[tuple[int, str]]) -> list[_Block]:
     return blocks
 
 
-def _read_blocks(path: str | Path) -> Iterator[_Block]:
-    """The records of a dataset file as blocks, CHUNK_RECORDS lines at a time.
+def _read_blocks(text: str) -> Iterator[_Block]:
+    """The records in a dataset file's text as blocks, CHUNK_RECORDS lines at a time.
 
     Blank lines are skipped but counted, so errors name the file's own line
-    numbers. The file is read whole through read_text, so non-UTF-8 bytes
-    raise InputError before any record is parsed.
+    numbers.
     """
-    text = read_text(path, InputError)
     numbered = (pair for pair in enumerate(_lines(text), start=1) if pair[1].strip())
     while chunk := list(itertools.islice(numbered, CHUNK_RECORDS)):
         yield from _read_chunk(chunk)
@@ -370,10 +374,33 @@ def load_split(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     per line. A malformed record raises DatasetParseError naming its line;
     else a scene whose offsets from its last past point overflow raises
     InputError naming it; else a file that is empty or mixes lengths raises
-    ConfigurationError.
+    ConfigurationError. Bytes that are not UTF-8 raise InputError before
+    any record is parsed.
+
+    The file is read once. The arrays are read-only, and the last
+    SPLIT_CACHE_SIZE splits that parsed are kept in this process under the
+    sha256 of their file's bytes: a later call on the same bytes returns the
+    same arrays without parsing again.
     """
+    data = Path(path).read_bytes()
+    key = hashlib.sha256(data).digest()
+    split = _splits.pop(key, None)
+    if split is None:
+        text = decode_text(data, path, InputError)
+        del data  # the parse holds the text, so drop the bytes
+        split = _parse_split(path, text)
+        for array in split:
+            array.flags.writeable = False
+    _splits[key] = split  # now the most recent
+    while len(_splits) > SPLIT_CACHE_SIZE:
+        del _splits[next(iter(_splits))]
+    return split
+
+
+def _parse_split(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """load_split's arrays of the text of the dataset file at path."""
     features, targets, overflowed = [], [], []
-    for block in _read_blocks(path):
+    for block in _read_blocks(text):
         # The check below reports an overflow; numpy's warning would repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             block_features, block_targets = _model_frame(block.pasts, block.futures)
@@ -401,7 +428,7 @@ def load_dataset(path: str | Path) -> list[Scene]:
     """
     return [
         Scene(scene_id, past, future, mode_label)
-        for block in _read_blocks(path)
+        for block in _read_blocks(read_text(path, InputError))
         for scene_id, mode_label, past, future in zip(*block)
     ]
 

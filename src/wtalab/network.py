@@ -18,7 +18,6 @@ import numpy as np
 
 from ._files import read_text, write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
-from .losses import LossConfig, _score_terms, batch_objective, squared_distance
 
 CHECKPOINT_VERSION = 1
 
@@ -334,79 +333,6 @@ def adam_step(
     if not np.isfinite(params.vector).all():
         raise NonFiniteError("parameters became non-finite after the update")
     return params, state
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking.
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class GradientCheckResult:
-    max_rel_error: float
-    n_checked: int
-    tie_case: bool
-
-
-def gradient_check(
-    params: ModelParams,
-    context: np.ndarray,
-    target: np.ndarray,
-    config: LossConfig,
-    step: float = 1e-5,
-) -> GradientCheckResult:
-    """Compare analytic gradients of the composite loss against central
-    finite differences.
-
-    The assignment weights and the score-loss winner are held fixed at their
-    values from the unperturbed parameters, matching the stop-gradient
-    contract of the training objective. If several heads tie for the lowest
-    cost the result is flagged and the output-layer coordinates of the tied
-    heads are excluded from the check.
-    """
-    context = np.asarray(context, dtype=float)
-    target = np.asarray(target, dtype=float)
-    preds, logits, activations = forward_batch(params, context[None, :])
-    objective = batch_objective(preds, logits, target[None], config)
-    analytic = backward_batch(params, activations, objective.d_outputs)
-
-    frozen_weights = objective.weights[0]
-    frozen_winner = int(objective.winners[0])
-    costs = objective.costs[0]
-    tied = costs <= costs.min() + 1e-12
-    tie_case = int(tied.sum()) > 1
-
-    def frozen_loss() -> float:
-        p, lg, _ = forward_batch(params, context[None, :])
-        head_costs = np.mean(squared_distance(p[0] - target), axis=1)
-        score = _score_terms(lg, np.array([frozen_winner]))[0][0]
-        return float(frozen_weights @ head_costs + config.score_coef * score)
-
-    # Entries to leave out, in the layout of params: the tied heads' rows of
-    # the output layer (trajectory rows head-major, then one logit row each).
-    skip = np.zeros(params.vector.size, dtype=bool)
-    if tie_case:
-        tied_rows = np.concatenate([np.repeat(tied, params.horizon * 2), tied])
-        skip_weights, skip_biases = _views(skip, params.weights, params.biases)
-        skip_weights[-1][tied_rows] = True
-        skip_biases[-1][tied_rows] = True
-
-    max_err = 0.0
-    n_checked = 0
-    flat = params.vector
-    for i in np.flatnonzero(~skip):
-        original = flat[i]
-        flat[i] = original + step
-        loss_plus = frozen_loss()
-        flat[i] = original - step
-        loss_minus = frozen_loss()
-        flat[i] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
-        grad = analytic.vector[i]
-        scale = max(abs(grad), abs(numeric), 1e-6)
-        max_err = max(max_err, abs(grad - numeric) / scale)
-        n_checked += 1
-    return GradientCheckResult(max_rel_error=max_err, n_checked=n_checked, tie_case=tie_case)
 
 
 # ---------------------------------------------------------------------------

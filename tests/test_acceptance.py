@@ -43,7 +43,6 @@ from wtalab import (
     featurize,
     featurize_split,
     generate,
-    gradient_check,
     init_params,
     miss_rate,
     rwta_weights,
@@ -58,6 +57,8 @@ from wtalab.metrics import (
     read_report_csv,
     write_report_csv,
 )
+
+from test_network import gradient_check
 
 
 _terminal = None

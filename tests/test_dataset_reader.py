@@ -8,12 +8,19 @@ line on every malformed one. The one outcome that changed since: a scene
 whose translation into the model frame overflows, which the reference
 stacked as inf, is now an InputError (reference_outcome). load_dataset,
 which now wraps the same reader, must give the reference's scenes.
+
+A split that loads is kept in the process under the sha256 of its file's
+bytes. Every file is loaded twice, so the second load, a hit, must give the
+reference's bytes too; a file that fails must keep nothing. TestSplitCache
+covers what is a hit and what is a miss.
 """
 
+import hashlib
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtalab import ConfigurationError, DatasetParseError, InputError, WtalabError
+from wtalab import datagen
 from wtalab.datagen import CHUNK_RECORDS, load_dataset, load_split
 
 EXAMPLES = 150
@@ -130,12 +138,26 @@ def reference_outcome(path):
     return outcome(reference_load_split, path)
 
 
+def cache_key(path: Path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def load_split_hit(path):
+    """load_split(path), failing the test if it parses the file."""
+    with mock.patch.object(datagen, "_parse_split", side_effect=AssertionError("parsed")):
+        return load_split(path)
+
+
 def assert_same_as_reference(text: str, newline: str = "\n"):
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "split.jsonl"
         path.write_bytes(text.replace("\n", newline).encode())
         want = reference_outcome(path)
         assert outcome(load_split, path) == want
+        if type(want[0]) is tuple:  # loaded: kept, and read back the same
+            assert outcome(load_split_hit, path) == want
+        else:
+            assert cache_key(path) not in datagen._splits
         try:
             want_scenes = reference_load_records(path)
         except WtalabError as exc:
@@ -354,6 +376,7 @@ class TestMalformedFiles:
         with pytest.raises(InputError, match="not UTF-8") as excinfo:
             load_split(path)
         assert not isinstance(excinfo.value, DatasetParseError)
+        assert cache_key(path) not in datagen._splits
 
 
 def load_dataset_of(text):
@@ -408,3 +431,108 @@ class TestAnyFileMatchesReference:
     def test_json_like_text(self, text):
         assert_same_as_reference(text)
 
+
+# ---------------------------------------------------------------------------
+# The split cache.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_splits(monkeypatch):
+    """An empty split cache for one test."""
+    monkeypatch.setattr(datagen, "_splits", {})
+
+
+def write_split(path, n=70):
+    path.write_text("\n".join(good_lines(n, past_len=2, future_len=3)) + "\n")
+    return path
+
+
+def assert_same_arrays(got, want):
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (b.dtype, b.shape, b.tobytes()) for b in want
+    ]
+
+
+def counting_parses():
+    return mock.patch.object(datagen, "_parse_split", wraps=datagen._parse_split)
+
+
+def edit_one_coordinate(data: bytes) -> bytes:
+    """data with scene-5's first past x changed, at the same size."""
+    edited = data.replace(b"[[5.0, ", b"[[7.0, ", 1)
+    assert edited != data and len(edited) == len(data)
+    return edited
+
+
+@pytest.mark.usefixtures("no_splits")
+class TestSplitCache:
+    def test_a_hit_returns_the_same_read_only_arrays(self, tmp_path):
+        path = write_split(tmp_path / "split.jsonl")
+        features, targets = load_split(path)
+        assert_same_arrays((features, targets), reference_load_split(path))
+        hit = load_split_hit(path)
+        assert hit[0] is features and hit[1] is targets
+        assert not features.flags.writeable and not targets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            targets[0, 0, 0] = 1.0
+        assert list(datagen._splits) == [cache_key(path)]
+
+    def test_the_same_bytes_under_another_name_are_a_hit(self, tmp_path):
+        path = write_split(tmp_path / "split.jsonl")
+        want = load_split(path)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(path.read_bytes())
+        assert load_split_hit(copy) is want
+
+    def test_a_same_size_edit_is_a_miss(self, tmp_path):
+        path = write_split(tmp_path / "split.jsonl")
+        before = load_split(path)
+        path.write_bytes(edit_one_coordinate(path.read_bytes()))
+        with counting_parses() as parse:
+            after = load_split(path)
+        assert parse.call_count == 1
+        assert not np.array_equal(before[0], after[0])
+        assert_same_arrays(after, reference_load_split(path))
+        assert load_split_hit(path) is after
+
+    def test_the_last_two_splits_used_are_kept(self, tmp_path):
+        a, b, c = (write_split(tmp_path / f"{name}.jsonl", n) for name, n in zip("abc", (3, 4, 5)))
+        for path in (a, b, a, c):
+            load_split(path)
+        assert datagen.SPLIT_CACHE_SIZE == 2
+        assert list(datagen._splits) == [cache_key(a), cache_key(c)]
+        load_split_hit(a)
+        with counting_parses() as parse:
+            assert_same_arrays(load_split(b), reference_load_split(b))
+        assert parse.call_count == 1
+        assert list(datagen._splits) == [cache_key(a), cache_key(b)]
+
+    def test_the_parse_reads_the_bytes_that_were_hashed(self, tmp_path):
+        """A file edited between the read and the parse cannot get the edit's
+        arrays kept under the key of the bytes read."""
+        path = write_split(tmp_path / "split.jsonl")
+        original = path.read_bytes()
+        real_decode = datagen.decode_text
+
+        def edit_then_decode(data, *args):
+            path.write_bytes(edit_one_coordinate(original))
+            return real_decode(data, *args)
+
+        with mock.patch.object(datagen, "decode_text", edit_then_decode):
+            first = load_split(path)
+        path.write_bytes(original)
+        assert_same_arrays(first, reference_load_split(path))
+        assert load_split_hit(path) is first
+
+    @pytest.mark.parametrize("kind", ["invalid-json", "float-label", "bom"])
+    def test_a_file_that_turns_malformed_raises_its_error(self, tmp_path, kind):
+        path = write_split(tmp_path / "split.jsonl")
+        kept = load_split(path)
+        lines = path.read_text().splitlines()
+        lines[3] = BAD_LINES[kind]
+        path.write_text("\n".join(lines))
+        with pytest.raises(DatasetParseError) as excinfo:
+            load_split(path)
+        assert excinfo.value.line_number == 4
+        assert list(datagen._splits.values()) == [kept]

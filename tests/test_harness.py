@@ -1273,6 +1273,25 @@ class TestCli:
         assert "epoch 0" in payload["message"]
         assert not (tmp_path / "run").exists()
 
+    # Each first allocation is beyond the address space, so it fails at once:
+    # a first hidden layer of 10**16 x 6 weights (426 PiB), or 10**14 scene
+    # draws (728 TiB). hidden=(10**8, 10**8) would not do: its first layer,
+    # 4.5 GiB, is granted before the second fails.
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"model": ModelConfig(n_heads=3, hidden=(10**16, 10**16))}, {"train_count": 10**14}],
+        ids=["hidden", "train_count"],
+    )
+    def test_a_run_too_large_to_allocate_gives_one_json_line(self, tmp_path, capsys, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MemoryError"
+        assert payload["message"].startswith("Unable to allocate")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "flag, bad",
         [("--t0", "abc"), ("--rho", "0.5,x"), ("--seeds", "1.5")],
