@@ -9,16 +9,12 @@ from .datagen import (
     FeaturizedScene,
     GeneratorConfig,
     Scene,
-    endpoint_ring_config,
     featurize,
-    featurize_split,
     generate,
-    generate_scene,
     generate_split,
     load_dataset,
     load_split,
     save_dataset,
-    three_branch_config,
 )
 from .errors import (
     ConfigurationError,

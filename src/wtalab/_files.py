@@ -12,6 +12,7 @@ import dataclasses
 import os
 import uuid
 from pathlib import Path
+from typing import Iterable
 
 from .errors import WtalabError
 
@@ -43,18 +44,24 @@ def decode_text(data: bytes, path: str | Path, error_type: type[WtalabError]) ->
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path.
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or the pieces of text an iterable yields, to a temporary
+    file beside path, then rename it over path.
 
-    The temporary file is created like Path.write_text creates its file, so
-    the permissions and bytes match a plain write. It is removed if the
-    write fails.
+    A str is written in one call. An iterable is drawn only once the
+    temporary file is open, so a lazy one makes nothing for a path that
+    cannot be written. The temporary file is created like Path.write_text
+    creates its file, so the permissions and bytes match a plain write. It
+    is removed if the write, or the iterable, fails.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(temp, "x") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)  # writelines would take it a character at a time
+            else:
+                handle.writelines(text)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import harness
-from .datagen import generate, save_dataset
+from .datagen import save_generated
 from .errors import ConfigurationError, InputError, WtalabError
 
 
@@ -73,9 +73,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if config.generator is None:
         raise ConfigurationError("config has no generator block")
     count = args.count if args.count is not None else config.train_count
-    scenes = generate(config.generator, count, start_index=args.start_index)
-    save_dataset(scenes, args.out)
-    print(f"wrote {len(scenes)} scenes to {args.out}")
+    save_generated(config.generator, count, args.out, start_index=args.start_index)
+    print(f"wrote {count} scenes to {args.out}")
     return 0
 
 

@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,12 @@ _SPLIT_SHAPE_MESSAGE = (
 
 @dataclasses.dataclass(frozen=True)
 class Scene:
-    """One training example: an observed past and one realized future."""
+    """One training example: an observed past and one realized future.
+
+    Only generate and load_dataset build Scenes, for callers that want one
+    object per scene, such as the benchmark's set-up in perfbench/. Training,
+    evaluation and `wtalab generate` work on arrays and build none.
+    """
 
     scene_id: str
     past: np.ndarray
@@ -147,23 +152,28 @@ def _generate_arrays(
     return branches, pasts, futures
 
 
-def generate(config: GeneratorConfig, count: int, start_index: int = 0) -> list[Scene]:
-    """Generate `count` consecutive scenes starting at start_index."""
+# A scene's fields in Scene's order: scene_id, past, future, mode_label.
+_Row = tuple[str, np.ndarray, np.ndarray, int]
+
+
+def _scene_rows(config: GeneratorConfig, count: int, start_index: int) -> Iterator[_Row]:
+    """The rows of `count` consecutive scenes starting at start_index.
+
+    One _generate_arrays call makes every row, when the first is drawn.
+    """
     branches, pasts, futures = _generate_arrays(config, count, start_index)
-    return [
-        Scene(
-            scene_id=f"scene-{config.seed}-{start_index + row:06d}",
-            past=pasts[row],
-            future=futures[row],
-            mode_label=int(branches[row]),
-        )
-        for row in range(count)
-    ]
+    for row, branch in enumerate(branches.tolist()):
+        scene_id = f"scene-{config.seed}-{start_index + row:06d}"
+        yield scene_id, pasts[row], futures[row], branch
 
 
-def generate_scene(config: GeneratorConfig, index: int) -> Scene:
-    """Build scene `index` of the stream defined by config.seed."""
-    return generate(config, 1, index)[0]
+def generate(config: GeneratorConfig, count: int, start_index: int = 0) -> list[Scene]:
+    """Generate `count` consecutive scenes starting at start_index.
+
+    A Scene per row, for callers that want objects; the benchmark's set-up
+    in perfbench/ calls it. generate_split gives the same scenes as arrays.
+    """
+    return [Scene(*row) for row in _scene_rows(config, count, start_index)]
 
 
 def generate_split(
@@ -171,8 +181,8 @@ def generate_split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, P*2) features and (N, L, 2) targets of `count` generated scenes.
 
-    The same bytes as featurize_split(generate(config, count, start_index)),
-    without building a Scene per row.
+    Row i is featurize(generate(config, count, start_index)[i]), byte for
+    byte, without building a Scene per row.
     """
     _, pasts, futures = _generate_arrays(config, count, start_index)
     if count == 0:
@@ -195,21 +205,38 @@ def _model_frame(pasts: np.ndarray, futures: np.ndarray) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 
 
+def _record_lines(rows: Iterable[_Row]) -> Iterator[str]:
+    """One JSON record per row, each a line; floats round-trip exactly."""
+    for scene_id, past, future, mode_label in rows:
+        record = {
+            "scene_id": scene_id,
+            "past": past.tolist(),
+            "future": future.tolist(),
+            "mode_label": mode_label,
+        }
+        yield json.dumps(record) + "\n"
+
+
 def save_dataset(scenes: list[Scene], path: str | Path) -> None:
-    """Write one JSON record per line; floats round-trip exactly."""
-    lines = [
-        json.dumps(
-            {
-                "scene_id": scene.scene_id,
-                "past": scene.past.tolist(),
-                "future": scene.future.tolist(),
-                "mode_label": scene.mode_label,
-            }
-        )
-        + "\n"
-        for scene in scenes
-    ]
-    write_text_atomic(path, "".join(lines))
+    """Write one JSON record per scene, each a line, atomically.
+
+    The benchmark's set-up in perfbench/ calls it; save_generated writes
+    generated scenes the same way without building them.
+    """
+    rows = ((s.scene_id, s.past, s.future, s.mode_label) for s in scenes)
+    write_text_atomic(path, _record_lines(rows))
+
+
+def save_generated(
+    config: GeneratorConfig, count: int, path: str | Path, start_index: int = 0
+) -> None:
+    """Write the bytes of save_dataset(generate(config, count, start_index), path).
+
+    The lines stream from the generated arrays into the temporary file, so
+    the file's text is never held whole, and a path that cannot be written
+    fails before any scene is generated.
+    """
+    write_text_atomic(path, _record_lines(_scene_rows(config, count, start_index)))
 
 
 # JSON numbers: exact types, so that true and false are not coordinates.
@@ -255,8 +282,9 @@ def _parse_waypoints(raw, key: str, line_number: int) -> np.ndarray:
         raise DatasetParseError(line_number, "scene coordinates must be finite") from None
 
 
-def _parse_record(line_number: int, line: str) -> Scene:
-    """One line's Scene, or the DatasetParseError of its first problem."""
+def _parse_record(line_number: int, line: str) -> _Block:
+    """One line's record as a block, or the DatasetParseError of its first
+    problem."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -272,15 +300,14 @@ def _parse_record(line_number: int, line: str) -> Scene:
         raise DatasetParseError(line_number, "mode_label must be an integer")
     past = _parse_waypoints(record["past"], "past", line_number)
     future = _parse_waypoints(record["future"], "future", line_number)
-    try:
-        return Scene(record["scene_id"], past, future, record["mode_label"])
-    except InputError as exc:
-        raise DatasetParseError(line_number, str(exc)) from exc
+    if not (np.isfinite(past).all() and np.isfinite(future).all()):
+        raise DatasetParseError(line_number, "scene coordinates must be finite")
+    return _Block((record["scene_id"],), (record["mode_label"],), past[None], future[None])
 
 
 def _waypoint_array(lists: tuple) -> np.ndarray | None:
-    """(n, P, 2) array of n waypoint lists, each of which _parse_waypoints
-    and Scene accept with one shared P; None if any of them would fail."""
+    """(n, P, 2) array of n waypoint lists, each of which _parse_record
+    accepts with one shared P; None if any of them would fail."""
     lengths = set(map(len, lists)) if set(map(type, lists)) == {list} else set()
     if len(lengths) != 1 or 0 in lengths:
         return None
@@ -335,15 +362,7 @@ def _read_chunk(chunk: list[tuple[int, str]]) -> list[_Block]:
     block = None if records is None else _bulk_block(records)
     if block is not None:
         return [block]
-    blocks = []
-    for line_number, line in chunk:
-        scene = _parse_record(line_number, line)
-        blocks.append(
-            _Block(
-                (scene.scene_id,), (scene.mode_label,), scene.past[None], scene.future[None]
-            )
-        )
-    return blocks
+    return [_parse_record(line_number, line) for line_number, line in chunk]
 
 
 def _read_blocks(text: str) -> Iterator[_Block]:
@@ -370,12 +389,12 @@ def _lines(text: str) -> Iterator[str]:
 def load_split(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """(N, P*2) features and (N, L, 2) targets of a dataset file.
 
-    The same bytes as featurize_split(load_dataset(path)), without a Scene
-    per line. A malformed record raises DatasetParseError naming its line;
-    else a scene whose offsets from its last past point overflow raises
-    InputError naming it; else a file that is empty or mixes lengths raises
-    ConfigurationError. Bytes that are not UTF-8 raise InputError before
-    any record is parsed.
+    Row i is featurize(load_dataset(path)[i]), byte for byte, without a
+    Scene per line. A malformed record raises DatasetParseError naming its
+    line; else a scene whose offsets from its last past point overflow
+    raises InputError naming it; else a file that is empty or mixes lengths
+    raises ConfigurationError. Bytes that are not UTF-8 raise InputError
+    before any record is parsed.
 
     The file is read once. The arrays are read-only, and the last
     SPLIT_CACHE_SIZE splits that parsed are kept in this process under the
@@ -420,11 +439,13 @@ def _parse_split(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_dataset(path: str | Path) -> list[Scene]:
-    """Read a dataset written by save_dataset.
+    """Read a dataset written by save_dataset, a Scene per record.
 
-    Raises DatasetParseError naming the 1-based line number of the first
-    malformed record, and InputError if the file is not UTF-8. An empty
-    file loads as an empty list, and scenes may differ in length.
+    The benchmark's set-up in perfbench/ calls it; load_split reads the
+    same records as arrays. Raises DatasetParseError naming the 1-based
+    line number of the first malformed record, and InputError if the file
+    is not UTF-8. An empty file loads as an empty list, and scenes may
+    differ in length.
     """
     return [
         Scene(scene_id, past, future, mode_label)
@@ -440,7 +461,9 @@ def load_dataset(path: str | Path) -> list[Scene]:
 
 @dataclasses.dataclass(frozen=True)
 class FeaturizedScene:
-    """A scene translated into the model frame.
+    """A scene translated into the model frame: one row of a split's arrays.
+
+    featurize returns it; the benchmark in perfbench/ uses both.
 
     features: flattened past waypoints after moving the last past point to
         the origin.
@@ -456,7 +479,11 @@ class FeaturizedScene:
 
 
 def featurize(scene: Scene) -> FeaturizedScene:
-    """Translate a scene so the last past point is the origin and flatten."""
+    """Translate a scene so the last past point is the origin and flatten.
+
+    The benchmark's tracer in perfbench/ hooks featurize, here and where
+    harness and metrics import it.
+    """
     offset = scene.past[-1].copy()
     return FeaturizedScene(
         scene_id=scene.scene_id,
@@ -464,62 +491,4 @@ def featurize(scene: Scene) -> FeaturizedScene:
         target=scene.future - offset,
         offset=offset,
         mode_label=scene.mode_label,
-    )
-
-
-def featurize_split(scenes: list[Scene]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a split into (N, P*2) features and (N, L, 2) targets."""
-    feats = [featurize(s) for s in scenes]
-    widths = {f.features.size for f in feats}
-    horizons = {f.target.shape[0] for f in feats}
-    if len(widths) != 1 or len(horizons) != 1:
-        raise ConfigurationError(_SPLIT_SHAPE_MESSAGE)
-    return np.stack([f.features for f in feats]), np.stack([f.target for f in feats])
-
-
-# ---------------------------------------------------------------------------
-# Canonical task presets.
-# ---------------------------------------------------------------------------
-
-
-def three_branch_config(
-    noise_std: float = 0.1, seed: int = 0, past_len: int = 20, future_len: int = 30
-) -> GeneratorConfig:
-    """The default benchmark: straight, left-turn and right-turn branches."""
-    return GeneratorConfig(
-        n_branches=3,
-        probabilities=(0.4, 0.4, 0.2),
-        turns=(math.pi / 2, 0.0, -math.pi / 2),
-        speed=1.0,
-        noise_std=noise_std,
-        past_len=past_len,
-        future_len=future_len,
-        seed=seed,
-    )
-
-
-def endpoint_ring_config(
-    n_modes: int,
-    radius: float,
-    noise_std: float = 0.15,
-    seed: int = 0,
-    probabilities: tuple[float, ...] | None = None,
-) -> GeneratorConfig:
-    """Single-step futures on a ring of equally spaced endpoint modes.
-
-    With a one-point past the features are identically zero, so the model
-    reduces to K learnable constant endpoints: a pure quantization task.
-    """
-    if probabilities is None:
-        probabilities = tuple([1.0 / n_modes] * n_modes)
-    turns = tuple(2.0 * math.pi * m / n_modes for m in range(n_modes))
-    return GeneratorConfig(
-        n_branches=n_modes,
-        probabilities=probabilities,
-        turns=turns,
-        speed=radius,
-        noise_std=noise_std,
-        past_len=1,
-        future_len=1,
-        seed=seed,
     )

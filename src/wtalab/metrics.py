@@ -155,9 +155,9 @@ def evaluate(
     """Run the model over a featurized split and aggregate the metrics.
 
     features (N, D) and targets (N, L, 2) are a split as datagen builds
-    it (generate_split, load_split or featurize_split). The predictions
-    optionally pass through endpoint suppression (nms) and then truncation
-    to the top_k highest-score hypotheses before scoring. The histogram
+    it (generate_split or load_split). The predictions optionally pass
+    through endpoint suppression (nms) and then truncation to the top_k
+    highest-score hypotheses before scoring. The histogram
     counts minFDE winners by their position in the evaluated hypothesis set.
     """
     if len(features) == 0:

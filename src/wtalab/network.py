@@ -151,22 +151,36 @@ def init_params(config: ModelConfig, seed: int | np.random.Generator = 0) -> Mod
         raise ConfigurationError("init_params needs input_dim and horizon set")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dims = [config.input_dim, *config.hidden, config.output_dim]
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
+    layers = list(zip(dims[:-1], dims[1:]))
+    n_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in layers)
+    if n_params > np.iinfo(np.intp).max // 8:  # numpy would raise ValueError
+        raise MemoryError(
+            f"Unable to allocate {n_params} float64 parameters: too many to address"
+        )
+    # Zero-stride stand-ins give the shapes without memory, so the one
+    # vector is the only full-size array, and each layer is drawn into it.
+    params = ModelParams(
+        weights=[np.broadcast_to(0.0, (fan_out, fan_in)) for fan_in, fan_out in layers],
+        biases=[np.broadcast_to(0.0, fan_out) for _, fan_out in layers],
+        n_heads=config.n_heads,
+        horizon=config.horizon,
+    )
+    for weight, bias in zip(params.weights, params.biases):
+        bound = np.sqrt(6.0 / sum(weight.shape))
+        for tensor in (weight, bias):
+            # The bits of rng.uniform(-bound, bound), which computes
+            # low + (high - low) * u, and high - low is exactly 2 * bound.
+            rng.random(out=tensor)
+            tensor *= 2.0 * bound
+            tensor += -bound
     if config.init == "clustered":
         bound = np.sqrt(6.0 / (dims[-2] + dims[-1]))
         traj_template = rng.uniform(-bound, bound, size=config.horizon * 2)
         logit_value = rng.uniform(-bound, bound)
-        biases[-1] = np.concatenate(
+        params.biases[-1][...] = np.concatenate(
             [np.tile(traj_template, config.n_heads), np.full(config.n_heads, logit_value)]
         )
-    return ModelParams(
-        weights=weights, biases=biases, n_heads=config.n_heads, horizon=config.horizon
-    )
+    return params
 
 
 def _check_context_batch(params: ModelParams, contexts: np.ndarray) -> np.ndarray:

@@ -21,8 +21,10 @@ runtime, then asserts. The eight checks:
   8. byte-identical metrics files for identical (config, seed)
 """
 
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,16 +39,13 @@ from wtalab import (
     ScheduleState,
     awta_weights,
     dac_weights,
-    endpoint_ring_config,
     evaluate,
     ewta_weights,
-    featurize,
-    featurize_split,
-    generate,
+    generate_split,
     init_params,
+    load_config,
     miss_rate,
     rwta_weights,
-    three_branch_config,
     train,
     wta_weights,
 )
@@ -206,6 +205,11 @@ def test_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 
+RING_GENERATOR = load_config(
+    Path(__file__).resolve().parents[1] / "configs" / "quantization_ring.json"
+).generator
+
+
 def lloyd_quantizer(points: np.ndarray, k: int, seed: int) -> float:
     """Independent k-means object: best mean distance-to-nearest-center
     over 10 greedy-seeded restarts of Lloyd iteration."""
@@ -245,7 +249,7 @@ def test_quantization_oracle_and_clustered_collapse():
     worst_ratio = 0.0
     for seed in range(n_seeds):
         config = ExperimentConfig(
-            generator=endpoint_ring_config(6, 2.5, noise_std=0.15, seed=seed),
+            generator=dataclasses.replace(RING_GENERATOR, seed=seed),
             train_count=1000,
             val_count=400,
             model=ModelConfig(n_heads=6, init="glorot"),
@@ -260,9 +264,9 @@ def test_quantization_oracle_and_clustered_collapse():
             out_dir="unused",
         )
         result = train(config, write_outputs=False)
-        train_scenes = generate(config.generator, config.train_count)
-        report = evaluate(result.params, *featurize_split(train_scenes))
-        endpoints = np.stack([featurize(s).target[-1] for s in train_scenes])
+        features, targets = generate_split(config.generator, config.train_count)
+        report = evaluate(result.params, features, targets)
+        endpoints = targets[:, -1]
         oracle = lloyd_quantizer(endpoints, 6, seed)
         ratio = report.min_ade / oracle
         worst_ratio = max(worst_ratio, ratio)
@@ -272,7 +276,7 @@ def test_quantization_oracle_and_clustered_collapse():
     collapsed = 0
     for seed in range(n_seeds):
         config = ExperimentConfig(
-            generator=endpoint_ring_config(6, 2.5, noise_std=0.15, seed=seed),
+            generator=dataclasses.replace(RING_GENERATOR, seed=seed),
             train_count=1000,
             val_count=400,
             model=ModelConfig(n_heads=6, init="clustered"),
@@ -381,7 +385,7 @@ def benchmark_runs():
 
     def run(seed, variant, n_heads, scheduler, nms=None):
         config = ExperimentConfig(
-            generator=three_branch_config(seed=seed),
+            generator=GeneratorConfig(seed=seed),
             train_count=1000,
             val_count=400,
             model=ModelConfig(n_heads=n_heads, hidden=(64, 64), init="glorot"),
@@ -579,7 +583,7 @@ def test_metrics_csv_byte_determinism(tmp_path):
 
     def run(out_dir):
         config = ExperimentConfig(
-            generator=three_branch_config(seed=0, past_len=6, future_len=8),
+            generator=GeneratorConfig(seed=0, past_len=6, future_len=8),
             train_count=120,
             val_count=60,
             model=ModelConfig(n_heads=4, hidden=(16,), init="glorot"),

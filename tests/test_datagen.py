@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,17 +16,15 @@ from wtalab import (
     GeneratorConfig,
     InputError,
     Scene,
-    endpoint_ring_config,
     featurize,
-    featurize_split,
     generate,
-    generate_scene,
     generate_split,
     load_config,
     load_dataset,
     save_dataset,
-    three_branch_config,
 )
+from wtalab import datagen
+from wtalab.cli import main
 from wtalab.datagen import branch_waypoints
 
 
@@ -91,10 +90,16 @@ class TestBranchWaypoints:
         assert np.allclose(np.linalg.norm(steps, axis=1), 3.0, atol=1e-12)
 
 
+def one_scene(config: GeneratorConfig, index: int) -> Scene:
+    """Scene `index` of the stream config.seed defines."""
+    (scene,) = generate(config, 1, index)
+    return scene
+
+
 class TestGenerateScene:
     def test_shapes_and_id_format(self):
         cfg = tiny_config()
-        scene = generate_scene(cfg, 7)
+        scene = one_scene(cfg, 7)
         assert scene.past.shape == (4, 2)
         assert scene.future.shape == (6, 2)
         assert scene.scene_id == "scene-11-000007"
@@ -102,20 +107,20 @@ class TestGenerateScene:
 
     def test_past_ends_near_origin(self):
         cfg = tiny_config(noise_std=0.0)
-        scene = generate_scene(cfg, 0)
+        scene = one_scene(cfg, 0)
         assert np.allclose(scene.past[-1], [0.0, 0.0], atol=1e-12)
 
     def test_noise_free_future_lies_on_branch(self):
         cfg = tiny_config(noise_std=0.0)
-        scene = generate_scene(cfg, 3)
+        scene = one_scene(cfg, 3)
         assert np.allclose(
             scene.future, branch_waypoints(cfg, scene.mode_label), atol=1e-12
         )
 
     def test_bitwise_deterministic(self):
         cfg = tiny_config()
-        a = generate_scene(cfg, 42)
-        b = generate_scene(cfg, 42)
+        a = one_scene(cfg, 42)
+        b = one_scene(cfg, 42)
         assert np.array_equal(a.past, b.past)
         assert np.array_equal(a.future, b.future)
         assert a.mode_label == b.mode_label
@@ -130,13 +135,9 @@ class TestGenerateScene:
             assert np.array_equal(a.future, b.future)
 
     def test_different_seeds_give_different_scenes(self):
-        a = generate_scene(tiny_config(seed=1), 0)
-        b = generate_scene(tiny_config(seed=2), 0)
+        a = one_scene(tiny_config(seed=1), 0)
+        b = one_scene(tiny_config(seed=2), 0)
         assert not np.array_equal(a.past, b.past)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(InputError):
-            generate_scene(tiny_config(), -1)
 
     def test_negative_count_rejected(self):
         with pytest.raises(InputError):
@@ -191,7 +192,8 @@ def assert_matches_reference(config: GeneratorConfig, count: int, start_index: i
         assert got.past.tobytes() == want.past.tobytes()
         assert got.future.tobytes() == want.future.tobytes()
     features, targets = generate_split(config, count, start_index)
-    want_features, want_targets = featurize_split(expected)
+    want_features = np.stack([featurize(scene).features for scene in expected])
+    want_targets = np.stack([featurize(scene).target for scene in expected])
     assert features.dtype == want_features.dtype and targets.dtype == want_targets.dtype
     assert features.shape == want_features.shape
     assert targets.shape == want_targets.shape
@@ -243,13 +245,6 @@ class TestGenerationOracle:
         assert generate(tiny_config(), 0, 4) == []
         with pytest.raises(ConfigurationError):
             generate_split(tiny_config(), 0)
-
-    def test_generate_scene_is_one_scene_range(self):
-        config = tiny_config()
-        got = generate_scene(config, 17)
-        want = generate(config, 1, 17)[0]
-        assert got.scene_id == want.scene_id
-        assert got.past.tobytes() == want.past.tobytes()
 
     @pytest.mark.parametrize("fn", [generate, generate_split])
     def test_range_checks(self, fn):
@@ -406,43 +401,71 @@ class TestDatasetFiles:
         assert str(path) in str(excinfo.value)
 
 
+BENCHMARK_CONFIG = CONFIG_DIR / "benchmark_awta.json"
+
+
+def generate_command(out: Path, *flags: str) -> int:
+    return main(["generate", "--config", str(BENCHMARK_CONFIG), "--out", str(out), *flags])
+
+
+def no_scene(*args, **kwargs):
+    raise AssertionError("a Scene was built")
+
+
+class TestGenerateCommand:
+    """`wtalab generate` writes the bytes of save_dataset(generate(...)),
+    streamed from one array generation, without building a Scene."""
+
+    @pytest.mark.parametrize("count", [0, 1, 65])
+    def test_same_bytes_as_save_dataset(self, tmp_path, monkeypatch, capsys, count):
+        generator = load_config(BENCHMARK_CONFIG).generator
+        save_dataset(generate(generator, count, start_index=7), tmp_path / "want.jsonl")
+        monkeypatch.setattr(datagen, "Scene", no_scene)
+        got = tmp_path / "got.jsonl"
+        assert generate_command(got, "--count", str(count), "--start-index", "7") == 0
+        assert got.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert capsys.readouterr().out == f"wrote {count} scenes to {got}\n"
+
+    def test_an_unwritable_out_fails_before_any_scene(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = datagen._generate_arrays
+        monkeypatch.setattr(
+            datagen, "_generate_arrays", lambda *args: calls.append(args[1:]) or real(*args)
+        )
+        assert generate_command(tmp_path / "missing" / "d.jsonl", "--count", "5") == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert calls == [] and list(tmp_path.iterdir()) == []
+        assert generate_command(tmp_path / "d.jsonl", "--count", "5", "--start-index", "3") == 0
+        assert calls == [(5, 3)]
+
+    def test_peak_memory_is_below_twice_the_file(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        tracemalloc.start()
+        try:
+            assert generate_command(out, "--count", "8000") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.stat().st_size
+
+
 class TestFeaturize:
     def test_features_end_at_origin(self):
-        scene = generate_scene(tiny_config(), 0)
+        scene = one_scene(tiny_config(), 0)
         feat = featurize(scene)
         assert feat.features.shape == (8,)
         assert np.allclose(feat.features[-2:], [0.0, 0.0], atol=1e-15)
 
     def test_offset_is_last_past_point(self):
-        scene = generate_scene(tiny_config(), 2)
+        scene = one_scene(tiny_config(), 2)
         feat = featurize(scene)
         assert np.array_equal(feat.offset, scene.past[-1])
 
     def test_labels_carried_through(self):
-        scene = generate_scene(tiny_config(), 4)
+        scene = one_scene(tiny_config(), 4)
         feat = featurize(scene)
         assert feat.scene_id == scene.scene_id
         assert feat.mode_label == scene.mode_label
-
-    def test_split_stacks_featurized_scenes_in_order(self):
-        scenes = generate(tiny_config(), 5)
-        features, targets = featurize_split(scenes)
-        assert features.shape == (5, 8)
-        for row, scene in enumerate(scenes):
-            feat = featurize(scene)
-            assert np.array_equal(features[row], feat.features)
-            assert np.array_equal(targets[row], feat.target)
-
-    @pytest.mark.parametrize("field", ["past_len", "future_len"])
-    def test_split_rejects_mixed_lengths(self, field):
-        cfg = tiny_config()
-        other = dataclasses.replace(cfg, **{field: getattr(cfg, field) + 1})
-        with pytest.raises(ConfigurationError):
-            featurize_split(generate(cfg, 2) + generate(other, 2))
-
-    def test_split_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            featurize_split([])
 
 
 class TestSceneValidation:
@@ -460,38 +483,32 @@ class TestSceneValidation:
             Scene(scene_id="s", past=past, future=future, mode_label=0)
 
 
-class TestPresets:
-    def test_three_branch_config_validates(self):
-        cfg = three_branch_config(seed=3)
-        cfg.validate()
-        assert cfg.n_branches == 3
-        assert cfg.probabilities == (0.4, 0.4, 0.2)
-        assert cfg.seed == 3
+RING_CONFIG = CONFIG_DIR / "quantization_ring.json"
+
+
+class TestShippedSceneFamilies:
+    """The scene families that configs/ describe, each in one file."""
 
     def test_three_branch_branches_are_distinct(self):
-        cfg = three_branch_config()
+        cfg = load_config(CONFIG_DIR / "benchmark_awta.json").generator
+        assert cfg == GeneratorConfig()
         ends = [branch_waypoints(cfg, b)[-1] for b in range(3)]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.linalg.norm(ends[i] - ends[j]) > 5.0
 
     def test_endpoint_ring_has_single_step_and_zero_features(self):
-        cfg = endpoint_ring_config(6, 2.5, seed=1)
-        cfg.validate()
+        cfg = dataclasses.replace(load_config(RING_CONFIG).generator, seed=1)
         assert cfg.past_len == 1 and cfg.future_len == 1
-        feat = featurize(generate_scene(cfg, 0))
-        assert np.allclose(feat.features, 0.0, atol=1e-15)
+        features, _ = generate_split(cfg, 20)
+        assert features.shape == (20, 2)
+        assert np.allclose(features, 0.0, atol=1e-15)
 
     def test_endpoint_ring_modes_are_equally_spaced(self):
-        cfg = endpoint_ring_config(6, 2.5, noise_std=0.0)
+        cfg = load_config(RING_CONFIG).generator
         ends = np.array([branch_waypoints(cfg, b)[0] for b in range(6)])
         radii = np.linalg.norm(ends, axis=1)
         assert np.allclose(radii, 2.5, atol=1e-12)
         angles = np.sort(np.arctan2(ends[:, 1], ends[:, 0]))
         gaps = np.diff(angles)
         assert np.allclose(gaps, math.pi / 3, atol=1e-12)
-
-    def test_endpoint_ring_custom_probabilities(self):
-        cfg = endpoint_ring_config(4, 1.0, probabilities=(0.7, 0.1, 0.1, 0.1))
-        cfg.validate()
-        assert cfg.probabilities == (0.7, 0.1, 0.1, 0.1)

@@ -34,7 +34,7 @@ from wtalab.datagen import CHUNK_RECORDS, load_dataset, load_split
 EXAMPLES = 150
 
 # ---------------------------------------------------------------------------
-# The reference: the per-line loader and featurize_split, as they were.
+# The reference: the per-line loader and the per-scene stacking, as they were.
 # ---------------------------------------------------------------------------
 
 _NUMBER = (int, float)
@@ -86,7 +86,7 @@ def reference_load_records(path):
 
 
 def reference_load_split(path):
-    """featurize_split(load_dataset(path)) as it was: one scene at a time."""
+    """The split of reference_load_records(path), one scene at a time."""
     features, targets = [], []
     for _, past, future, _ in reference_load_records(path):
         offset = past[-1].copy()
@@ -321,6 +321,17 @@ class TestMalformedFiles:
         lines[line_number - 1] = BAD_LINES[kind]
         error, message, line = assert_same_as_reference("\n".join(lines))
         assert error is DatasetParseError and line == line_number
+
+    @pytest.mark.parametrize("kind", ["mixed-lengths", *sorted(BAD_LINES)])
+    @pytest.mark.usefixtures("no_splits")
+    def test_the_reader_builds_no_scene(self, tmp_path, monkeypatch, kind):
+        lines = good_lines(150)
+        lines[70] = good_lines(1, future_len=2)[0] if kind == "mixed-lengths" else BAD_LINES[kind]
+        path = tmp_path / "split.jsonl"
+        path.write_text("\n".join(lines))
+        want = reference_outcome(path)
+        monkeypatch.setattr(datagen, "Scene", mock.Mock(side_effect=AssertionError("a Scene")))
+        assert outcome(load_split, path) == want
 
     @pytest.mark.parametrize("kind", sorted(BAD_LINES))
     def test_every_record_of_a_chunk_bad(self, kind):

@@ -29,8 +29,8 @@ from wtalab import (
     emit_charts,
     evaluate,
     evaluate_cmd,
-    featurize_split,
     generate,
+    generate_split,
     load_config,
     load_dataset,
     save_config,
@@ -39,6 +39,7 @@ from wtalab import (
     train,
 )
 from wtalab import harness
+from wtalab import _files
 from wtalab._files import read_text, write_text_atomic
 from wtalab.cli import main
 from wtalab.harness import (
@@ -469,10 +470,10 @@ class TestTraining:
     def test_report_matches_reevaluating_best_params(self, tmp_path):
         config = tiny_config(tmp_path, epochs=2)
         result = train(config, write_outputs=False)
-        val_scenes = generate(
+        val_split = generate_split(
             config.generator, config.val_count, start_index=config.train_count
         )
-        direct = evaluate(result.best_params, *featurize_split(val_scenes))
+        direct = evaluate(result.best_params, *val_split)
         assert direct == result.report
 
     def test_best_checkpoint_tracks_lowest_val_fde(self, tmp_path):
@@ -1058,13 +1059,46 @@ class TestAtomicWrites:
         assert a.stat().st_mode == b.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
 
-    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+    def test_pieces_write_the_bytes_of_their_join(self, tmp_path):
+        pieces = ["x,y\n", "", "1,2\n", "é\n"]
+        write_text_atomic(tmp_path / "a.txt", iter(pieces))
+        write_text_atomic(tmp_path / "b.txt", "".join(pieces))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_a_str_is_written_in_one_call(self, tmp_path, monkeypatch):
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            real_write = handle.write
+            handle.write = lambda text: writes.append(text) or real_write(text)
+            return handle
+
+        monkeypatch.setattr(_files, "open", recording_open, raising=False)
+        write_text_atomic(tmp_path / "a.txt", "x,y\n1,2\n")
+        assert writes == ["x,y\n1,2\n"]
+
+    @staticmethod
+    def pieces_then_error():
+        yield "new\n"
+        yield "more\n"
+        raise RuntimeError("the pieces failed")
+
+    @pytest.mark.parametrize("old", ["old\n", None])
+    @pytest.mark.parametrize("text, error", [(None, TypeError), ("pieces", RuntimeError)])
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path, old, text, error):
         path = tmp_path / "metrics.csv"
-        path.write_text("old\n")
-        with pytest.raises(TypeError):
-            write_text_atomic(path, None)
-        assert path.read_text() == "old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        if old is not None:
+            path.write_text(old)
+        if text == "pieces":
+            text = self.pieces_then_error()
+        with pytest.raises(error):
+            write_text_atomic(path, text)
+        if old is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert path.read_text() == old
+            assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 # A UTF-16 byte order mark: no UTF-8 text starts with these bytes.
@@ -1274,9 +1308,8 @@ class TestCli:
         assert not (tmp_path / "run").exists()
 
     # Each first allocation is beyond the address space, so it fails at once:
-    # a first hidden layer of 10**16 x 6 weights (426 PiB), or 10**14 scene
-    # draws (728 TiB). hidden=(10**8, 10**8) would not do: its first layer,
-    # 4.5 GiB, is granted before the second fails.
+    # about 10**32 parameters, too many to address, or 10**14 scene draws
+    # (728 TiB).
     @pytest.mark.parametrize(
         "overrides",
         [{"model": ModelConfig(n_heads=3, hidden=(10**16, 10**16))}, {"train_count": 10**14}],

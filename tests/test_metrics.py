@@ -1,6 +1,8 @@
 """Tests for the displacement metrics and the dataset-level report."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +12,13 @@ from wtalab import (
     InputError,
     MetricsReport,
     ModelConfig,
+    GeneratorConfig,
     effective_hypotheses,
-    endpoint_ring_config,
     evaluate,
-    featurize,
-    featurize_split,
-    generate,
+    generate_split,
     init_params,
+    load_config,
     miss_rate,
-    three_branch_config,
 )
 from wtalab.losses import stable_softmax
 from wtalab import metrics
@@ -218,27 +218,29 @@ class TestShapes:
                 evaluate(params, features, targets)
 
 
+RING_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quantization_ring.json"
+
+
 class TestEvaluate:
-    def make_model_and_scenes(self, n_scenes=40):
-        cfg = three_branch_config(seed=5, past_len=4, future_len=6)
-        scenes = generate(cfg, n_scenes)
+    def make_model_and_split(self, n_scenes=40):
+        cfg = GeneratorConfig(seed=5, past_len=4, future_len=6)
+        split = generate_split(cfg, n_scenes)
         model_cfg = ModelConfig(input_dim=8, n_heads=4, horizon=6, hidden=(16,))
         params = init_params(model_cfg, seed=2)
-        return params, scenes
+        return params, split
 
     def test_report_matches_per_scene_loop(self):
-        params, scenes = self.make_model_and_scenes()
-        report = evaluate(params, *featurize_split(scenes))
+        params, (features, targets) = self.make_model_and_split()
+        report = evaluate(params, features, targets)
         ades, fdes, briers, winners = [], [], [], []
-        for scene in scenes:
-            feat = featurize(scene)
-            trajectories, logits, _ = forward_batch(params, feat.features[None])
-            ade, fde, winner = brute_force_metrics(trajectories[0], feat.target)
+        for context, target in zip(features, targets):
+            trajectories, logits, _ = forward_batch(params, context[None])
+            ade, fde, winner = brute_force_metrics(trajectories[0], target)
             ades.append(ade)
             fdes.append(fde)
             winners.append(winner)
             briers.append(fde + (1.0 - stable_softmax(logits[0])[winner]) ** 2)
-        assert report.n_scenes == len(scenes)
+        assert report.n_scenes == len(features)
         assert report.min_ade == pytest.approx(np.mean(ades), abs=1e-12)
         assert report.min_fde == pytest.approx(np.mean(fdes), abs=1e-12)
         assert report.brier_fde == pytest.approx(np.mean(briers), abs=1e-12)
@@ -251,40 +253,40 @@ class TestEvaluate:
     def test_duplicating_the_dataset_is_exact(self):
         # fsum aggregation: averaging over scenes twice must reproduce the
         # single-pass result bit for bit.
-        params, scenes = self.make_model_and_scenes(30)
-        once = evaluate(params, *featurize_split(scenes))
-        twice = evaluate(params, *featurize_split(list(scenes) + list(scenes)))
+        params, (features, targets) = self.make_model_and_split(30)
+        once = evaluate(params, features, targets)
+        twice = evaluate(
+            params, np.concatenate([features, features]), np.concatenate([targets, targets])
+        )
         assert twice.min_ade == once.min_ade
         assert twice.min_fde == once.min_fde
         assert twice.brier_fde == once.brier_fde
         assert twice.miss_rate == once.miss_rate
 
     def test_top_k_truncation_applies(self):
-        params, scenes = self.make_model_and_scenes(10)
-        features, targets = featurize_split(scenes)
+        params, (features, targets) = self.make_model_and_split(10)
         report = evaluate(params, features, targets, top_k=2)
         assert len(report.winner_histogram) == 2
         full = evaluate(params, features, targets)
         assert report.min_ade >= full.min_ade - 1e-12
 
     def test_empty_dataset_rejected(self):
-        params, _ = self.make_model_and_scenes(1)
+        params, _ = self.make_model_and_split(1)
         with pytest.raises(InputError):
             evaluate(params, np.zeros((0, 8)), np.zeros((0, 6, 2)))
 
     def test_horizon_mismatch_rejected(self):
-        params, _ = self.make_model_and_scenes(1)
-        cfg = three_branch_config(seed=5, past_len=4, future_len=9)
+        params, _ = self.make_model_and_split(1)
+        cfg = GeneratorConfig(seed=5, past_len=4, future_len=9)
         with pytest.raises(ConfigurationError):
-            evaluate(params, *featurize_split(generate(cfg, 3)))
+            evaluate(params, *generate_split(cfg, 3))
 
     def test_quantization_task_evaluates(self):
-        cfg = endpoint_ring_config(6, 2.5, seed=0)
-        scenes = generate(cfg, 20)
+        cfg = dataclasses.replace(load_config(RING_CONFIG).generator, seed=0)
         params = init_params(
             ModelConfig(input_dim=2, n_heads=6, horizon=1, hidden=()), seed=0
         )
-        report = evaluate(params, *featurize_split(scenes))
+        report = evaluate(params, *generate_split(cfg, 20))
         assert report.n_scenes == 20
         assert sum(report.winner_histogram) == 20
 
@@ -339,8 +341,8 @@ class TestSceneMetricsOracle:
 
     @pytest.mark.parametrize("post", ["none", "top_k", "nms"])
     def test_evaluate_report_equal(self, post, monkeypatch):
-        cfg = three_branch_config(seed=3, past_len=5, future_len=8)
-        features, targets = featurize_split(generate(cfg, 120))
+        cfg = GeneratorConfig(seed=3, past_len=5, future_len=8)
+        features, targets = generate_split(cfg, 120)
         params = init_params(
             ModelConfig(input_dim=10, n_heads=6, horizon=8, hidden=(16,)), seed=4
         )

@@ -5,6 +5,7 @@ backward passes as first written, and central finite differences."""
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,28 @@ def small_config(**overrides) -> ModelConfig:
     base = dict(input_dim=6, n_heads=3, horizon=4, hidden=(8,))
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def reference_init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """init_params as first written: each tensor drawn by rng.uniform into
+    its own array, then copied into the flat vector."""
+    rng = np.random.default_rng(seed)
+    dims = [config.input_dim, *config.hidden, config.output_dim]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(rng.uniform(-bound, bound, size=fan_out))
+    if config.init == "clustered":
+        bound = np.sqrt(6.0 / (dims[-2] + dims[-1]))
+        traj_template = rng.uniform(-bound, bound, size=config.horizon * 2)
+        logit_value = rng.uniform(-bound, bound)
+        biases[-1] = np.concatenate(
+            [np.tile(traj_template, config.n_heads), np.full(config.n_heads, logit_value)]
+        )
+    return ModelParams(
+        weights=weights, biases=biases, n_heads=config.n_heads, horizon=config.horizon
+    )
 
 
 class TestModelConfig:
@@ -125,6 +148,26 @@ class TestInitParams:
         span = cfg.horizon * 2
         traj_bias = params.biases[-1][: cfg.n_heads * span].reshape(cfg.n_heads, span)
         assert not np.array_equal(traj_bias[1], traj_bias[0])
+
+    @pytest.mark.parametrize("init", ["glorot", "clustered"])
+    @pytest.mark.parametrize("hidden", [(), (8,), (7, 3, 5)])
+    def test_same_bits_as_per_layer_uniform_draws(self, init, hidden):
+        cfg = ModelConfig(input_dim=6, n_heads=3, horizon=4, hidden=hidden, init=init)
+        for seed in range(3):
+            got = init_params(cfg, seed=seed)
+            want = reference_init_params(cfg, seed)
+            assert got.vector.tobytes() == want.vector.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(2048,), (512, 512)])
+    def test_holds_one_copy_of_the_parameters(self, hidden):
+        cfg = ModelConfig(input_dim=40, n_heads=6, horizon=30, hidden=hidden)
+        tracemalloc.start()
+        try:
+            params = init_params(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * params.vector.nbytes
 
     def test_copy_is_independent(self):
         params = init_params(small_config(), seed=0)

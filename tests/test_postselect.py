@@ -10,12 +10,11 @@ from wtalab import (
     InputError,
     ModelConfig,
     NMSConfig,
+    GeneratorConfig,
     evaluate,
-    featurize_split,
-    generate,
+    generate_split,
     init_params,
     nms_select,
-    three_branch_config,
 )
 from wtalab.losses import stable_softmax
 from wtalab.network import forward_batch
@@ -209,8 +208,8 @@ class TestAgainstPerSceneReference:
                 assert np.array_equal(kept_logits[i], logits[i, keep])
 
     def test_evaluate_scores_the_reference_selection(self):
-        scenes = generate(three_branch_config(seed=1, past_len=4, future_len=6), 60)
-        features, targets = featurize_split(scenes)
+        generator = GeneratorConfig(seed=1, past_len=4, future_len=6)
+        features, targets = generate_split(generator, 60)
         params = init_params(
             ModelConfig(input_dim=8, n_heads=8, horizon=6, hidden=(16,)), seed=3
         )
@@ -218,7 +217,7 @@ class TestAgainstPerSceneReference:
         report = evaluate(params, features, targets, top_k=3, nms=config)
         trajectories, logits, _ = forward_batch(params, features)
         fdes, briers, winners = [], [], []
-        for i in range(len(scenes)):
+        for i in range(len(features)):
             kept = reference_nms(trajectories[i], logits[i], config)
             top = [kept[j] for j in reference_top_k(logits[i, kept], 3)]
             ends = trajectories[i, top, -1]
