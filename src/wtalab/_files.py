@@ -1,14 +1,17 @@
-"""Checked text reads, atomic writes (a reader sees the old file or the
-whole new one), and the cell format of the CSV run files.
+"""Checked text reads, JSON object reads, atomic writes (a reader sees the
+old file or the whole new one), and the cell format of the CSV run files.
 
 A CSV file's columns are the fields of its record dataclass, in order. Each
-cell is written by csv_field and read back by its field's annotation, so a
-float or a histogram round-trips exactly.
+row is written by csv_text, each cell by csv_field, and read back by its
+field's annotation, so a float or a histogram round-trips exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import json
 import os
 import uuid
 from pathlib import Path
@@ -42,6 +45,20 @@ def decode_text(data: bytes, path: str | Path, error_type: type[WtalabError]) ->
     if "\r" not in text:  # one fast scan, where each replace is a slow one
         return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json_object(path: str | Path, what: str, error_type: type[WtalabError]) -> dict:
+    """The JSON object held by the UTF-8 text file at path. Anything that
+    json.loads rejects (bad syntax, an integer too long to convert, nesting
+    too deep to parse) or a value that is not an object raises error_type."""
+    text = read_text(path, error_type)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error_type(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error_type(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -78,6 +95,17 @@ def csv_field(value) -> str:
     if isinstance(value, list):
         return ";".join(map(str, value))
     return str(value)
+
+
+def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A CSV file's text: the header line, then one line of csv_field cells
+    per row of values. csv.writer quotes a cell that holds a comma, a quote
+    or a newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(csv_field, row) for row in rows)
+    return buffer.getvalue()
 
 
 def csv_header(cls) -> tuple[str, ...]:

@@ -11,28 +11,35 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 
 from . import harness
 from .datagen import save_generated
 from .errors import ConfigurationError, InputError, WtalabError
 
 
-def _parse_list(raw: str, flag: str, kind: type) -> list:
-    """Comma-separated values of one type; a bad item raises InputError."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's errors as InputError, for main to report; subparsers share the class."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
+def _parse_list(kind: type, raw: str) -> list:
+    """Comma-separated values of kind, as an argparse type."""
     values = []
-    for part in raw.split(","):
-        if part != "":
-            try:
-                values.append(kind(part))
-            except ValueError:
-                raise InputError(
-                    f"{flag} takes comma-separated {kind.__name__}s, got {part!r}"
-                ) from None
+    for part in filter(None, raw.split(",")):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"takes comma-separated {kind.__name__}s, got {part!r}"
+            ) from None
     return values
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wtalab",
         description="Train and evaluate multi-hypothesis trajectory models.",
     )
@@ -56,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid over t0, rho and seed")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--t0", required=True, help="comma-separated t0 values")
-    p_sweep.add_argument("--rho", required=True, help="comma-separated rho values")
-    p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
+    for flag, kind in (("--t0", float), ("--rho", float), ("--seeds", int)):
+        parse = partial(_parse_list, kind)
+        p_sweep.add_argument(flag, type=parse, required=True, help="comma-separated list")
     p_sweep.add_argument("--out-dir", required=True)
     p_sweep.add_argument("--workers", type=int, default=1)
 
     p_charts = sub.add_parser("charts", help="render SVG charts from a CSV log")
-    p_charts.add_argument("--epochs-csv", default=None, help="epochs.csv from a run")
+    p_charts.add_argument("--epochs-csv", required=True, help="epochs.csv from a run")
     p_charts.add_argument("--out-dir", required=True)
     return parser
 
@@ -105,9 +112,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = harness.load_config(args.config)
     cells = harness.sweep(
         config,
-        t0_values=_parse_list(args.t0, "--t0", float),
-        rho_values=_parse_list(args.rho, "--rho", float),
-        seeds=_parse_list(args.seeds, "--seeds", int),
+        t0_values=args.t0,
+        rho_values=args.rho,
+        seeds=args.seeds,
         out_dir=args.out_dir,
         workers=args.workers,
     )
@@ -122,8 +129,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_charts(args: argparse.Namespace) -> int:
-    if args.epochs_csv is None:
-        raise InputError("charts needs --epochs-csv")
     records = harness.read_epoch_csv(args.epochs_csv)
     written = harness.emit_charts(records, args.out_dir)
     for path in written:
@@ -141,8 +146,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (WtalabError, OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; name the public one.

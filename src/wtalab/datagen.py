@@ -248,9 +248,8 @@ _NUMBER = frozenset({int, float})
 # the peak memory of reading it, and larger chunks are no faster.
 CHUNK_RECORDS = 64
 
-# The splits load_split parsed, by the sha256 of their file's bytes, least
-# recently used first. Two, so that a train run's train and val files stay.
-SPLIT_CACHE_SIZE = 2
+# The last split load_split parsed, by the sha256 of its file's bytes. One
+# is enough: a command rereads no file but the last, as repeated evals do.
 _splits: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 _FIELDS = operator.itemgetter("scene_id", "past", "future", "mode_label")
@@ -287,8 +286,9 @@ def _parse_record(line_number: int, line: str) -> _Block:
     problem."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # also too deep, or a number too long
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise DatasetParseError(line_number, f"invalid JSON ({reason})") from exc
     if not isinstance(record, dict):
         raise DatasetParseError(line_number, "record must be a JSON object")
     missing = {"scene_id", "past", "future", "mode_label"} - record.keys()
@@ -396,23 +396,22 @@ def load_split(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     raises ConfigurationError. Bytes that are not UTF-8 raise InputError
     before any record is parsed.
 
-    The file is read once. The arrays are read-only, and the last
-    SPLIT_CACHE_SIZE splits that parsed are kept in this process under the
-    sha256 of their file's bytes: a later call on the same bytes returns the
-    same arrays without parsing again.
+    The file is read once. The arrays are read-only, and the last split
+    that parsed is kept in this process under the sha256 of its file's
+    bytes: a later call on the same bytes returns the same arrays without
+    parsing again.
     """
     data = Path(path).read_bytes()
     key = hashlib.sha256(data).digest()
-    split = _splits.pop(key, None)
+    split = _splits.get(key)
     if split is None:
         text = decode_text(data, path, InputError)
         del data  # the parse holds the text, so drop the bytes
         split = _parse_split(path, text)
         for array in split:
             array.flags.writeable = False
-    _splits[key] = split  # now the most recent
-    while len(_splits) > SPLIT_CACHE_SIZE:
-        del _splits[next(iter(_splits))]
+        _splits.clear()
+        _splits[key] = split
     return split
 
 

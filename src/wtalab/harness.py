@@ -23,9 +23,7 @@ and renamed into place:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -37,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import schedulers
-from ._files import csv_field, csv_header, parse_csv_row, read_text, write_text_atomic
+from ._files import csv_header, csv_text, parse_csv_row, read_json_object, read_text
+from ._files import write_text_atomic
 from ._svgchart import line_chart
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
@@ -289,13 +288,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        data = json.loads(read_text(path, ConfigurationError))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(read_json_object(path, "config", ConfigurationError))
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -324,15 +317,11 @@ class EpochRecord:
 
 def write_epoch_csv(records: list[EpochRecord], path: str | Path) -> None:
     columns = csv_header(EpochRecord)
-    lines = [",".join(columns)]
-    for r in records:
-        lines.append(
-            ",".join(
-                f"{r.wall_s:.4f}" if name == "wall_s" else csv_field(getattr(r, name))
-                for name in columns
-            )
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = (
+        [f"{r.wall_s:.4f}" if name == "wall_s" else getattr(r, name) for name in columns]
+        for r in records
+    )
+    write_text_atomic(path, csv_text(columns, rows))
 
 
 def read_epoch_csv(path: str | Path) -> list[EpochRecord]:
@@ -433,6 +422,7 @@ def _train_epochs(
     best_epoch = -1
     best_fde = math.inf
     best_params = params.copy()
+    optimizer = dataclasses.asdict(config.optimizer)  # lr, beta1, beta2, eps
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -458,15 +448,7 @@ def _train_epochs(
                 )
             backward_batch(params, activations, objective.d_outputs, out=grads)
             try:
-                params, adam = adam_step(
-                    params,
-                    grads,
-                    adam,
-                    lr=config.optimizer.lr,
-                    beta1=config.optimizer.beta1,
-                    beta2=config.optimizer.beta2,
-                    eps=config.optimizer.eps,
-                )
+                params, adam = adam_step(params, grads, adam, **optimizer)
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch} batch {batch_index}: {exc}"
@@ -655,21 +637,14 @@ def sweep(
 
 def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:
     """One row per cell: its own fields, then its report's SWEEP_METRICS,
-    empty for a failed cell. csv.writer quotes an error that holds a comma,
-    a quote or a newline."""
+    empty for a failed cell."""
     columns = tuple(name for name in csv_header(SweepCell) if name != "report")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns + SWEEP_METRICS)
-    for cell in cells:
-        writer.writerow(
-            [csv_field(getattr(cell, name)) for name in columns]
-            + [
-                csv_field(None if cell.report is None else getattr(cell.report, name))
-                for name in SWEEP_METRICS
-            ]
-        )
-    write_text_atomic(path, buffer.getvalue())
+    rows = (
+        [getattr(cell, name) for name in columns]
+        + [getattr(cell.report, name, None) for name in SWEEP_METRICS]
+        for cell in cells
+    )
+    write_text_atomic(path, csv_text(columns + SWEEP_METRICS, rows))
 
 
 # ---------------------------------------------------------------------------

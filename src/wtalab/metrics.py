@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import csv_field, csv_header, parse_csv_row, read_text, write_text_atomic
+from ._files import csv_header, csv_text, parse_csv_row, read_text, write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
@@ -98,8 +98,7 @@ class MetricsReport:
     winner_histogram: list[int]
 
     def to_csv(self) -> str:
-        row = ",".join(csv_field(getattr(self, name)) for name in REPORT_COLUMNS)
-        return ",".join(REPORT_COLUMNS) + "\n" + row + "\n"
+        return csv_text(REPORT_COLUMNS, [dataclasses.astuple(self)])
 
 
 REPORT_COLUMNS = csv_header(MetricsReport)

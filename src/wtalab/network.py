@@ -8,7 +8,6 @@ trajectories in head-major order, the last K entries are the logits.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import read_text, write_text_atomic
+from ._files import read_json_object, write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
 
 CHECKPOINT_VERSION = 1
@@ -118,11 +117,8 @@ class ModelParams(_FlatTensors):
         return self.vector.size
 
     def copy(self) -> "ModelParams":
-        """An independent copy: one copy of vector, and views into it."""
-        dup = copy.copy(self)
-        dup.vector = self.vector.copy()
-        dup.weights, dup.biases = _views(dup.vector, self.weights, self.biases)
-        return dup
+        """An independent copy: the constructor copies the tensors into a new vector."""
+        return dataclasses.replace(self)
 
 
 @dataclasses.dataclass
@@ -131,9 +127,10 @@ class GradientBuffer(_FlatTensors):
 
     @classmethod
     def zeros_like(cls, params: _FlatTensors) -> "GradientBuffer":
+        # Zero-stride stand-ins, as in init_params: the vector is the one full-size array.
         return cls(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
+            weights=[np.broadcast_to(0.0, w.shape) for w in params.weights],
+            biases=[np.broadcast_to(0.0, b.shape) for b in params.biases],
         )
 
 
@@ -442,12 +439,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     Types are checked, not converted: counts are integers, values are JSON
     numbers, and neither may be a boolean or a string.
     """
-    try:
-        payload = json.loads(read_text(path, ConfigurationError))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"checkpoint {path} must hold a JSON object")
+    payload = read_json_object(path, "checkpoint", ConfigurationError)
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(

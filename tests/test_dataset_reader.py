@@ -507,17 +507,16 @@ class TestSplitCache:
         assert_same_arrays(after, reference_load_split(path))
         assert load_split_hit(path) is after
 
-    def test_the_last_two_splits_used_are_kept(self, tmp_path):
-        a, b, c = (write_split(tmp_path / f"{name}.jsonl", n) for name, n in zip("abc", (3, 4, 5)))
-        for path in (a, b, a, c):
-            load_split(path)
-        assert datagen.SPLIT_CACHE_SIZE == 2
-        assert list(datagen._splits) == [cache_key(a), cache_key(c)]
-        load_split_hit(a)
+    def test_only_the_last_split_is_kept(self, tmp_path):
+        a, b = (write_split(tmp_path / f"{name}.jsonl", n) for name, n in zip("ab", (3, 4)))
+        load_split(a)
+        load_split(b)
+        assert list(datagen._splits) == [cache_key(b)]
+        load_split_hit(b)
         with counting_parses() as parse:
-            assert_same_arrays(load_split(b), reference_load_split(b))
+            assert_same_arrays(load_split(a), reference_load_split(a))
         assert parse.call_count == 1
-        assert list(datagen._splits) == [cache_key(a), cache_key(b)]
+        assert list(datagen._splits) == [cache_key(a)]
 
     def test_the_parse_reads_the_bytes_that_were_hashed(self, tmp_path):
         """A file edited between the read and the parse cannot get the edit's

@@ -1345,6 +1345,27 @@ class TestCli:
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["train", "--config", "c.json", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
+            (["generate", "--config", "c.json", "--out", "d.jsonl", "--count", "z"], "--count"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            (["charts", "--out-dir", "charts"], "required: --epochs-csv"),
+        ],
+        ids=["seed", "count", "subcommand", "missing-flag"],
+    )
+    def test_argument_error_gives_one_json_line(self, tmp_path, capsys, monkeypatch, argv, problem):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "InputError"
+        assert problem in payload["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "row, problem",
         [
             ("0,10.0,1.5,0.6", "expected 9 fields"),

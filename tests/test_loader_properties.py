@@ -1,14 +1,14 @@
 """Property tests for the file loaders: the dataset JSONL, checkpoints,
-epochs.csv and metrics.csv.
+epochs.csv and metrics.csv, and through the command line also configs.
 
 Each loader is fed arbitrary bytes and near-valid files: a file written by
 the program, then edited at the byte level or, for the JSON formats, with
 one value replaced by arbitrary JSON. Every input must either load or raise
 a WtalabError; any other exception fails the test.
 
-The same files go through the command line (`train` on a dataset block,
-`eval --checkpoint`, `charts --epochs-csv`): each command must exit 0, or
-exit 1 with exactly one JSON line on stderr.
+The same files go through the command line (`train --config`, `train` on
+a dataset block, `eval --checkpoint`, `charts --epochs-csv`): each command
+must exit 0, or exit 1 with exactly one JSON line on stderr.
 """
 
 import contextlib
@@ -21,10 +21,12 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtalab import (
+    DatasetParseError,
     EpochRecord,
     GeneratorConfig,
     ModelConfig,
@@ -302,6 +304,21 @@ def train_on_dataset(data: bytes) -> tuple[int, list[str]]:
         return run_cli(["train", "--config", str(root / "config.json")])
 
 
+@functools.cache
+def valid_config() -> bytes:
+    config = dict(TINY_CONFIG, generator=ONE_POINT_GENERATOR, train_count=2, val_count=3)
+    return json.dumps(config, indent=2).encode()
+
+
+def train_on_config(data: bytes) -> tuple[int, list[str]]:
+    """`wtalab train --config` of data, into a temporary run directory."""
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "config.json").write_bytes(data)
+        argv = ["train", "--config", str(root / "config.json")]
+        return run_cli(argv + ["--out-dir", str(root / "run")])
+
+
 def eval_checkpoint(data: bytes) -> tuple[int, list[str]]:
     """`wtalab eval --checkpoint` of data on generated one-point scenes."""
     with tempfile.TemporaryDirectory() as root:
@@ -322,7 +339,24 @@ def charts_of_epochs_csv(data: bytes) -> tuple[int, list[str]]:
         return run_cli(argv + ["--out-dir", str(root / "charts")])
 
 
+# JSON that json.loads rejects with other errors than JSONDecodeError:
+# nesting deeper than the recursion limit (RecursionError), and an integer
+# with more digits than int() converts (ValueError).
+DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+LONG_INTEGER = b'{"seed": ' + b"1" * 5000 + b"}"
+
+
+def train_on_dataset_line(line: bytes) -> tuple[int, list[str]]:
+    """train_on_dataset of the valid dataset with line appended as line 3."""
+    return train_on_dataset(valid_dataset() + line + b"\n")
+
+
 class TestCliReportsOneJsonLine:
+    @settings(max_examples=EXAMPLES // 2, deadline=None)
+    @given(data=inputs(valid_config(), byte_edits(valid_config())))
+    def test_train_config(self, data):
+        assert_exit_zero_or_one_json_line(*train_on_config(data))
+
     @settings(max_examples=EXAMPLES // 2, deadline=None)
     @given(data=inputs(valid_dataset(), byte_edits(valid_dataset()), dataset_edits()))
     def test_train_on_a_dataset_block(self, data):
@@ -347,6 +381,7 @@ class TestCliReportsOneJsonLine:
         assert_exit_zero_or_one_json_line(*charts_of_epochs_csv(data))
 
     def test_the_unedited_files_exit_zero(self):
+        assert train_on_config(valid_config()) == (0, [])
         assert train_on_dataset(valid_dataset()) == (0, [])
         assert eval_checkpoint(valid_checkpoint()) == (0, [])
         assert charts_of_epochs_csv(valid_epochs_csv()) == (0, [])
@@ -355,3 +390,31 @@ class TestCliReportsOneJsonLine:
         code, lines = train_on_dataset(valid_dataset().replace(b"[", b"{", 1))
         assert code == 1
         assert json.loads(lines[0])["message"].startswith("line 1: invalid JSON")
+
+    @pytest.mark.parametrize("data", [DEEP_ARRAY, LONG_INTEGER], ids=["deep", "long"])
+    @pytest.mark.parametrize(
+        "run, error, message",
+        [
+            (train_on_config, "ConfigurationError", "config.json is not valid JSON: "),
+            (eval_checkpoint, "ConfigurationError", "checkpoint.json is not valid JSON: "),
+            (train_on_dataset_line, "DatasetParseError", "line 3: invalid JSON ("),
+        ],
+        ids=["config", "checkpoint", "dataset"],
+    )
+    def test_json_past_the_parser_limits_exits_one(self, run, error, message, data):
+        code, lines = run(data)
+        assert code == 1
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert payload["error"] == error
+        assert message in payload["message"]
+
+    @pytest.mark.parametrize("data", [DEEP_ARRAY, LONG_INTEGER], ids=["deep", "long"])
+    @pytest.mark.parametrize("loader", [load_split, load_dataset])
+    def test_dataset_readers_name_the_line_past_the_parser_limits(self, loader, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "scenes.jsonl"
+            path.write_bytes(valid_dataset() + data + b"\n")
+            with pytest.raises(DatasetParseError, match="^line 3: invalid JSON") as excinfo:
+                loader(path)
+        assert excinfo.value.line_number == 3

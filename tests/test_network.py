@@ -169,6 +169,21 @@ class TestInitParams:
             tracemalloc.stop()
         assert peak <= 1.2 * params.vector.nbytes
 
+    @pytest.mark.parametrize("make", [GradientBuffer.zeros_like, ModelParams.copy])
+    def test_zeros_like_and_copy_hold_one_vector(self, make):
+        cfg = ModelConfig(input_dim=40, n_heads=6, horizon=30, hidden=(2048,))
+        params = init_params(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            made = make(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * made.vector.nbytes
+        want = params.vector if make is ModelParams.copy else np.zeros_like(params.vector)
+        assert made.vector.tobytes() == want.tobytes()
+        assert [w.shape for w in made.weights] == [w.shape for w in params.weights]
+
     def test_copy_is_independent(self):
         params = init_params(small_config(), seed=0)
         dup = params.copy()
