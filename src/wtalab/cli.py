@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         parse = partial(_parse_list, kind)
         p_sweep.add_argument(flag, type=parse, required=True, help="comma-separated list")
     p_sweep.add_argument("--out-dir", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1)
 
     p_charts = sub.add_parser("charts", help="render SVG charts from a CSV log")
     p_charts.add_argument("--epochs-csv", required=True, help="epochs.csv from a run")
@@ -116,7 +115,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rho_values=args.rho,
         seeds=args.seeds,
         out_dir=args.out_dir,
-        workers=args.workers,
     )
     failed = [c for c in cells if c.status != "ok"]
     print(f"{len(cells)} cells ({len(failed)} failed) -> {args.out_dir}/sweep.csv")

@@ -8,7 +8,9 @@ epoch log is the only non-reproducible output.
 `build_splits` turns a config's generator or dataset block into read-only
 train and val arrays. `train` builds them itself or takes them ready-made;
 `sweep` builds them once and hands them to every grid cell, since cells
-differ only in schedule and seed.
+differ only in schedule and seed. The cells run one after another in grid
+order. Each calls `train` through this module's global name, so a wrapper
+patched onto `harness.train` sees every cell.
 
 Output directory layout for one run, written after the last epoch (a run
 that fails leaves no directory); every file is written to a temporary name
@@ -24,12 +26,12 @@ and renamed into place:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -534,9 +536,21 @@ def evaluate_cmd(
     checkpoint_path: str | Path,
     out_path: str | Path | None = None,
 ) -> MetricsReport:
-    """Evaluate a saved checkpoint on the config's validation split."""
+    """Evaluate a saved checkpoint on the config's validation split.
+
+    Raises ConfigurationError when the checkpoint's n_heads or hidden widths
+    differ from the config's model block, which sizes post-selection and
+    eval_top_k.
+    """
     config.validate()
     params = load_checkpoint(checkpoint_path)
+    model = config.model
+    if (params.n_heads, params.hidden) != (model.n_heads, tuple(model.hidden)):
+        raise ConfigurationError(
+            f"checkpoint {checkpoint_path} has n_heads={params.n_heads} and"
+            f" hidden={list(params.hidden)}, but the config's model block has"
+            f" n_heads={model.n_heads} and hidden={list(model.hidden)}"
+        )
     features, targets = _split_arrays(config, "val")
     report = evaluate(
         params, features, targets, top_k=config.eval_top_k, nms=config.nms
@@ -564,25 +578,6 @@ class SweepCell:
 SWEEP_METRICS = ("min_ade", "min_fde", "miss_rate", "brier_fde", "effective_hypotheses")
 
 
-def _run_cell(
-    config: ExperimentConfig, write_outputs: bool, splits: Splits | None
-) -> SweepCell:
-    cell = SweepCell(
-        t0=config.scheduler.t0,
-        rho=config.scheduler.rho,
-        seed=config.seed,
-        status="ok",
-    )
-    try:
-        # The module-global train, so a wrapper patched onto it sees each cell.
-        result = train(config, write_outputs=write_outputs, splits=splits)
-        cell.report = result.report
-    except Exception as exc:  # a failed cell must not sink the sweep
-        cell.status = "failed"
-        cell.error = f"{type(exc).__name__}: {exc}"
-    return cell
-
-
 def sweep(
     base: ExperimentConfig,
     t0_values: list[float],
@@ -592,44 +587,43 @@ def sweep(
     workers: int = 1,
     write_cell_outputs: bool = False,
 ) -> list[SweepCell]:
-    """Train one run per (t0, rho, seed) grid cell.
+    """Train one run per (t0, rho, seed) cell, one after another in grid
+    order (t0 outermost, seed innermost), and return the cells in that order.
 
-    Cells differ only in schedule and seed, so the train and val arrays are
-    built once, from base, and shared by every cell; each cell's outputs are
-    byte-identical to a solo train of its config. Cells are independent;
-    failures are recorded per cell and do not stop the sweep. Results come
-    back in grid order (t0 outermost, seed innermost) regardless of
-    completion order. When out_dir is given, the aggregate table is written
-    there as sweep.csv.
+    The cells share one build_splits of base, since they differ only in
+    schedule and seed; each cell's outputs are byte-identical to a solo train
+    of its config. A failed cell is recorded, not raised. Each cell calls the
+    module-global train, so a wrapper patched onto harness.train sees it. A
+    given out_dir is checked before the first cell and receives sweep.csv.
+    workers stays only for callers that pass 1; any other value raises
+    InputError before a cell trains.
     """
+    if workers != 1:
+        raise InputError(f"sweep runs cells serially; workers must be 1, got {workers}")
     if not t0_values or not rho_values or not seeds:
         raise InputError("sweep needs at least one t0, rho and seed")
+    if out_dir is not None:
+        out = resolve_out_dir(str(out_dir))
+        _check_writable(out)
     try:
         splits: Splits | None = build_splits(base)
     except Exception:  # each cell then builds its own and records the error
         splits = None
-    configs = []
-    for t0 in t0_values:
-        for rho in rho_values:
-            for seed in seeds:
-                scheduler = dataclasses.replace(base.scheduler, t0=t0, rho=rho)
-                cell_dir = str(
-                    Path(base.out_dir) / f"cell-t0_{t0:g}-rho_{rho:g}-seed_{seed}"
-                )
-                configs.append(
-                    dataclasses.replace(
-                        base, scheduler=scheduler, seed=seed, out_dir=cell_dir
-                    )
-                )
-    if workers <= 1:
-        cells = [_run_cell(c, write_cell_outputs, splits) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(
-                pool.map(lambda c: _run_cell(c, write_cell_outputs, splits), configs)
-            )
+    cells = []
+    for t0, rho, seed in itertools.product(t0_values, rho_values, seeds):
+        scheduler = dataclasses.replace(base.scheduler, t0=t0, rho=rho)
+        cell_dir = Path(base.out_dir) / f"cell-t0_{t0:g}-rho_{rho:g}-seed_{seed}"
+        config = dataclasses.replace(
+            base, scheduler=scheduler, seed=seed, out_dir=str(cell_dir)
+        )
+        cell = SweepCell(t0=t0, rho=rho, seed=seed, status="ok")
+        try:
+            result = train(config, write_outputs=write_cell_outputs, splits=splits)
+            cell.report = result.report
+        except Exception as exc:  # a failed cell must not sink the sweep
+            cell.status, cell.error = "failed", f"{type(exc).__name__}: {exc}"
+        cells.append(cell)
     if out_dir is not None:
-        out = resolve_out_dir(str(out_dir))
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(cells, out / "sweep.csv")
     return cells
@@ -673,7 +667,8 @@ def emit_charts(
 
     Epoch records produce loss, schedule value and effective-hypotheses
     curves against the epoch index. Sweep cells produce final minADE
-    against t0 with one line per rho.
+    against t0 with one line per rho; each point is the mean over that
+    t0's successful seeds.
     """
     if not data:
         raise InputError("no records to chart")
@@ -693,13 +688,14 @@ def emit_charts(
     elif kinds == {SweepCell}:
         series = []
         for rho in sorted({c.rho for c in data}):
-            points = sorted(
-                (c.t0, c.report.min_ade)
-                for c in data
-                if c.rho == rho and c.report is not None
-            )
-            if points:
-                series.append((f"rho={rho:g}", *map(list, zip(*points))))
+            by_t0: dict[float, list[float]] = {}
+            for c in data:
+                if c.rho == rho and c.report is not None:
+                    by_t0.setdefault(c.t0, []).append(c.report.min_ade)
+            if by_t0:
+                t0s = sorted(by_t0)
+                means = [math.fsum(by_t0[t0]) / len(by_t0[t0]) for t0 in t0s]
+                series.append((f"rho={rho:g}", t0s, means))
         if not series:
             raise InputError("no successful sweep cells to chart")
         charts = [("sweep_min_ade_vs_t0.svg", "Sweep: min ADE vs t0", "t0", "min_ade", series)]

@@ -4,7 +4,7 @@ command line interface."""
 import dataclasses
 import hashlib
 import json
-import sys
+import math
 import warnings
 from pathlib import Path
 
@@ -821,6 +821,21 @@ class TestEvaluateCmd:
         with pytest.raises(OSError):
             evaluate_cmd(config, tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "model",
+        [ModelConfig(n_heads=2, hidden=(8,)), ModelConfig(n_heads=3, hidden=(8, 8))],
+        ids=["n_heads", "hidden"],
+    )
+    def test_checkpoint_the_model_block_does_not_describe_raises(self, tmp_path, model):
+        config = tiny_config(tmp_path)
+        checkpoint = train(config).out_dir / "checkpoint_best.json"
+        other = dataclasses.replace(config, model=model)
+        with pytest.raises(ConfigurationError) as excinfo:
+            evaluate_cmd(other, checkpoint)
+        message = str(excinfo.value)
+        assert "n_heads=3 and hidden=[8]" in message
+        assert f"n_heads={model.n_heads} and hidden={list(model.hidden)}" in message
+
 
 class TestSweep:
     def test_grid_order_and_csv(self, tmp_path):
@@ -870,7 +885,7 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "generate_split", counting_generate_split)
         base = tiny_config(tmp_path, epochs=1)
-        cells = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2], workers=2)
+        cells = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2])
         assert all(c.status == "ok" for c in cells)
         assert calls == [(24, 0), (16, 24)]
 
@@ -899,12 +914,9 @@ class TestSweep:
         assert all(c.status == "ok" for c in cells)
         assert paths == [base.dataset.train_path, base.dataset.val_path]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_cells_byte_identical_to_solo_runs(self, tmp_path, workers):
+    def test_cells_byte_identical_to_solo_runs(self, tmp_path):
         base = tiny_config(tmp_path, epochs=3, out_dir=str(tmp_path / "cells"))
-        cells = sweep(
-            base, [5.0, 10.0], [0.5], [1, 2], workers=workers, write_cell_outputs=True
-        )
+        cells = sweep(base, [5.0, 10.0], [0.5], [1, 2], write_cell_outputs=True)
         assert all(c.status == "ok" for c in cells)
         for cell in cells:
             cell_dir = tmp_path / "cells" / (
@@ -921,19 +933,6 @@ class TestSweep:
             assert solo.report == cell.report
             for name in ("metrics.csv", "checkpoint_final.json", "checkpoint_best.json"):
                 assert (cell_dir / name).read_bytes() == (solo.out_dir / name).read_bytes()
-
-    def test_shared_splits_under_thread_contention(self, tmp_path):
-        # More workers than cores and a short switch interval, so cells
-        # interleave often while reading the one shared build.
-        base = tiny_config(tmp_path, epochs=2)
-        serial = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2], workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded = sweep(base, [5.0, 10.0], [0.5, 0.7], [1, 2], workers=6)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [c.report for c in threaded] == [c.report for c in serial]
 
     def test_failed_shared_build_fails_every_cell_as_solo(self, tmp_path):
         gen = tiny_generator()
@@ -959,17 +958,29 @@ class TestSweep:
         assert cells[1].error.startswith("ConfigurationError: seed must be >= 0")
         assert not (tmp_path / "run").exists()
 
-    def test_parallel_matches_serial_order(self, tmp_path):
-        base = tiny_config(tmp_path, epochs=1)
-        serial = sweep(base, [5.0], [0.5], [1, 2], workers=1)
-        parallel = sweep(base, [5.0], [0.5], [1, 2], workers=2)
-        for a, b in zip(serial, parallel):
-            assert (a.t0, a.rho, a.seed) == (b.t0, b.rho, b.seed)
-            assert a.report.min_ade == b.report.min_ade
-
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(InputError):
             sweep(tiny_config(tmp_path), [], [0.5], [1])
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_other_than_one_rejected_before_any_cell(
+        self, tmp_path, monkeypatch, workers
+    ):
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+        with pytest.raises(InputError, match="workers must be 1"):
+            sweep(tiny_config(tmp_path), [5.0], [0.5], [1], workers=workers)
+        assert trained == []
+
+    def test_unwritable_out_dir_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        # A path under a regular file: os.access alone would pass as root.
+        (tmp_path / "file").write_text("")
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+        out_dir = tmp_path / "file" / "sweep"
+        with pytest.raises(InputError, match="not a writable directory"):
+            sweep(tiny_config(tmp_path), [5.0], [0.5], [1], out_dir=out_dir)
+        assert trained == []
 
 
 class TestCharts:
@@ -992,13 +1003,31 @@ class TestCharts:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
         assert (dir_a / "charts_data.csv").exists()
 
-    def test_sweep_charts_written(self, tmp_path):
+    def test_sweep_charts_written(self, tmp_path, monkeypatch):
         base = tiny_config(tmp_path, epochs=1)
-        cells = sweep(base, [5.0, 10.0], [0.5, 0.9], [1])
+        cells = sweep(base, [5.0, 10.0], [0.5, 0.9], [1, 2])
+        charted = []
+        real_line_chart = harness.line_chart
+
+        def capturing_line_chart(series, *args):
+            charted.append(series)
+            return real_line_chart(series, *args)
+
+        monkeypatch.setattr(harness, "line_chart", capturing_line_chart)
         written = emit_charts(cells, tmp_path / "sweepcharts")
         names = {p.name for p in written}
         assert "sweep_min_ade_vs_t0.svg" in names
         assert "sweep_data.csv" in names
+        # One point per t0 on each rho line: the mean over its seeds.
+        [series] = charted
+        assert [label for label, _, _ in series] == ["rho=0.5", "rho=0.9"]
+        for label, xs, ys in series:
+            rho = float(label.removeprefix("rho="))
+            assert xs == [5.0, 10.0]
+            for t0, y in zip(xs, ys):
+                seeds = [c.report.min_ade for c in cells if (c.t0, c.rho) == (t0, rho)]
+                assert len(seeds) == 2
+                assert y == math.fsum(seeds) / 2
 
     def test_unscheduled_records_skip_schedule_chart(self, tmp_path):
         records = [
@@ -1240,6 +1269,18 @@ class TestCli:
         assert "seed must be >= 0" in payload["message"]
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2 and ",failed," in rows[1]
+
+    def test_sweep_workers_flag_is_gone(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, epochs=1)
+        argv = ["sweep", "--config", cfg, "--t0", "5.0", "--rho", "0.5", "--seeds", "1"]
+        argv += ["--out-dir", str(tmp_path / "sweep"), "--workers", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert "--workers" in payload["message"]
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_with_some_cells_ok_exits_zero(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs=1)
