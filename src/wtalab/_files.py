@@ -2,8 +2,9 @@
 old file or the whole new one), and the cell format of the CSV run files.
 
 A CSV file's columns are the fields of its record dataclass, in order. Each
-row is written by csv_text, each cell by csv_field, and read back by its
-field's annotation, so a float or a histogram round-trips exactly.
+row is written by csv_text and each cell by csv_field. Of the run files only
+epochs.csv is read back, by parse_csv_row, which parses each cell by its
+field's annotation, so a float round-trips exactly.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ _CSV_PARSERS = {
     "int": int,
     "float": float,
     "float | None": lambda text: None if text == "" else float(text),
-    "list[int]": lambda text: [int(count) for count in text.split(";")],
 }
 
 
@@ -127,8 +127,8 @@ def parse_csv_row(cls, line: str, where: str, error_type: type[WtalabError]):
     """The instance of the record dataclass cls that one line of csv_field
     cells describes.
 
-    Each cell is parsed by its field's annotation: int, float, float | None
-    or list[int]. A wrong number of cells, or a cell that does not parse,
+    Each cell is parsed by its field's annotation: int, float or
+    float | None. A wrong number of cells, or a cell that does not parse,
     raises error_type with a message that starts with where.
     """
     fields = dataclasses.fields(cls)

@@ -395,14 +395,14 @@ class TrainResult:
 
 
 def _check_writable(out_dir: Path) -> None:
-    """Fail before training when the run directory could not be created."""
+    """Fail before training when out_dir, a run's directory or a sweep's,
+    could not be created."""
     existing = out_dir
     while not existing.exists():
         existing = existing.parent
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
         raise InputError(
-            f"cannot write run directory {out_dir}: {existing} is not a"
-            " writable directory"
+            f"cannot write {out_dir}: {existing} is not a writable directory"
         )
 
 

@@ -86,39 +86,46 @@ class LossConfig:
     depth: int = 0
     score_coef: float = 1.0
 
-    def validate(self, n_heads: int | None = None) -> None:
+    def validate(self, n_heads: int) -> None:
+        """Check the knobs for a model of n_heads heads. The variant's knob
+        is checked by the rule its kernel applies, so a bad value raises
+        ConfigurationError with the kernel's text."""
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown loss variant {self.variant!r}, expected one of {VARIANTS}"
             )
-        if self.variant == "awta" and not self.temperature > 0.0:
-            raise ConfigurationError("temperature must be positive")
         if self.score_coef < 0.0:
             raise ConfigurationError("score_coef must be nonnegative")
-        if n_heads is not None:
-            if self.variant == "rwta":
-                try:
-                    _check_epsilon(self.epsilon, n_heads)
-                except InputError as exc:
-                    raise ConfigurationError(str(exc)) from exc
-            if self.variant == "ewta" and not 1 <= self.top_n <= n_heads:
-                raise ConfigurationError(
-                    f"top_n must be in [1, {n_heads}], got {self.top_n}"
-                )
-            if self.variant == "dac" and not 0 <= self.depth <= max_dac_depth(n_heads):
-                raise ConfigurationError(
-                    f"depth must be in [0, {max_dac_depth(n_heads)}], got {self.depth}"
-                )
+        if n_heads < 1:
+            raise ConfigurationError(f"need at least one head, got {n_heads}")
+        knobs = {
+            "rwta": self.epsilon, "ewta": self.top_n, "dac": self.depth,
+            "awta": self.temperature,
+        }
+        try:
+            _check_knob(self.variant, knobs.get(self.variant), n_heads)
+        except InputError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
 
-def _check_epsilon(epsilon: float, n_heads: int) -> None:
-    if n_heads < 2:
-        raise InputError("rwta needs at least two heads")
-    hi = (n_heads - 1) / n_heads
-    if not 0.0 < epsilon <= hi:
+def _check_knob(variant: str, value, n_heads: int) -> None:
+    """Raise InputError unless value suits the kernel of variant (wta takes
+    no knob) for n_heads heads. The rules need no cost array, so validate
+    checks a head count of any size without allocating."""
+    if variant == "rwta":
+        if n_heads < 2:
+            raise InputError("rwta needs at least two heads")
+        hi = (n_heads - 1) / n_heads
+        if not 0.0 < value <= hi:
+            raise InputError(f"epsilon must be in (0, {hi}] for K={n_heads}, got {value}")
+    elif variant == "ewta" and not 1 <= value <= n_heads:
+        raise InputError(f"top_n must be in [1, {n_heads}], got {value}")
+    elif variant == "dac" and not 0 <= value <= max_dac_depth(n_heads):
         raise InputError(
-            f"epsilon must be in (0, {hi}] for K={n_heads}, got {epsilon}"
+            f"depth must be in [0, {max_dac_depth(n_heads)}] for K={n_heads}, got {value}"
         )
+    elif variant == "awta" and not value > 0.0:
+        raise InputError(f"temperature must be positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +147,7 @@ def rwta_weights(costs, epsilon: float = 0.05) -> np.ndarray:
     """Relaxed winner weights: 1 - epsilon on the winner, the rest uniform."""
     costs = np.asarray(costs, dtype=float)
     n_heads = costs.shape[-1]
-    _check_epsilon(epsilon, n_heads)
+    _check_knob("rwta", epsilon, n_heads)
     weights = np.full_like(costs, epsilon / (n_heads - 1))
     winners = costs.argmin(axis=-1)
     np.put_along_axis(weights, winners[..., None], 1.0 - epsilon, axis=-1)
@@ -150,9 +157,7 @@ def rwta_weights(costs, epsilon: float = 0.05) -> np.ndarray:
 def ewta_weights(costs, top_n: int) -> np.ndarray:
     """Uniform weights over the top_n lowest-cost heads."""
     costs = np.asarray(costs, dtype=float)
-    n_heads = costs.shape[-1]
-    if not 1 <= top_n <= n_heads:
-        raise InputError(f"top_n must be in [1, {n_heads}], got {top_n}")
+    _check_knob("ewta", top_n, costs.shape[-1])
     order = costs.argsort(axis=-1, kind="stable")
     weights = np.zeros_like(costs)
     np.put_along_axis(weights, order[..., :top_n], 1.0 / top_n, axis=-1)
@@ -167,11 +172,7 @@ def dac_block_ids(n_heads: int, depth: int) -> np.ndarray:
     rest; singleton blocks stay as they are. At max_dac_depth(K) all blocks
     are singletons.
     """
-    if not 0 <= depth <= max_dac_depth(n_heads):
-        raise InputError(
-            f"depth must be in [0, {max_dac_depth(n_heads)}] for K={n_heads},"
-            f" got {depth}"
-        )
+    _check_knob("dac", depth, n_heads)
     blocks = [(0, n_heads)]
     for _ in range(depth):
         split = []
@@ -204,8 +205,7 @@ def dac_weights(costs, depth: int) -> np.ndarray:
 def awta_weights(costs, temperature: float) -> np.ndarray:
     """Softmin weights exp(-cost / T) normalized over heads."""
     costs = np.asarray(costs, dtype=float)
-    if not temperature > 0.0:
-        raise InputError(f"temperature must be positive, got {temperature}")
+    _check_knob("awta", temperature, costs.shape[-1])
     # Subtracting the row minimum keeps the largest exponent at exactly 0,
     # so the normalizer is always >= 1 and never overflows.
     shifted = costs - costs.min(axis=-1, keepdims=True)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._files import csv_header, csv_text, parse_csv_row, read_text, write_text_atomic
+from ._files import csv_header, csv_text, write_text_atomic
 # featurize is not called here; perfbench/test_perfbench.py patches this binding.
 from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
@@ -57,23 +57,18 @@ def _scene_metrics(
     return ade.min(axis=1), scene_min_fde, winners, scene_brier
 
 
-def miss_rate(final_errors: Sequence[float], threshold: float = MISS_THRESHOLD) -> float:
-    """Fraction of scenes whose best final error strictly exceeds threshold."""
+def miss_rate(final_errors: Sequence[float]) -> float:
+    """Fraction of scenes whose best final error strictly exceeds MISS_THRESHOLD."""
     errors = np.asarray(final_errors, dtype=float)
     if errors.ndim != 1 or errors.size < 1:
         raise InputError("final_errors must be a non-empty 1-d sequence")
-    return float(np.count_nonzero(errors > threshold)) / errors.size
+    return float(np.count_nonzero(errors > MISS_THRESHOLD)) / errors.size
 
 
-def effective_hypotheses(
-    histogram: Sequence[int], tau: float = EFFECTIVE_TAU
-) -> int:
-    """Number of heads that win at least a tau fraction of scenes.
-
-    Args:
-        histogram: per-head counts of minFDE wins over a dataset.
-        tau: minimum win fraction for a head to count, inclusive.
-    """
+def effective_hypotheses(histogram: Sequence[int]) -> int:
+    """Number of heads that win at least an EFFECTIVE_TAU fraction
+    (inclusive) of the scenes, given the per-head counts of minFDE wins over
+    a dataset."""
     counts = np.asarray(histogram, dtype=float)
     if counts.ndim != 1 or counts.size < 1:
         raise InputError("histogram must be a non-empty 1-d sequence")
@@ -82,7 +77,7 @@ def effective_hypotheses(
     total = counts.sum()
     if total <= 0:
         raise InputError("histogram must contain at least one win")
-    return int(np.count_nonzero(counts / total >= tau))
+    return int(np.count_nonzero(counts / total >= EFFECTIVE_TAU))
 
 
 @dataclasses.dataclass
@@ -106,42 +101,6 @@ REPORT_COLUMNS = csv_header(MetricsReport)
 
 def write_report_csv(report: MetricsReport, path: str | Path) -> None:
     write_text_atomic(path, report.to_csv())
-
-
-def read_report_csv(path: str | Path) -> MetricsReport:
-    """Read a report written by write_report_csv.
-
-    Raises InputError naming the path unless the file is the header and one
-    row of len(REPORT_COLUMNS) fields that parse as their types, with a
-    winner histogram of nonnegative counts summing to n_scenes, finite
-    distances, a miss rate in [0, 1] and at most one effective hypothesis
-    per head of the histogram.
-    """
-    lines = read_text(path, InputError).splitlines()
-    if len(lines) != 2 or lines[0] != ",".join(REPORT_COLUMNS):
-        raise InputError(f"{path} is not a metrics report CSV")
-    report = parse_csv_row(MetricsReport, lines[1], str(path), InputError)
-    histogram = report.winner_histogram
-    if min(histogram) < 0 or sum(histogram) != report.n_scenes:
-        cell = lines[1].split(",")[REPORT_COLUMNS.index("winner_histogram")]
-        raise InputError(
-            f"{path}: winner_histogram {cell!r} must hold nonnegative"
-            f" counts summing to n_scenes {report.n_scenes}"
-        )
-    for name in ("min_ade", "min_fde", "brier_fde"):
-        distance = getattr(report, name)
-        if not math.isfinite(distance):
-            raise InputError(f"{path}: {name} must be finite, got {distance}")
-    if not 0.0 <= report.miss_rate <= 1.0:
-        raise InputError(
-            f"{path}: miss_rate must be in [0, 1], got {report.miss_rate}"
-        )
-    if not 0 <= report.effective_hypotheses <= len(histogram):
-        raise InputError(
-            f"{path}: effective_hypotheses must be in [0, {len(histogram)}], the"
-            f" heads of winner_histogram; got {report.effective_hypotheses}"
-        )
-    return report
 
 
 def evaluate(

@@ -113,9 +113,6 @@ class ModelParams(_FlatTensors):
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def n_params(self) -> int:
-        return self.vector.size
-
     def copy(self) -> "ModelParams":
         """An independent copy: the constructor copies the tensors into a new vector."""
         return dataclasses.replace(self)

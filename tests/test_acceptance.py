@@ -21,6 +21,7 @@ runtime, then asserts. The eight checks:
   8. byte-identical metrics files for identical (config, seed)
 """
 
+import csv
 import dataclasses
 import math
 import time
@@ -52,8 +53,8 @@ from wtalab import (
 from wtalab.losses import max_dac_depth, stable_softmax
 from wtalab.metrics import (
     REPORT_COLUMNS,
+    MetricsReport,
     _scene_metrics,
-    read_report_csv,
     write_report_csv,
 )
 
@@ -178,8 +179,8 @@ def test_gradient_fidelity():
             input_dim=input_dim, n_heads=n_heads, horizon=horizon, hidden=hidden
         )
         params = init_params(config, rng)
-        assert params.n_params() <= 2000
-        max_params = max(max_params, params.n_params())
+        assert params.vector.size <= 2000
+        max_params = max(max_params, params.vector.size)
         context = rng.normal(size=input_dim)
         target = rng.normal(size=(horizon, 2))
         losses = [LossConfig(variant="awta", temperature=t) for t in (0.1, 1.0, 10.0)]
@@ -449,6 +450,21 @@ def test_annealed_vs_hard_on_three_branch_benchmark(benchmark_runs):
     assert ok
 
 
+def report_from_cells(cells: list[str]) -> MetricsReport:
+    """The report one metrics.csv data row describes, each cell parsed as
+    its field's type: ints, floats, and ";"-joined winner counts."""
+    n_scenes, min_ade, min_fde, miss, brier, effective, histogram = cells
+    return MetricsReport(
+        int(n_scenes),
+        float(min_ade),
+        float(min_fde),
+        float(miss),
+        float(brier),
+        int(effective),
+        [int(count) for count in histogram.split(";")],
+    )
+
+
 def test_baseline_parity_and_shared_schema(benchmark_runs, tmp_path):
     reports, _ = benchmark_runs
     started = time.perf_counter()
@@ -465,9 +481,16 @@ def test_baseline_parity_and_shared_schema(benchmark_runs, tmp_path):
         all_finite = all_finite and all(math.isfinite(v) for v in values)
         path = tmp_path / f"{label}-{seed}.csv"
         write_report_csv(report, path)
-        header = path.read_text().splitlines()[0]
-        headers_match = headers_match and header == ",".join(REPORT_COLUMNS)
-        headers_match = headers_match and read_report_csv(path) == report
+        # The written file, parsed here with the stdlib reader, must hold
+        # the shared header and every value of the report exactly.
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        headers_match = (
+            headers_match
+            and rows[0] == list(REPORT_COLUMNS)
+            and len(rows) == 2
+            and report_from_cells(rows[1]) == report
+        )
 
     parity = 0
     worst = 0.0

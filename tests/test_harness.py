@@ -51,7 +51,6 @@ from wtalab.harness import (
     resolve_out_dir,
     write_epoch_csv,
 )
-from wtalab.metrics import read_report_csv
 from wtalab.network import (
     GradientBuffer,
     adam_step,
@@ -1154,12 +1153,6 @@ class TestReadText:
         with pytest.raises(FileNotFoundError):
             read_text(tmp_path / "missing.txt", InputError)
 
-    def test_metrics_report_reader_checks_encoding(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        path.write_bytes(NOT_UTF8)
-        with pytest.raises(InputError, match="not UTF-8"):
-            read_report_csv(path)
-
 
 class TestEpochCsv:
     def test_round_trip(self, tmp_path):
@@ -1281,6 +1274,21 @@ class TestCli:
         assert payload["error"] == "InputError"
         assert "--workers" in payload["message"]
         assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_out_dir_under_a_file_names_the_sweep_directory(self, tmp_path, capsys):
+        # The sweep's --out-dir holds its table, not a run: the message must
+        # not call it a run directory.
+        cfg = self.write_config(tmp_path, epochs=1)
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sweep"
+        argv = ["sweep", "--config", cfg, "--t0", "5.0", "--rho", "0.5", "--seeds", "1"]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": "InputError",
+            "message": f"cannot write {out_dir}: {tmp_path / 'afile'} is not a"
+            " writable directory",
+        }
 
     def test_sweep_with_some_cells_ok_exits_zero(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs=1)

@@ -1,5 +1,5 @@
-"""Property tests for the file loaders: the dataset JSONL, checkpoints,
-epochs.csv and metrics.csv, and through the command line also configs.
+"""Property tests for the file loaders: the dataset JSONL, checkpoints and
+epochs.csv, and through the command line also configs.
 
 Each loader is fed arbitrary bytes and near-valid files: a file written by
 the program, then edited at the byte level or, for the JSON formats, with
@@ -15,7 +15,6 @@ import contextlib
 import functools
 import io
 import json
-import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -41,7 +40,6 @@ from wtalab import (
 )
 from wtalab.cli import main
 from wtalab.harness import read_epoch_csv, write_epoch_csv
-from wtalab.metrics import MetricsReport, read_report_csv, write_report_csv
 from wtalab.network import forward_batch
 
 from test_harness import ANY_JSON
@@ -84,12 +82,6 @@ def valid_epochs_csv() -> bytes:
         EpochRecord(1, None, 1.25, 0.5, 0.5, 0.25, 0.8, 1, 0.02),
     ]
     return written_bytes(write_epoch_csv, records)
-
-
-@functools.cache
-def valid_metrics_csv() -> bytes:
-    report = MetricsReport(10, 0.5, 0.75, 0.1, 0.9, 2, [6, 4, 0])
-    return written_bytes(write_report_csv, report)
 
 
 # Pieces that are likely to move a file from valid to almost valid.
@@ -228,29 +220,11 @@ class TestLoadersTakeAnyBytes:
         if records is not None:
             assert all(isinstance(r, EpochRecord) for r in records)
 
-    @settings(max_examples=EXAMPLES, deadline=None)
-    @given(
-        data=inputs(
-            valid_metrics_csv(),
-            byte_edits(valid_metrics_csv()),
-            csv_field_edits(valid_metrics_csv()),
-        )
-    )
-    def test_metrics_csv(self, data):
-        report = load_bytes(read_report_csv, data)
-        if report is not None:
-            assert sum(report.winner_histogram) == report.n_scenes
-            distances = (report.min_ade, report.min_fde, report.brier_fde)
-            assert all(math.isfinite(x) for x in distances)
-            assert 0.0 <= report.miss_rate <= 1.0
-            assert 0 <= report.effective_hypotheses <= len(report.winner_histogram)
-
     def test_the_unedited_files_load(self):
         assert len(load_bytes(load_dataset, valid_dataset())) == 2
         assert load_bytes(load_split, valid_dataset())[1].shape == (2, 2, 2)
         assert load_bytes(load_checkpoint, valid_checkpoint()).hidden == (2,)
         assert len(load_bytes(read_epoch_csv, valid_epochs_csv())) == 2
-        assert load_bytes(read_report_csv, valid_metrics_csv()).n_scenes == 10
 
 
 def run_cli(argv: list[str]) -> tuple[int, list[str]]:

@@ -21,6 +21,7 @@ from wtalab import (
     wta_weights,
 )
 from wtalab.losses import (
+    VARIANTS,
     BatchObjective,
     dac_block_ids,
     max_dac_depth,
@@ -517,26 +518,43 @@ class TestLossConfigValidate:
         LossConfig().validate(n_heads=4)
 
     @pytest.mark.parametrize(
-        "config, n_heads",
+        "config, message",
         [
-            (LossConfig(variant="softmin"), None),
-            (LossConfig(variant="awta", temperature=0.0), None),
-            (LossConfig(variant="awta", temperature=-1.0), None),
-            (LossConfig(score_coef=-0.1), None),
-            (LossConfig(variant="ewta", top_n=0), 4),
-            (LossConfig(variant="ewta", top_n=5), 4),
-            (LossConfig(variant="dac", depth=3), 4),
-            (LossConfig(variant="dac", depth=-1), 4),
+            (
+                LossConfig(variant="softmin"),
+                "unknown loss variant 'softmin', expected one of"
+                " ('wta', 'rwta', 'ewta', 'dac', 'awta')",
+            ),
+            (LossConfig(temperature=0.0), "temperature must be positive, got 0.0"),
+            (LossConfig(temperature=-1.0), "temperature must be positive, got -1.0"),
+            (LossConfig(score_coef=-0.1), "score_coef must be nonnegative"),
+            (LossConfig(variant="ewta", top_n=0), "top_n must be in [1, 4], got 0"),
+            (LossConfig(variant="ewta", top_n=5), "top_n must be in [1, 4], got 5"),
+            (LossConfig(variant="dac", depth=3), "depth must be in [0, 2] for K=4, got 3"),
+            (LossConfig(variant="dac", depth=-1), "depth must be in [0, 2] for K=4, got -1"),
+            (
+                LossConfig(variant="rwta", epsilon=0.9),
+                "epsilon must be in (0, 0.75] for K=4, got 0.9",
+            ),
         ],
     )
-    def test_bad_configs_rejected(self, config, n_heads):
-        with pytest.raises(ConfigurationError):
-            config.validate(n_heads=n_heads)
+    def test_bad_configs_rejected(self, config, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            config.validate(n_heads=4)
+        assert str(excinfo.value) == message
 
     def test_rwta_epsilon_checked_against_head_count(self):
         with pytest.raises(WtalabError):
             LossConfig(variant="rwta", epsilon=0.9).validate(n_heads=2)
         LossConfig(variant="rwta", epsilon=0.9).validate(n_heads=16)
 
-    def test_head_count_checks_skipped_without_n_heads(self):
-        LossConfig(variant="ewta", top_n=99).validate()
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_heads_rejected(self, variant):
+        with pytest.raises(ConfigurationError, match="need at least one head, got 0"):
+            LossConfig(variant=variant).validate(n_heads=0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_head_count_beyond_any_array_is_checked_without_one(self, variant):
+        # The knob rules are arithmetic on the head count: a cost row this
+        # wide could not even be shaped.
+        LossConfig(variant=variant).validate(n_heads=10**30)

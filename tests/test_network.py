@@ -445,7 +445,7 @@ class TestGradientCheck:
         loss_cfg = LossConfig(variant="awta", temperature=1.0)
         result = gradient_check(params, context, target, loss_cfg)
         assert result.max_rel_error < 1e-4
-        assert result.n_checked == params.n_params()
+        assert result.n_checked == params.vector.size
         assert not result.tie_case
 
     def test_hard_wta_also_checks_out(self):
@@ -476,7 +476,7 @@ class TestGradientCheck:
         assert result.tie_case
         # The tied heads' output coordinates are excluded, everything else
         # still has to agree with the numeric gradient.
-        assert result.n_checked < params.n_params()
+        assert result.n_checked < params.vector.size
         assert result.max_rel_error < 1e-4
 
 
@@ -500,7 +500,7 @@ class TestGradientCheckSkipMask:
         assert result.tie_case
         rows_per_head = 2 * cfg.horizon + 1
         fan_in = cfg.hidden[-1] + 1
-        assert result.n_checked == params.n_params() - 2 * rows_per_head * fan_in
+        assert result.n_checked == params.vector.size - 2 * rows_per_head * fan_in
         assert result.max_rel_error < 1e-4
 
 
@@ -644,7 +644,6 @@ class TestFlatLayout:
             [t.reshape(-1) for t in (*params.weights, *params.biases)]
         )
         assert np.array_equal(params.vector, expected)
-        assert params.n_params() == expected.size
 
     def test_write_through_a_view_reaches_the_vector(self):
         params = init_params(deep_config(), seed=2)
