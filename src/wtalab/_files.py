@@ -1,5 +1,6 @@
-"""Checked text reads, JSON object reads, atomic writes (a reader sees the
-old file or the whole new one), and the cell format of the CSV run files.
+"""Checked text reads, JSON object reads and the types of a JSON number,
+atomic writes (a reader sees the old file or the whole new one), and the
+cell format of the CSV run files.
 
 A CSV file's columns are the fields of its record dataclass, in order. Each
 row is written by csv_text and each cell by csv_field. Of the run files only
@@ -19,6 +20,10 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import WtalabError
+
+# The types json.loads gives a JSON number. Readers check a value's exact
+# type against them, so that true and false are not numbers.
+NUMBER_TYPES = frozenset({int, float})
 
 
 def read_text(path: str | Path, error_type: type[WtalabError]) -> str:

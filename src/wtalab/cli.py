@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from functools import partial
 
@@ -26,15 +27,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_list(kind: type, raw: str) -> list:
-    """Comma-separated values of kind, as an argparse type."""
+    """Comma-separated values of kind, as an argparse type. A float must be
+    finite, as every number in a config file must be."""
+    noun = "finite floats" if kind is float else f"{kind.__name__}s"
     values = []
     for part in filter(None, raw.split(",")):
         try:
-            values.append(kind(part))
+            value = kind(part)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"takes comma-separated {kind.__name__}s, got {part!r}"
-            ) from None
+            value = None
+        if value is None or (kind is float and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"takes comma-separated {noun}, got {part!r}")
+        values.append(value)
     return values
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._files import decode_text, read_text, write_text_atomic
+from ._files import NUMBER_TYPES, decode_text, read_text, write_text_atomic
 from .errors import ConfigurationError, DatasetParseError, InputError
 
 _SPLIT_SHAPE_MESSAGE = (
@@ -239,9 +239,6 @@ def save_generated(
     write_text_atomic(path, _record_lines(_scene_rows(config, count, start_index)))
 
 
-# JSON numbers: exact types, so that true and false are not coordinates.
-_NUMBER = frozenset({int, float})
-
 # Records held as parsed JSON at one time. A record's Python objects take
 # about five times the memory of its arrays, so a file is parsed and turned
 # into arrays a bounded chunk at a time: parsing a whole split first raises
@@ -271,8 +268,8 @@ def _parse_waypoints(raw, key: str, line_number: int) -> np.ndarray:
         if (
             type(point) is not list
             or len(point) != 2
-            or type(point[0]) not in _NUMBER
-            or type(point[1]) not in _NUMBER
+            or type(point[0]) not in NUMBER_TYPES
+            or type(point[1]) not in NUMBER_TYPES
         ):
             raise DatasetParseError(line_number, f"{key} must be a list of [x, y] pairs")
     try:
@@ -320,7 +317,7 @@ def _waypoint_array(lists: tuple) -> np.ndarray | None:
     # A JSON value of length 2 is a list, an object or a string; the items
     # of the last two are strings, so this check also makes every point a list.
     coordinates = list(itertools.chain.from_iterable(points))
-    if not set(map(type, coordinates)) <= _NUMBER:
+    if not set(map(type, coordinates)) <= NUMBER_TYPES:
         return None
     try:
         array = np.array(coordinates, dtype=float)

@@ -611,13 +611,13 @@ def sweep(
         splits = None
     cells = []
     for t0, rho, seed in itertools.product(t0_values, rho_values, seeds):
-        scheduler = dataclasses.replace(base.scheduler, t0=t0, rho=rho)
-        cell_dir = Path(base.out_dir) / f"cell-t0_{t0:g}-rho_{rho:g}-seed_{seed}"
-        config = dataclasses.replace(
-            base, scheduler=scheduler, seed=seed, out_dir=str(cell_dir)
-        )
         cell = SweepCell(t0=t0, rho=rho, seed=seed, status="ok")
-        try:
+        try:  # a t0 or rho the schedule rejects fails its cell like a bad seed
+            scheduler = dataclasses.replace(base.scheduler, t0=t0, rho=rho)
+            cell_dir = Path(base.out_dir) / f"cell-t0_{t0:g}-rho_{rho:g}-seed_{seed}"
+            config = dataclasses.replace(
+                base, scheduler=scheduler, seed=seed, out_dir=str(cell_dir)
+            )
             result = train(config, write_outputs=write_cell_outputs, splits=splits)
             cell.report = result.report
         except Exception as exc:  # a failed cell must not sink the sweep

@@ -2,7 +2,7 @@
 
 A model proposes K trajectories per scene. Each variant in this module turns
 the K per-hypothesis costs into a probability vector q over the heads, and the
-training objective is sum_k q_k * cost_k with q treated as a constant during
+training objective is D = sum_k q_k * cost_k with q treated as a constant during
 backpropagation. The variants differ only in how q is built:
 
     wta   one-hot on the lowest-cost head
@@ -10,6 +10,13 @@ backpropagation. The variants differ only in how q is built:
     ewta  uniform over the n lowest-cost heads
     dac   uniform over the winner's block in a contiguous partition
     awta  softmin of the costs at temperature T
+
+For the first four, q is piecewise constant in the costs, so the applied
+gradient is the gradient of D. For awta it is not: sum_k q_k * grad cost_k is
+exactly the gradient of the free energy F = -T log sum_k exp(-cost_k / T)
+= D - T * H(q) of deterministic annealing, H being the entropy of q. An awta
+step descends F, while the loss batch_objective reports (and train_loss
+logs) is D plus the score term.
 
 A separate cross-entropy term trains the per-head confidence scores against
 the hard winner and is shared by every variant.
@@ -75,7 +82,7 @@ class LossConfig:
     """Which weight variant to train with, plus its knobs.
 
     temperature, top_n and depth are the values used when the variant needs
-    them; during scheduled training the harness overrides them per epoch.
+    them; during scheduled training schedulers.control sets them per epoch.
     score_coef scales the confidence cross-entropy term.
     """
 
@@ -240,10 +247,9 @@ class BatchObjective:
     """Loss values and output-side gradients for one batch.
 
     loss is per sample: weighted trajectory cost plus the score term.
-    d_outputs is the gradient of the batch MEAN loss with respect to the raw
-    network outputs, (B, K*L*2 + K) in the output layout of network, ready
-    for backward_batch(). d_trajectories (B, K, L, 2) and d_score_logits
-    (B, K) are views of its trajectory and logit columns. costs[b, k] is the
+    d_outputs is the gradient of the batch MEAN loss, with the weights held
+    constant, with respect to the raw network outputs: (B, K*L*2 + K) in the
+    output layout of network, ready for backward_batch(). costs[b, k] is the
     mean over the L steps of the squared distance between head k's
     trajectory and the target.
     """
@@ -253,17 +259,6 @@ class BatchObjective:
     costs: np.ndarray
     weights: np.ndarray
     winners: np.ndarray
-
-    @property
-    def d_trajectories(self) -> np.ndarray:
-        batch, n_heads = self.costs.shape
-        n_traj = self.d_outputs.shape[1] - n_heads
-        horizon = n_traj // (2 * n_heads)
-        return self.d_outputs[:, :n_traj].reshape(batch, n_heads, horizon, 2)
-
-    @property
-    def d_score_logits(self) -> np.ndarray:
-        return self.d_outputs[:, -self.costs.shape[1] :]
 
 
 def batch_objective(
@@ -297,7 +292,7 @@ def batch_objective(
         )
 
     # One buffer holds every output gradient. Its trajectory columns first
-    # hold the residual, which becomes d_trajectories in place.
+    # hold the residual, which becomes the trajectory gradient in place.
     n_traj = n_heads * horizon * 2
     d_outputs = np.empty((batch, n_traj + n_heads))
     residual = d_outputs[:, :n_traj].reshape(preds.shape)
@@ -311,9 +306,9 @@ def batch_objective(
     score, probs = _score_terms(logits, winners)
     loss = (weights * costs).sum(axis=1) + config.score_coef * score
 
-    # d_trajectories = w * (2 / L) * residual / B and
-    # d_score_logits = coef * (softmax - one_hot(winner)) / B, where
-    # subtracting 1 at the winners equals subtracting the one-hot row.
+    # Trajectory columns: w * (2 / L) * residual / B. Logit columns:
+    # coef * (softmax - one_hot(winner)) / B, where subtracting 1 at the
+    # winners equals subtracting the one-hot row.
     scale = weights[:, :, None, None] * (2.0 / horizon)
     np.multiply(scale, residual, out=residual)
     probs[np.arange(batch), winners] -= 1.0

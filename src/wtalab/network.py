@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import read_json_object, write_text_atomic
+from ._files import NUMBER_TYPES, read_json_object, write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
 
 CHECKPOINT_VERSION = 1
@@ -394,10 +394,6 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     write_text_atomic(path, text)
 
 
-# JSON numbers and counts: exact types, so that true and "1" are neither.
-_NUMBER_TYPES = {int, float}
-
-
 def _checkpoint_count(value, where: str) -> int:
     if type(value) is not int or value < 1:
         raise ConfigurationError(f"{where} must be a positive integer, got {value!r}")
@@ -412,7 +408,7 @@ def _checkpoint_tensor(entry, where: str) -> np.ndarray:
     counts = type(shape) is list and set(map(type, shape)) <= {int}
     if not counts or min(shape, default=0) < 0:
         raise ConfigurationError(f"{where} shape must be a list of counts, got {shape!r}")
-    if type(data) is not list or not set(map(type, data)) <= _NUMBER_TYPES:
+    if type(data) is not list or not set(map(type, data)) <= NUMBER_TYPES:
         raise ConfigurationError(f"{where} data must be a list of numbers")
     if math.prod(shape) != len(data):
         raise ConfigurationError(f"{where} has {len(data)} values for shape {shape}")

@@ -1299,6 +1299,23 @@ class TestCli:
         assert "2 cells (1 failed)" in captured.out
         assert captured.err == ""
 
+    def test_sweep_with_a_bad_t0_records_a_failed_cell(self, tmp_path, capsys):
+        # t0 = 0 fails the schedule's own check: that cell is recorded as
+        # failed, after the good cell has trained, and the sweep goes on.
+        cfg = self.write_config(tmp_path, epochs=1)
+        argv = ["sweep", "--config", cfg, "--t0", "5.0,0", "--rho", "0.5"]
+        argv += ["--seeds", "1", "--out-dir", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "2 cells (1 failed)" in captured.out
+        assert captured.err == ""
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3
+        assert rows[1].startswith("5.0,0.5,1,ok,,")
+        assert rows[2] == (
+            '0.0,0.5,1,failed,"ConfigurationError: t0 must be positive, got 0.0",,,,,'
+        )
+
     def test_charts_on_header_only_csv_creates_no_directory(self, tmp_path, capsys):
         path = tmp_path / "epochs.csv"
         write_epoch_csv([], path)
@@ -1376,7 +1393,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, bad",
-        [("--t0", "abc"), ("--rho", "0.5,x"), ("--seeds", "1.5")],
+        [
+            ("--t0", "abc"),
+            ("--rho", "0.5,x"),
+            ("--seeds", "1.5"),
+            ("--t0", "inf"),
+            ("--rho", "nan"),
+        ],
     )
     def test_bad_sweep_list_item_gives_one_json_line(self, tmp_path, capsys, flag, bad):
         cfg = self.write_config(tmp_path, epochs=1)

@@ -272,6 +272,16 @@ class TestAssignmentWeightsDispatch:
                 np.testing.assert_array_equal(batch[index], kernel(costs[index]))
 
 
+def gradient_views(out: BatchObjective) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, K, L, 2) trajectory view and the (B, K) logit view of
+    out.d_outputs, whose columns are each head's trajectory, then the logits."""
+    batch, n_heads = out.costs.shape
+    n_traj = out.d_outputs.shape[1] - n_heads
+    horizon = n_traj // (2 * n_heads)
+    d_trajectories = out.d_outputs[:, :n_traj].reshape(batch, n_heads, horizon, 2)
+    return d_trajectories, out.d_outputs[:, n_traj:]
+
+
 def one_scene_objective(preds, logits, target, config):
     """batch_objective on a batch holding one scene."""
     return batch_objective(
@@ -328,13 +338,14 @@ class TestCostsAndLoss:
         expected = top + math.log(sum(math.exp(v - top) for v in logits)) - logits[1]
         assert math.isfinite(out.loss[0])
         assert out.loss[0] == pytest.approx(expected, rel=1e-15)
+        d_score_logits = gradient_views(out)[1]
         step = 1e-3
         for k in range(2):
             nudge = np.eye(2)[k] * step
             plus = one_scene_objective(preds, logits + nudge, np.zeros((1, 2)), config)
             minus = one_scene_objective(preds, logits - nudge, np.zeros((1, 2)), config)
             numeric = (plus.loss[0] - minus.loss[0]) / (2.0 * step)
-            assert numeric == pytest.approx(out.d_score_logits[0, k], abs=1e-6)
+            assert numeric == pytest.approx(d_score_logits[0, k], abs=1e-6)
 
     def test_stable_softmax_handles_large_logits(self):
         p = stable_softmax(np.array([1000.0, 1000.0]))
@@ -378,21 +389,22 @@ class TestBatchObjective:
         preds, logits, targets = self.make_batch()
         config = LossConfig(variant="wta")
         out = batch_objective(preds, logits, targets, config)
-        assert out.d_trajectories.shape == preds.shape
-        assert out.d_score_logits.shape == logits.shape
+        d_trajectories, d_score_logits = gradient_views(out)
+        assert d_trajectories.shape == preds.shape
+        assert d_score_logits.shape == logits.shape
         # only winning heads carry trajectory gradient under hard assignment
         for i in range(preds.shape[0]):
             winner = out.winners[i]
             losers = [k for k in range(preds.shape[1]) if k != winner]
-            assert np.all(out.d_trajectories[i, losers] == 0.0)
-            assert np.any(out.d_trajectories[i, winner] != 0.0)
+            assert np.all(d_trajectories[i, losers] == 0.0)
+            assert np.any(d_trajectories[i, winner] != 0.0)
 
     def test_score_gradient_sums_to_zero_when_coef_balanced(self):
         # softmax minus one-hot has zero row sums
         preds, logits, targets = self.make_batch()
         out = batch_objective(preds, logits, targets, LossConfig(variant="wta"))
         np.testing.assert_allclose(
-            out.d_score_logits.sum(axis=1), 0.0, atol=1e-12
+            gradient_views(out)[1].sum(axis=1), 0.0, atol=1e-12
         )
 
 
@@ -447,19 +459,22 @@ class TestObjectiveOracle:
 
     def assert_matches_reference(self, preds, logits, targets):
         names = [field.name for field in dataclasses.fields(BatchObjective)]
-        assert "d_outputs" in names
+        assert names == ["loss", "d_outputs", "costs", "weights", "winners"]
         for config in oracle_configs(preds.shape[1]):
             out = batch_objective(preds, logits, targets, config)
             expected = reference_batch_objective(preds, logits, targets, config)
-            for name in [*names, "d_trajectories", "d_score_logits"]:
-                got, want = getattr(out, name), expected[name]
+            views = gradient_views(out)
+            got_by_name = {name: getattr(out, name) for name in names}
+            got_by_name.update(zip(("d_trajectories", "d_score_logits"), views))
+            for name, got in got_by_name.items():
+                want = expected[name]
                 assert got.dtype == want.dtype, name
                 assert got.shape == want.shape, name
                 assert got.tobytes() == want.tobytes(), (
                     f"{config.variant}: {name} differs from the reference"
                 )
-            assert np.shares_memory(out.d_trajectories, out.d_outputs)
-            assert np.shares_memory(out.d_score_logits, out.d_outputs)
+            for view in views:
+                assert np.shares_memory(view, out.d_outputs)
 
     @pytest.mark.parametrize(
         "shape",
