@@ -597,11 +597,26 @@ def sweep(
     given out_dir is checked before the first cell and receives sweep.csv.
     workers stays only for callers that pass 1; any other value raises
     InputError before a cell trains.
+
+    A grid whose cells would repeat a run raises InputError before the
+    first cell: a value listed twice, or more than one value of t0 or rho
+    where the run does not read it (schedulers.fields_read). One such value
+    is allowed, since the command line always passes both.
     """
     if workers != 1:
         raise InputError(f"sweep runs cells serially; workers must be 1, got {workers}")
     if not t0_values or not rho_values or not seeds:
         raise InputError("sweep needs at least one t0, rho and seed")
+    read = schedulers.fields_read(base.loss, base.scheduler)
+    for name, values in (("t0", t0_values), ("rho", rho_values), ("seed", seeds)):
+        if len(set(values)) < len(values):
+            raise InputError(f"sweep grid repeats a {name} value: {values}")
+        if name != "seed" and len(values) > 1 and name not in read:
+            raise InputError(
+                f"a {base.loss.variant} run with a {base.scheduler.kind} schedule"
+                f" does not read {name}, so its {len(values)} {name} values would"
+                f" train the same run; sweep one {name} value, got {values}"
+            )
     if out_dir is not None:
         out = resolve_out_dir(str(out_dir))
         _check_writable(out)

@@ -71,6 +71,16 @@ def nms_select(
 
     With radius 0 nothing is ever suppressed and the result is simply the
     k_out highest-score hypotheses in score order.
+
+    The batch is visited one rank at a time, and the candidate at each rank
+    is measured only against the candidates ranked before it, so no
+    all-pairs (B, K, K) distance array is built. The visit stops once every
+    scene holds k_out accepted candidates: no later candidate could then be
+    accepted or back-filled. Each distance is the square root of a stacked
+    1x2 by 2x1 matmul, a dot product that rounds exactly like
+    np.linalg.norm of one difference vector; the two-column sum of squares
+    that the metrics use can differ in the last bit here and flip a
+    decision at exactly `radius`.
     """
     config.validate()
     n_heads = logits.shape[-1]
@@ -79,19 +89,28 @@ def nms_select(
             f"k_out={config.k_out} exceeds the {n_heads} available hypotheses"
         )
     order = _order_by_score(logits)
-    endpoints = trajectories[np.arange(len(order))[:, None], order, -1]
-    diff = endpoints[:, :, None, :] - endpoints[:, None, :, :]
-    # A stacked matmul of 1x2 by 2x1 is a dot product, so the distances
-    # round exactly like np.linalg.norm of one difference vector; a
-    # reduction over the last axis can differ in the last bit and flip a
-    # decision at exactly `radius`.
-    dist = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-    far = dist >= config.radius
-    accepted = np.zeros(order.shape, dtype=bool)
-    for rank in range(n_heads):
-        clear = np.all(far[:, rank, :rank] | ~accepted[:, :rank], axis=1)
-        accepted[:, rank] = clear & (accepted.sum(axis=1) < config.k_out)
+    # The (K, B, 2) endpoints in visiting order live only inside _accept.
+    accepted = _accept(trajectories[np.arange(len(order)), order.T, -1], config)
     # Accepted candidates come first. A scene with fewer than k_out of them
     # had every candidate visited, so the rest back-fill in visiting order.
-    ranks = np.argsort(~accepted, axis=1, kind="stable")[:, : config.k_out]
+    ranks = np.argsort(~accepted, axis=0, kind="stable")[: config.k_out].T
     return _take(trajectories, logits, np.take_along_axis(order, ranks, axis=1))
+
+
+def _accept(endpoints: np.ndarray, config: NMSConfig) -> np.ndarray:
+    """The (K, B) greedy acceptance mask of (K, B, 2) endpoints, rank first."""
+    n_heads, batch = endpoints.shape[:2]
+    accepted = np.zeros((n_heads, batch), dtype=bool)
+    count = np.zeros(batch, dtype=np.intp)
+    for rank in range(n_heads):
+        clear = count < config.k_out
+        for earlier in range(rank):
+            diff = endpoints[rank] - endpoints[earlier]
+            dist = diff[:, None, :] @ diff[:, :, None]
+            far = np.sqrt(dist, out=dist)[:, 0, 0] >= config.radius
+            clear &= far | ~accepted[earlier]
+        accepted[rank] = clear
+        count += clear
+        if np.all(count >= config.k_out):
+            break
+    return accepted

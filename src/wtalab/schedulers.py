@@ -12,7 +12,15 @@ import dataclasses
 from .errors import ConfigurationError, InputError
 from .losses import LossConfig, max_dac_depth
 
-KINDS = ("exponential", "linear", "ewta-topn", "dac-depth", "constant")
+# The ScheduleState fields that each kind's value reads.
+KIND_FIELDS = {
+    "exponential": ("t0", "rho", "t_floor"),
+    "linear": ("t0", "t_floor"),
+    "ewta-topn": ("total_steps",),
+    "dac-depth": ("total_steps",),
+    "constant": ("t0",),
+}
+KINDS = tuple(KIND_FIELDS)
 
 LINEAR_HORIZON = 100
 
@@ -48,9 +56,10 @@ class ScheduleState:
             raise ConfigurationError(
                 f"unknown schedule kind {self.kind!r}, expected one of {KINDS}"
             )
-        if self.kind in ("exponential", "linear", "constant") and not self.t0 > 0.0:
+        read = KIND_FIELDS[self.kind]
+        if "t0" in read and not self.t0 > 0.0:
             raise ConfigurationError(f"t0 must be positive, got {self.t0}")
-        if self.kind == "exponential" and not 0.0 < self.rho < 1.0:
+        if "rho" in read and not 0.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must be in (0, 1), got {self.rho}")
         if not self.t_floor > 0.0:
             raise ConfigurationError(f"t_floor must be positive, got {self.t_floor}")
@@ -107,8 +116,23 @@ def control(
     if loss.variant not in CONTROLS:
         return None, loss
     field = CONTROLS[loss.variant][0]
-    if field != "temperature" and schedule.kind == "constant":
+    if not fields_read(loss, schedule):
         return float(getattr(loss, field)), loss
     setting = value(schedule, step, n_heads)
     logged = setting if field == "temperature" else float(setting)
     return logged, dataclasses.replace(loss, **{field: setting})
+
+
+def fields_read(loss: LossConfig, schedule: ScheduleState) -> tuple[str, ...]:
+    """The ScheduleState fields that a run with this loss config reads.
+
+    A variant outside CONTROLS has no schedule and reads none. A constant
+    schedule leaves ewta's top_n and dac's depth at their loss config
+    values, so it reads none for them either. Otherwise the run reads what
+    its kind's value reads (KIND_FIELDS).
+    """
+    if loss.variant not in CONTROLS:
+        return ()
+    if CONTROLS[loss.variant][0] != "temperature" and schedule.kind == "constant":
+        return ()
+    return KIND_FIELDS[schedule.kind]

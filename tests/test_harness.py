@@ -981,6 +981,58 @@ class TestSweep:
             sweep(tiny_config(tmp_path), [5.0], [0.5], [1], out_dir=out_dir)
         assert trained == []
 
+    @pytest.mark.parametrize(
+        "loss,scheduler,t0_values,rho_values,name",
+        [
+            ("wta", ScheduleState(kind="constant", t0=1.0), [1.0, 2.0], [0.5], "t0"),
+            ("wta", ScheduleState(kind="exponential"), [5.0], [0.5, 0.9], "rho"),
+            ("awta", ScheduleState(kind="linear", t0=10.0), [5.0], [0.5, 0.9], "rho"),
+            ("awta", ScheduleState(kind="constant", t0=1.0), [5.0], [0.5, 0.9], "rho"),
+            ("ewta", ScheduleState(kind="ewta-topn"), [5.0, 10.0], [0.5], "t0"),
+        ],
+    )
+    def test_values_the_run_does_not_read_rejected_before_any_cell(
+        self, tmp_path, monkeypatch, loss, scheduler, t0_values, rho_values, name
+    ):
+        # Each value of a parameter the run never reads trains the same run.
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+        base = tiny_config(tmp_path, loss=LossConfig(variant=loss), scheduler=scheduler)
+        with pytest.raises(InputError, match=f"does not read {name}"):
+            sweep(base, t0_values, rho_values, [1], out_dir=tmp_path / "sweep")
+        assert trained == []
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "t0_values,rho_values,seeds,name",
+        [
+            ([5.0, 5.0], [0.5], [1], "t0"),
+            ([5.0], [0.5, 0.9, 0.5], [1], "rho"),
+            ([5.0], [0.5], [1, 2, 1], "seed"),
+            ([5, 5.0], [0.5], [1], "t0"),
+        ],
+    )
+    def test_repeated_grid_value_rejected_before_any_cell(
+        self, tmp_path, monkeypatch, t0_values, rho_values, seeds, name
+    ):
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+        with pytest.raises(InputError, match=f"repeats a {name} value"):
+            sweep(tiny_config(tmp_path), t0_values, rho_values, seeds)
+        assert trained == []
+
+    def test_one_value_of_an_unread_parameter_is_allowed(self, tmp_path):
+        # The command line always passes --t0 and --rho, so a run that reads
+        # neither still sweeps its seeds.
+        base = tiny_config(
+            tmp_path,
+            loss=LossConfig(variant="wta"),
+            scheduler=ScheduleState(kind="constant", t0=1.0),
+            epochs=1,
+        )
+        cells = sweep(base, [5.0], [0.5], [1, 2])
+        assert [c.status for c in cells] == ["ok", "ok"]
+
 
 class TestCharts:
     def test_epoch_charts_written_and_deterministic(self, tmp_path):
@@ -1262,6 +1314,23 @@ class TestCli:
         assert "seed must be >= 0" in payload["message"]
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2 and ",failed," in rows[1]
+
+    def test_sweep_over_a_value_the_run_does_not_read_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path,
+            loss=LossConfig(variant="wta"),
+            scheduler=ScheduleState(kind="constant", t0=1.0),
+            epochs=1,
+        )
+        argv = ["sweep", "--config", cfg, "--t0", "1,2", "--rho", "0.5", "--seeds", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "sweep")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "InputError"
+        assert "does not read t0" in payload["message"]
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_workers_flag_is_gone(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs=1)

@@ -1,6 +1,7 @@
 """Tests for endpoint non-maximum suppression and top-k truncation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +231,88 @@ class TestAgainstPerSceneReference:
         assert report.winner_histogram == np.bincount(winners, minlength=3).tolist()
         assert report.min_fde == pytest.approx(np.mean(fdes), abs=1e-12)
         assert report.brier_fde == pytest.approx(np.mean(briers), abs=1e-12)
+
+
+class TestEvalShape:
+    """Batches of the shape `wtalab eval` hands nms_select for
+    configs/benchmark_wta12_nms.json: 2000 scenes, 12 heads, k_out 6."""
+
+    BATCH, HEADS, K_OUT = 2000, 12, 6
+    # Every (rank, earlier rank) pair of a scene: the work when no scene fills.
+    ALL_PAIRS = HEADS * (HEADS - 1) // 2
+
+    def assert_matches_reference(self, trajectories, logits, config):
+        kept_traj, kept_logits = nms_select(trajectories, logits, config)
+        for i in range(len(trajectories)):
+            keep = reference_nms(trajectories[i], logits[i], config)
+            assert np.array_equal(kept_traj[i], trajectories[i, keep])
+            assert np.array_equal(kept_logits[i], logits[i, keep])
+
+    def distances_measured(self, monkeypatch, trajectories, logits, config):
+        """How many endpoint distances one nms_select call takes a root of."""
+        sizes = []
+        real_sqrt = np.sqrt
+
+        def counting_sqrt(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real_sqrt(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sqrt", counting_sqrt)
+            nms_select(trajectories, logits, config)
+        return sum(sizes)
+
+    def spread_batch(self, rng):
+        """Endpoints 10 m apart on a line, so every scene accepts its first
+        k_out candidates and is full after rank k_out - 1."""
+        trajectories = rng.normal(size=(self.BATCH, self.HEADS, 3, 2))
+        trajectories[:, :, -1, 0] = 10.0 * rng.permuted(
+            np.tile(np.arange(self.HEADS), (self.BATCH, 1)), axis=1
+        )
+        trajectories[:, :, -1, 1] = 0.0
+        logits = rng.integers(-2, 3, size=(self.BATCH, self.HEADS)).astype(float)
+        return trajectories, logits, NMSConfig(k_out=self.K_OUT, radius=2.0)
+
+    def test_grid_endpoints_with_a_radius_that_occurs(self):
+        rng = np.random.default_rng(20261019)
+        trajectories = rng.normal(size=(self.BATCH, self.HEADS, 3, 2))
+        grid = rng.integers(-3, 4, size=(self.BATCH, self.HEADS, 2))
+        trajectories[:, :, -1, :] = grid
+        trajectories[0, :2, -1, :] = [[0.0, 0.0], [1.0, 2.0]]
+        logits = rng.integers(-2, 3, size=(self.BATCH, self.HEADS)).astype(float)
+        radius = float(np.linalg.norm(np.array([1.0, 2.0])))
+        self.assert_matches_reference(
+            trajectories, logits, NMSConfig(k_out=self.K_OUT, radius=radius)
+        )
+
+    def test_loop_stops_once_every_scene_is_full(self, monkeypatch):
+        trajectories, logits, config = self.spread_batch(np.random.default_rng(5))
+        self.assert_matches_reference(trajectories, logits, config)
+        # Ranks 0..k_out-1 ran, each against the ranks before it; no later one.
+        measured = self.distances_measured(monkeypatch, trajectories, logits, config)
+        assert measured == self.BATCH * self.K_OUT * (self.K_OUT - 1) // 2
+
+    def test_a_scene_that_never_fills_runs_every_rank_and_backfills(self, monkeypatch):
+        trajectories, logits, config = self.spread_batch(np.random.default_rng(6))
+        trajectories[7, :, -1, :] = [3.0, -1.0]
+        self.assert_matches_reference(trajectories, logits, config)
+        # Scene 7 keeps its best candidate, then back-fills in score order.
+        _, kept_logits = nms_select(trajectories, logits, config)
+        best = reference_top_k(logits[7], self.K_OUT)
+        assert kept_logits[7].tolist() == logits[7, best].tolist()
+        measured = self.distances_measured(monkeypatch, trajectories, logits, config)
+        assert measured == self.BATCH * self.ALL_PAIRS
+
+    def test_peak_memory_stays_below_an_all_pairs_array(self):
+        # A (B, K, K, 2) float64 difference array would be 4.6 MB here.
+        rng = np.random.default_rng(8)
+        trajectories = np.zeros((self.BATCH, self.HEADS, 1, 2))
+        logits = rng.normal(size=(self.BATCH, self.HEADS))
+        config = NMSConfig(k_out=self.K_OUT, radius=2.0)
+        tracemalloc.start()
+        try:
+            nms_select(trajectories, logits, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BATCH * self.HEADS * self.HEADS * 2 * 8 / 4

@@ -1,10 +1,12 @@
 """Unit tests for the annealing and ladder schedules."""
 
+import dataclasses
+
 import pytest
 
 from wtalab import ConfigurationError, InputError, ScheduleState
-from wtalab.losses import max_dac_depth
-from wtalab.schedulers import value
+from wtalab.losses import VARIANTS, LossConfig, max_dac_depth
+from wtalab.schedulers import CONTROLS, KINDS, control, fields_read, value
 
 
 def test_exponential_matches_closed_form():
@@ -113,3 +115,42 @@ def test_t0_validation():
 def test_negative_step_rejected():
     with pytest.raises(InputError):
         value(ScheduleState(kind="constant"), -1, 6)
+
+
+PERTURBED = {"t0": 13.0, "rho": 0.5, "t_floor": 0.5, "total_steps": 37}
+
+
+# Every variant with every schedule kind the config check lets it take.
+ACCEPTED_PAIRS = [
+    (variant, kind)
+    for variant in VARIANTS
+    for kind in KINDS
+    if variant not in CONTROLS or kind in CONTROLS[variant][1]
+]
+
+
+@pytest.mark.parametrize("variant,kind", ACCEPTED_PAIRS)
+def test_fields_read_are_the_fields_that_move_the_run(variant, kind):
+    # control is the oracle: changing a field outside fields_read leaves the
+    # logged value and the loss config of every epoch as they were, and
+    # changing a field inside it moves at least one epoch.
+    loss = LossConfig(variant=variant)
+    base = ScheduleState(kind=kind)
+    read = fields_read(loss, base)
+    assert set(read) <= set(PERTURBED)
+    unmoved = [control(loss, base, step, 6) for step in range(150)]
+    for name, moved in PERTURBED.items():
+        changed = dataclasses.replace(base, **{name: moved})
+        epochs = [control(loss, changed, step, 6) for step in range(150)]
+        assert (epochs != unmoved) == (name in read), name
+
+
+def test_fields_read_examples():
+    assert fields_read(LossConfig(variant="awta"), ScheduleState("exponential")) == (
+        "t0",
+        "rho",
+        "t_floor",
+    )
+    assert fields_read(LossConfig(variant="awta"), ScheduleState("constant")) == ("t0",)
+    assert fields_read(LossConfig(variant="wta"), ScheduleState("constant")) == ()
+    assert fields_read(LossConfig(variant="ewta"), ScheduleState("constant")) == ()
