@@ -3,11 +3,13 @@
 Charts are built by direct string assembly so that identical inputs always
 produce identical bytes; there are no timestamps, random ids or library
 version strings in the output.
+
+`escape` covers `&`, `<` and `>`, which is all a text node needs. User text
+(titles, axis labels, series names) only ever lands in text nodes: attribute
+values are numbers and `PALETTE` colours, so quotes need no escaping.
 """
 
 from __future__ import annotations
-
-from xml.sax.saxutils import escape
 
 WIDTH = 720
 HEIGHT = 440
@@ -17,6 +19,11 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def escape(text: str) -> str:
+    """text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")"""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _bounds(values: list[float]) -> tuple[float, float]:
