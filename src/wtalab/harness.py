@@ -444,7 +444,11 @@ def _train_epochs(
             objective = batch_objective(
                 preds, logits, shuffled_targets[start:stop], epoch_loss
             )
-            if not np.isfinite(objective.loss).all():
+            # A finite sum proves every loss finite; only a non-finite one
+            # needs the element check, which accepts finite losses whose sum
+            # overflows.
+            batch_loss = float(np.add.reduce(objective.loss))
+            if not math.isfinite(batch_loss) and not np.isfinite(objective.loss).all():
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 )
@@ -455,7 +459,7 @@ def _train_epochs(
                 raise NonFiniteError(
                     f"epoch {epoch} batch {batch_index}: {exc}"
                 ) from exc
-            loss_sum += float(objective.loss.sum())
+            loss_sum += batch_loss
         report = evaluate(params, val_features, val_targets)
         records.append(
             EpochRecord(

@@ -33,27 +33,40 @@ from .errors import ConfigurationError, InputError
 VARIANTS = ("wta", "rwta", "ewta", "dac", "awta")
 
 
-def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with the max subtracted before exponentiation."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def stable_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with the row max subtracted before
+    exponentiation.
+
+    The max is gathered at argmax: over a short last axis that costs about
+    half the generic reduction, and it has the reduction's bits, a row with
+    a NaN included, except that a zero max may carry the other sign, which
+    exp maps to the same 1.0.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    top = rows[np.arange(len(rows)), rows.argmax(axis=1)]
+    e = x - top.reshape(*x.shape[:-1], 1)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _score_terms(
-    logits: np.ndarray, winners: np.ndarray
+    logits: np.ndarray, winners: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """-log softmax(logits)[winner] and softmax(logits) per row of (B, K) logits.
+    """-log softmax(logits)[winner] and softmax(logits) per row of (B, K)
+    logits; rows is np.arange(B).
 
     The score is logsumexp(logits) - logit_winner, which stays finite and
     exact where the winner's probability underflows to 0. Both results come
     from one shift, exp and sum, and equal stable_softmax bit for bit.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
-    score = np.log(total[:, 0]) - shifted[np.arange(len(winners)), winners]
-    return score, exp / total
+    shifted = logits - logits[rows, logits.argmax(axis=1)][:, None]
+    score = shifted[rows, winners]
+    exp = np.exp(shifted, out=shifted)
+    total = np.add.reduce(exp, axis=1, keepdims=True)
+    np.subtract(np.log(total[:, 0]), score, out=score)
+    exp /= total
+    return score, exp
 
 
 def squared_distance(residual: np.ndarray) -> np.ndarray:
@@ -214,10 +227,15 @@ def awta_weights(costs, temperature: float) -> np.ndarray:
     costs = np.asarray(costs, dtype=float)
     _check_knob("awta", temperature, costs.shape[-1])
     # Subtracting the row minimum keeps the largest exponent at exactly 0,
-    # so the normalizer is always >= 1 and never overflows.
-    shifted = costs - costs.min(axis=-1, keepdims=True)
-    weights = np.exp(-shifted / temperature)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    # so the normalizer is always >= 1 and never overflows. Negating then
+    # dividing in place gives the bits of -shifted / temperature, NaN signs
+    # included, which dividing by -temperature would not.
+    weights = costs - costs.min(axis=-1, keepdims=True)
+    np.negative(weights, out=weights)
+    weights /= temperature
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return weights
 
 
 def assignment_weights(costs, config: LossConfig) -> np.ndarray:
@@ -297,21 +315,28 @@ def batch_objective(
     d_outputs = np.empty((batch, n_traj + n_heads))
     residual = d_outputs[:, :n_traj].reshape(preds.shape)
     np.subtract(preds, targets[:, None, :, :], out=residual)
-    # A sum then a division in place gives the bits of np.mean.
-    costs = squared_distance(residual).sum(axis=2)
+    # Squaring the whole residual at once, then adding its two columns,
+    # gives the bits of squared_distance: the batch is small, so one
+    # full-size temporary is cheaper than two half-size products. A sum
+    # then a division in place gives the bits of np.mean.
+    square = np.square(residual)
+    costs = np.add.reduce(square[..., 0] + square[..., 1], axis=2)
     costs /= horizon
     weights = assignment_weights(costs, config)
     winners = costs.argmin(axis=1)
+    rows = np.arange(batch)
 
-    score, probs = _score_terms(logits, winners)
-    loss = (weights * costs).sum(axis=1) + config.score_coef * score
+    score, probs = _score_terms(logits, winners, rows)
+    loss = np.add.reduce(weights * costs, axis=1)
+    score *= config.score_coef
+    loss += score
 
     # Trajectory columns: w * (2 / L) * residual / B. Logit columns:
     # coef * (softmax - one_hot(winner)) / B, where subtracting 1 at the
     # winners equals subtracting the one-hot row.
     scale = weights[:, :, None, None] * (2.0 / horizon)
     np.multiply(scale, residual, out=residual)
-    probs[np.arange(batch), winners] -= 1.0
+    probs[rows, winners] -= 1.0
     np.multiply(config.score_coef, probs, out=d_outputs[:, n_traj:])
     d_outputs /= batch
 

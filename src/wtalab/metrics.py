@@ -54,7 +54,9 @@ def _scene_metrics(
     # A sum then a division in place gives the bits of np.mean.
     ade = dists.sum(axis=2)
     ade /= horizon
-    return ade.min(axis=1), scene_min_fde, winners, scene_brier
+    # Gathering at argmin gives the bits of ade.min(axis=1) at about half
+    # the cost of the reduction over so short an axis.
+    return ade[rows, ade.argmin(axis=1)], scene_min_fde, winners, scene_brier
 
 
 def miss_rate(final_errors: Sequence[float]) -> float:
@@ -135,7 +137,7 @@ def evaluate(
         trajectories, logits = nms_select(trajectories, logits, nms)
     if top_k is not None:
         trajectories, logits = truncate_top_k(trajectories, logits, top_k)
-    scores = stable_softmax(logits, axis=1)
+    scores = stable_softmax(logits)
     # The predictions are not read again, so their offsets overwrite them:
     # one less array the size of the outputs at the validation peak.
     offsets = np.subtract(trajectories, targets[:, None, :, :], out=trajectories)

@@ -251,7 +251,7 @@ def backward_batch(
     delta = d_outputs
     for layer in reversed(range(params.n_layers)):
         np.matmul(delta.T, activations[layer], out=out.weights[layer])
-        delta.sum(axis=0, out=out.biases[layer])
+        np.add.reduce(delta, axis=0, out=out.biases[layer])
         if layer > 0:
             delta = delta @ params.weights[layer]
             delta *= activations[layer] > 0.0
@@ -298,6 +298,19 @@ def _first_non_finite(tensors: _FlatTensors) -> str | None:
     return None
 
 
+def _all_finite(vector: np.ndarray) -> bool:
+    """Whether every entry of a 1-d float vector is finite.
+
+    One dot product decides the common case: a NaN or infinite entry makes
+    its square NaN or +inf, and a sum of nonnegative squares cannot cancel
+    an infinity, so a finite v . v proves every entry finite. The converse
+    fails only when finite squares or their sum overflow (entries beyond
+    about 1e154), so a non-finite dot product falls back to the exact
+    element check.
+    """
+    return math.isfinite(np.dot(vector, vector)) or bool(np.isfinite(vector).all())
+
+
 def adam_step(
     params: ModelParams,
     grads: GradientBuffer,
@@ -312,9 +325,14 @@ def adam_step(
     Rejects the step with NonFiniteError if any gradient entry is NaN or
     infinite, naming the first offending tensor; parameters, moments and
     the step counter are left untouched.
+
+    Once beta1**step is below half an ulp of 1, the first bias correction
+    1 - beta1**step rounds to exactly 1.0, and m / 1.0 is m bit for bit; from
+    then on the step skips that division. At beta1 = 0.9 this holds from
+    step 356, at 0.85 from step 231.
     """
     grad = grads.vector
-    if not np.isfinite(grad).all():
+    if not _all_finite(grad):
         raise NonFiniteError(
             f"non-finite gradient in {_first_non_finite(grads)}; step rejected"
         )
@@ -331,14 +349,17 @@ def adam_step(
     v *= beta2
     np.multiply(grad, grad, out=denom)
     v += np.multiply(denom, 1.0 - beta2, out=denom)
-    np.divide(m, correction1, out=update)
-    update *= lr
+    if correction1 == 1.0:
+        np.multiply(m, lr, out=update)
+    else:
+        np.divide(m, correction1, out=update)
+        update *= lr
     np.divide(v, correction2, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps
     update /= denom
     params.vector -= update
-    if not np.isfinite(params.vector).all():
+    if not _all_finite(params.vector):
         raise NonFiniteError("parameters became non-finite after the update")
     return params, state
 

@@ -39,7 +39,7 @@ class NMSConfig:
 
 def _order_by_score(logits: np.ndarray) -> np.ndarray:
     # Stable sort on the negated scores keeps ties in index order.
-    return np.argsort(-stable_softmax(logits, axis=-1), axis=-1, kind="stable")
+    return np.argsort(-stable_softmax(logits), axis=-1, kind="stable")
 
 
 def _take(

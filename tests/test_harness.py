@@ -58,7 +58,7 @@ from wtalab.network import (
     init_params,
     save_checkpoint,
 )
-from wtalab.losses import VARIANTS
+from wtalab.losses import VARIANTS, batch_objective
 from wtalab.schedulers import CONTROLS, KINDS, control, value
 
 from test_losses import reference_batch_objective
@@ -582,6 +582,33 @@ class TestTraining:
         )
         with pytest.raises(NonFiniteError, match="epoch 0"):
             train(config, write_outputs=False)
+
+    def test_finite_losses_whose_sum_overflows_are_accepted(self, tmp_path, monkeypatch):
+        # Each per-sample loss is finite, but a batch of eight sums to inf:
+        # the element check that a non-finite sum falls back to accepts it.
+        def huge_losses(*args):
+            objective = batch_objective(*args)
+            objective.loss[:] = 1e308
+            return objective
+
+        monkeypatch.setattr(harness, "batch_objective", huge_losses)
+        result = train(tiny_config(tmp_path), write_outputs=False)
+        assert [record.train_loss for record in result.records] == [math.inf] * 2
+
+    def test_nan_loss_names_epoch_and_batch(self, tmp_path, monkeypatch):
+        calls = []
+
+        def nan_in_fifth_batch(*args):
+            objective = batch_objective(*args)
+            calls.append(None)
+            if len(calls) == 5:
+                objective.loss[-1] = np.nan
+            return objective
+
+        monkeypatch.setattr(harness, "batch_objective", nan_in_fifth_batch)
+        # Three batches per epoch: the fifth call is epoch 1, batch 1.
+        with pytest.raises(NonFiniteError, match=r"^non-finite loss at epoch 1 batch 1$"):
+            train(tiny_config(tmp_path), write_outputs=False)
 
     def test_failed_run_leaves_no_run_directory(self, tmp_path):
         config = blown_dataset_config(tmp_path)

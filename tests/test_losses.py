@@ -408,25 +408,43 @@ class TestBatchObjective:
         )
 
 
+def reference_softmax(x):
+    """Softmax over the last axis as first written: an oracle."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def reference_awta_weights(costs, temperature):
+    """awta_weights as first written, with fresh temporaries: an oracle."""
+    shifted = costs - np.min(costs, axis=-1, keepdims=True)
+    weights = np.exp(-shifted / temperature)
+    return weights / np.sum(weights, axis=-1, keepdims=True)
+
+
 def reference_batch_objective(preds, logits, targets, config):
     """The objective as first written, kept as an oracle for batch_objective.
 
     Costs reduce the (x, y) axis with np.sum and the steps with np.mean; the
-    score term and the softmax gradient each redo the shift, exp and sum;
-    d_trajectories is built from fresh temporaries, the logit gradient from
-    a zeros-plus-one-hot array, and d_outputs by concatenating the two.
+    awta weights and the softmax come from the formulas above, not from the
+    kernels under test; the score term and the softmax gradient each redo
+    the shift, exp and sum; d_trajectories is built from fresh temporaries,
+    the logit gradient from a zeros-plus-one-hot array, and d_outputs by
+    concatenating the two.
     """
     batch, _, horizon, _ = preds.shape
     residual = preds - targets[:, None, :, :]
     costs = np.mean(np.sum(residual**2, axis=3), axis=2)
-    weights = assignment_weights(costs, config)
+    if config.variant == "awta":
+        weights = reference_awta_weights(costs, config.temperature)
+    else:
+        weights = assignment_weights(costs, config)
     winners = np.argmin(costs, axis=1)
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(shifted), axis=1))
     score = log_norm - shifted[np.arange(batch), winners]
     loss = np.sum(weights * costs, axis=1) + config.score_coef * score
     d_traj = weights[:, :, None, None] * (2.0 / horizon) * residual / batch
-    probs = stable_softmax(logits, axis=1)
+    probs = reference_softmax(logits)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(batch), winners] = 1.0
     d_logits = config.score_coef * (probs - one_hot) / batch
@@ -439,6 +457,65 @@ def reference_batch_objective(preds, logits, targets, config):
         weights=weights,
         winners=winners,
     )
+
+
+# Rows where gathering the extreme at argmax or argmin could differ from
+# np.max or np.min: ties, a zero extreme of either sign (the one case where
+# the gathered value and the reduction may differ, in the zero's sign),
+# magnitudes near overflow and underflow, and non-finite entries.
+EXTREME_ROWS = [
+    [1.0, 1.0, -2.0],
+    [-3.0, 0.5, 0.5],
+    [0.0, -0.0, -1.0],
+    [-0.0, 0.0, -1.0],
+    [-0.0, -0.0, -0.0],
+    [0.0, 0.0, 1.0],
+    [-0.0, 0.0, 1.0],
+    [1e308, -1e308, 1e300],
+    [5e-324, -5e-324, 0.0],
+    [1e-300, 2e-300, -1e-310],
+    [np.nan, 1.0, 2.0],
+    [1.0, np.nan, np.nan],
+    [np.inf, 1.0, 2.0],
+    [-np.inf, 1.0, 2.0],
+    [np.inf, np.inf, -np.inf],
+    [-np.inf, -np.inf, -np.inf],
+]
+
+
+class TestKernelOracle:
+    """awta_weights and stable_softmax against the first-written formulas,
+    compared as bytes, so a flipped zero or NaN sign would show."""
+
+    @pytest.mark.parametrize("temperature", [1e-8, 0.7, 40.0, 1e300])
+    def test_awta_weights(self, temperature):
+        costs = np.array(EXTREME_ROWS)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            got = awta_weights(costs, temperature)
+            want = reference_awta_weights(costs, temperature)
+            rows = [awta_weights(row, temperature) for row in costs]
+        assert got.tobytes() == want.tobytes()
+        assert np.stack(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 1e-5])
+    def test_stable_softmax(self, scale):
+        x = np.array(EXTREME_ROWS) * scale
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = stable_softmax(x)
+            want = reference_softmax(x)
+            rows = [stable_softmax(row) for row in x]
+            stacked = stable_softmax(x.reshape(2, -1, 3))
+        assert got.tobytes() == want.tobytes()
+        assert np.stack(rows).tobytes() == want.tobytes()
+        assert stacked.tobytes() == want.tobytes()
+
+    def test_inputs_are_left_unchanged(self):
+        x = np.array(EXTREME_ROWS)
+        before = x.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            awta_weights(x, 0.7)
+            stable_softmax(x)
+        assert x.tobytes() == before
 
 
 def oracle_configs(n_heads):

@@ -310,7 +310,18 @@ def reference_scene_metrics(offsets, scores):
 
 
 class TestSceneMetricsOracle:
-    """_scene_metrics and evaluate against the np.linalg.norm formulas, bit for bit."""
+    """_scene_metrics and evaluate against the np.linalg.norm formulas, bit
+    for bit; _scene_metrics must leave its offsets unchanged."""
+
+    def assert_matches_reference(self, offsets, scores):
+        before = offsets.tobytes()
+        got = _scene_metrics(offsets, scores)
+        assert offsets.tobytes() == before
+        expected = reference_scene_metrics(offsets, scores)
+        for name, g, e in zip(("min_ade", "min_fde", "winners", "brier"), got, expected):
+            assert g.dtype == e.dtype, name
+            assert g.shape == e.shape, name
+            assert g.tobytes() == e.tobytes(), f"{name} differs from the reference"
 
     @pytest.mark.parametrize(
         "shape",
@@ -324,13 +335,9 @@ class TestSceneMetricsOracle:
         scale = rng.uniform(0.1, 30.0)
         trajectories = rng.normal(size=(batch, n_heads, horizon, 2)) * scale
         targets = rng.normal(size=(batch, horizon, 2)) * scale
-        scores = stable_softmax(rng.normal(size=(batch, n_heads)), axis=1)
+        scores = stable_softmax(rng.normal(size=(batch, n_heads)))
         offsets = trajectories - targets[:, None, :, :]
-        got = _scene_metrics(offsets, scores)
-        expected = reference_scene_metrics(offsets, scores)
-        for name, g, e in zip(("min_ade", "min_fde", "winners", "brier"), got, expected):
-            assert g.dtype == e.dtype, name
-            assert np.array_equal(g, e), f"{name} differs from the reference"
+        self.assert_matches_reference(offsets, scores)
 
     def test_tied_and_mirrored_endpoints(self):
         targets = np.zeros((1, 2, 2))
@@ -339,11 +346,8 @@ class TestSceneMetricsOracle:
         )
         scores = np.full((1, 3), 1.0 / 3.0)
         offsets = trajectories - targets[:, None, :, :]
-        got = _scene_metrics(offsets, scores)
-        expected = reference_scene_metrics(offsets, scores)
-        for g, e in zip(got, expected):
-            assert np.array_equal(g, e)
-        assert got[2].tolist() == [0]
+        self.assert_matches_reference(offsets, scores)
+        assert _scene_metrics(offsets, scores)[2].tolist() == [0]
 
     @pytest.mark.parametrize("post", ["none", "top_k", "nms"])
     def test_evaluate_report_equal(self, post, monkeypatch):

@@ -397,42 +397,102 @@ def reference_adam_update(tensor, grad, m, v, step, lr, beta1, beta2, eps):
     tensor -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
 
 
+def reference_adam_step(params, grads, moments, step, lr, beta1, beta2, eps):
+    """reference_adam_update applied tensor by tensor to params and the m
+    and v of moments, an AdamState used only for its buffers."""
+    for group in ("weights", "biases"):
+        for tensor, grad, m, v in zip(
+            getattr(params, group),
+            getattr(grads, group),
+            getattr(moments.m, group),
+            getattr(moments.v, group),
+        ):
+            reference_adam_update(tensor, grad, m, v, step, lr, beta1, beta2, eps)
+
+
+def assert_same_bytes(params, state, expected, moments):
+    assert params.vector.tobytes() == expected.vector.tobytes()
+    assert state.m.vector.tobytes() == moments.m.vector.tobytes()
+    assert state.v.vector.tobytes() == moments.v.vector.tobytes()
+
+
 class TestAdamOracle:
     @pytest.mark.parametrize(
         "cfg",
         [small_config(), ModelConfig(input_dim=2, n_heads=2, horizon=1, hidden=())],
         ids=["hidden", "linear"],
     )
-    def test_matches_reference_bit_for_bit_over_20_steps(self, cfg):
+    def test_matches_reference_bit_for_bit_past_the_bias_correction(self, cfg):
+        # At beta1 = 0.85, 1 - beta1**step rounds to 1.0 from step 231 on,
+        # so the last steps skip the division by the first correction.
         params = init_params(cfg, seed=7)
+        params.vector[::5] = -0.0
         expected = params.copy()
         state = init_adam(params)
         moments = init_adam(expected)
         rng = np.random.default_rng(8)
         lr, beta1, beta2, eps = 0.02, 0.85, 0.995, 1e-7
-        for step in range(1, 21):
+        assert 1.0 - beta1**230 != 1.0 and 1.0 - beta1**231 == 1.0
+        for step in range(1, 241):
             scale = 10.0 ** rng.uniform(-6, 1)
             grads = GradientBuffer(
                 weights=[rng.normal(size=w.shape) * scale for w in params.weights],
                 biases=[rng.normal(size=b.shape) * scale for b in params.biases],
             )
+            grads.vector[step % 3 :: 7] = -0.0
             adam_step(params, grads, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-            for group in ("weights", "biases"):
-                for tensor, grad, m, v in zip(
-                    getattr(expected, group),
-                    getattr(grads, group),
-                    getattr(moments.m, group),
-                    getattr(moments.v, group),
-                ):
-                    reference_adam_update(tensor, grad, m, v, step, lr, beta1, beta2, eps)
-            for group in ("weights", "biases"):
-                for got, want in zip(getattr(params, group), getattr(expected, group)):
-                    assert np.array_equal(got, want)
-                for name in ("m", "v"):
-                    got_moment = getattr(getattr(state, name), group)
-                    want_moment = getattr(getattr(moments, name), group)
-                    for got, want in zip(got_moment, want_moment):
-                        assert np.array_equal(got, want)
+            reference_adam_step(expected, grads, moments, step, lr, beta1, beta2, eps)
+            assert_same_bytes(params, state, expected, moments)
+
+    def test_gradient_whose_squares_overflow_gets_the_reference_update(self):
+        # Every entry is finite, but g . g overflows, so only the exact
+        # element check can accept the gradient.
+        params = init_params(small_config(), seed=9)
+        expected = params.copy()
+        state, moments = init_adam(params), init_adam(expected)
+        grads = GradientBuffer.zeros_like(params)
+        grads.vector[:] = np.random.default_rng(9).normal(size=grads.vector.size)
+        grads.vector[::4] *= 1e200
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(grads.vector, grads.vector))
+            for step in (1, 2):
+                adam_step(params, grads, state)
+                reference_adam_step(expected, grads, moments, step, 1e-3, 0.9, 0.999, 1e-8)
+        assert state.step == 2
+        assert_same_bytes(params, state, expected, moments)
+
+    def test_parameters_whose_squares_overflow_are_accepted(self):
+        params = init_params(small_config(), seed=10)
+        params.vector[::3] = 1e200
+        expected = params.copy()
+        state, moments = init_adam(params), init_adam(expected)
+        grads = GradientBuffer.zeros_like(params)
+        grads.vector[:] = 0.25
+        with np.errstate(over="ignore"):
+            adam_step(params, grads, state)
+        reference_adam_step(expected, grads, moments, 1, 1e-3, 0.9, 0.999, 1e-8)
+        assert_same_bytes(params, state, expected, moments)
+
+    def test_update_that_overflows_the_parameters_is_rejected(self):
+        params = init_params(small_config(), seed=11)
+        params.vector[-1] = -1.7e308
+        state = init_adam(params)
+        grads = GradientBuffer.zeros_like(params)
+        grads.vector[:] = 1.0
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="parameters became non-finite"):
+                adam_step(params, grads, state, lr=1e308)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[], [0.0, -0.0, 5e-324], [1e200, -1e200, 1.0], [1.7e308, 1.7e308],
+     [np.nan], [1.0, np.inf], [-np.inf, 2.0], [1e200, np.nan], [1e200, -np.inf]],
+)
+def test_all_finite_agrees_with_the_element_check(entries):
+    vector = np.array(entries, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert network._all_finite(vector) is bool(np.isfinite(vector).all())
 
 
 class TestGradientCheck:
@@ -752,6 +812,18 @@ class TestAdamRejection:
         kind, layer = first
         with pytest.raises(NonFiniteError, match=f"in layer {layer} {kind};"):
             adam_step(params, grads, state)
+        assert_untouched(params, state, snapshot)
+
+
+    def test_non_finite_entry_beside_overflowing_squares_is_named(self):
+        # g . g overflows on the huge entries; the element check that
+        # follows still finds the NaN and names its tensor.
+        params, state, grads, snapshot = rejection_setup()
+        grads.vector[:] = 1e200
+        grads.biases[0][1] = np.nan
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="in layer 0 biases;"):
+                adam_step(params, grads, state)
         assert_untouched(params, state, snapshot)
 
 
