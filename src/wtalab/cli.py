@@ -2,17 +2,23 @@
 
 Subcommands: generate, train, eval, sweep, charts. All exit with code 0 on
 success; failures print one machine-readable JSON error line to stderr and
-exit nonzero.
+exit nonzero. Every command runs BLAS on one thread, so its output bytes do
+not depend on the thread count the environment asks for.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
+
+import numpy as np
 
 from . import harness
 from .datagen import save_generated
@@ -147,10 +153,63 @@ COMMANDS = {
 }
 
 
+# (get, set) thread-count functions under the names that builds of the
+# OpenBLAS bundled with numpy export.
+BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _blas_thread_functions() -> tuple | None:
+    """The get and set thread-count functions of the OpenBLAS bundled with
+    numpy, or None for a numpy built against another BLAS."""
+    numpy_dir = Path(np.__file__).parent
+    candidates = sorted(numpy_dir.parent.glob("numpy.libs/*blas*")) + sorted(
+        numpy_dir.glob(".libs/*blas*")
+    )
+    for path in candidates:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in BLAS_THREAD_FUNCTIONS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run BLAS on one thread inside the block, then restore the caller's count.
+
+    OpenBLAS splits a product across threads in blocks whose sums round
+    differently, so the thread count changes output bits. Without the
+    bundled OpenBLAS this does nothing.
+    """
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        with one_blas_thread():
+            return COMMANDS[args.command](args)
     except (WtalabError, OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; name the public one.
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

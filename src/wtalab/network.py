@@ -8,6 +8,7 @@ trajectories in head-major order, the last K entries are the logits.
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import json
 import math
@@ -15,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import NUMBER_TYPES, read_json_object, write_text_atomic
+from ._files import read_json_object, write_text_atomic
 from .errors import ConfigurationError, NonFiniteError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 CHECKPOINT_MODEL = "multihead-mlp"
 
@@ -369,19 +370,12 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def _json_values(tensor: np.ndarray) -> str:
-    """json.dumps(tensor.reshape(-1).tolist()), built chunk by chunk.
-
-    Each chunk is json.dumps of a slice with its brackets stripped, so only
-    one chunk's Python floats are alive at a time.
-    """
-    flat = tensor.reshape(-1)
-    chunk = 4096
-    chunks = (
-        json.dumps(flat[start : start + chunk].tolist())[1:-1]
-        for start in range(0, flat.size, chunk)
-    )
-    return "[" + ", ".join(chunks) + "]"
+def _encode_tensor(tensor: np.ndarray) -> dict:
+    """A tensor as {"shape": [...], "data": base64 of its little-endian
+    float64 bytes in C order}."""
+    raw = tensor.astype("<f8", copy=False).tobytes()
+    data = binascii.b2a_base64(raw, newline=False).decode("ascii")
+    return {"shape": list(tensor.shape), "data": data}
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
@@ -389,30 +383,20 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
     The text is json.dumps of {format_version, model, input_dim, n_heads,
     horizon, hidden, weights, biases}, each tensor an entry {"shape": [...],
-    "data": [...]}. The tensor data is encoded by _json_values, which keeps
-    the peak memory of a save to about one copy of the text.
+    "data": "..."} whose data is the base64 of the tensor's little-endian
+    float64 bytes, so every value keeps its bits.
     """
-    header = {
+    payload = {
         "format_version": CHECKPOINT_VERSION,
         "model": CHECKPOINT_MODEL,
         "input_dim": params.input_dim,
         "n_heads": params.n_heads,
         "horizon": params.horizon,
         "hidden": list(params.hidden),
+        "weights": [_encode_tensor(w) for w in params.weights],
+        "biases": [_encode_tensor(b) for b in params.biases],
     }
-
-    def entries(tensors: list[np.ndarray]) -> str:
-        return ", ".join(
-            f'{{"shape": {json.dumps(list(t.shape))}, "data": {_json_values(t)}}}'
-            for t in tensors
-        )
-
-    text = (
-        json.dumps(header)[:-1]
-        + f', "weights": [{entries(params.weights)}]'
-        + f', "biases": [{entries(params.biases)}]}}'
-    )
-    write_text_atomic(path, text)
+    write_text_atomic(path, json.dumps(payload))
 
 
 def _checkpoint_count(value, where: str) -> int:
@@ -422,23 +406,26 @@ def _checkpoint_count(value, where: str) -> int:
 
 
 def _checkpoint_tensor(entry, where: str) -> np.ndarray:
-    """One {"shape": [...], "data": [...]} entry as an array."""
+    """One {"shape": [...], "data": "<base64>"} entry as an array."""
     if type(entry) is not dict or not {"shape", "data"} <= entry.keys():
         raise ConfigurationError(f"{where} must be an object with shape and data")
     shape, data = entry["shape"], entry["data"]
     counts = type(shape) is list and set(map(type, shape)) <= {int}
     if not counts or min(shape, default=0) < 0:
         raise ConfigurationError(f"{where} shape must be a list of counts, got {shape!r}")
-    if type(data) is not list or not set(map(type, data)) <= NUMBER_TYPES:
-        raise ConfigurationError(f"{where} data must be a list of numbers")
-    if math.prod(shape) != len(data):
-        raise ConfigurationError(f"{where} has {len(data)} values for shape {shape}")
+    if type(data) is not str:
+        raise ConfigurationError(f"{where} data must be a base64 string")
     try:
-        values = np.array(data, dtype=float)
-    except OverflowError:
-        raise ConfigurationError(f"{where} is not finite") from None
+        raw = binascii.a2b_base64(data, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise ConfigurationError(f"{where} data is not base64: {exc}") from None
+    needed = 8 * math.prod(shape)
+    if len(raw) != needed:
+        raise ConfigurationError(
+            f"{where} data holds {len(raw)} bytes, but shape {shape} needs {needed}"
+        )
     try:
-        return values.reshape(shape)
+        return np.frombuffer(raw, "<f8").reshape(shape)
     except ValueError as exc:  # an empty shape with a dimension numpy cannot hold
         raise ConfigurationError(f"{where} shape {shape} is too large: {exc}") from None
 
@@ -450,8 +437,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     forward_batch can run: at least one layer, one bias vector per weight
     matrix, chained shapes, an output width of K*(2L+1), finite values.
     The model, input_dim and hidden keys must agree with the tensors.
-    Types are checked, not converted: counts are integers, values are JSON
-    numbers, and neither may be a boolean or a string.
+    Types are checked, not converted: counts are integers and may not be
+    booleans, and each tensor's data is a strict base64 string of exactly
+    8 bytes per value. A file of another format_version, format 1's JSON
+    number lists included, is refused.
     """
     payload = read_json_object(path, "checkpoint", ConfigurationError)
     version = payload.get("format_version")

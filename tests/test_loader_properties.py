@@ -3,8 +3,9 @@ epochs.csv, and through the command line also configs.
 
 Each loader is fed arbitrary bytes and near-valid files: a file written by
 the program, then edited at the byte level or, for the JSON formats, with
-one value replaced by arbitrary JSON. Every input must either load or raise
-a WtalabError; any other exception fails the test.
+one value replaced by arbitrary JSON. A checkpoint's base64 tensor data is
+also truncated, extended or overwritten in place. Every input must either
+load or raise a WtalabError; any other exception fails the test.
 
 The same files go through the command line (`train --config`, `train` on
 a dataset block, `eval --checkpoint`, `charts --epochs-csv`): each command
@@ -133,11 +134,46 @@ def one_value_replaced(draw, payload):
         return payload
 
 
+# Text for a tensor's base64 data: mostly its own alphabet and padding, with
+# the characters strict decoding refuses (whitespace, URL-safe base64, other
+# ASCII and beyond).
+BASE64_TEXT = st.text(
+    st.sampled_from("AQgw/+=") | st.sampled_from(" \n-_!é") | st.characters(), max_size=8
+)
+
+
+def data_string_edited(draw, payload):
+    """payload (parsed JSON) with one tensor's data string truncated,
+    extended or with characters replaced; unchanged if no data string is left."""
+    entries = [
+        entry
+        for kind in ("weights", "biases")
+        if isinstance(payload.get(kind), list)
+        for entry in payload[kind]
+        if isinstance(entry, dict) and isinstance(entry.get("data"), str)
+    ]
+    if not entries:
+        return payload
+    entry = draw(st.sampled_from(entries))
+    data = entry["data"]
+    start = draw(st.integers(0, len(data)))
+    edit = draw(st.sampled_from(["truncate", "extend", "replace"]))
+    text = draw(BASE64_TEXT)
+    if edit == "truncate":
+        entry["data"] = data[:start]
+    elif edit == "extend":
+        entry["data"] = data + text
+    else:
+        entry["data"] = data[:start] + text + data[start + len(text) :]
+    return payload
+
+
 @st.composite
 def checkpoint_edits(draw) -> bytes:
     payload = json.loads(valid_checkpoint())
     for _ in range(draw(st.integers(1, 3))):
-        payload = one_value_replaced(draw, payload)
+        edit = draw(st.sampled_from([one_value_replaced, data_string_edited]))
+        payload = edit(draw, payload)
     return json.dumps(payload).encode()
 
 

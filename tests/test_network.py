@@ -2,9 +2,12 @@
 checkpoints, with the oracles they are checked against: the forward and
 backward passes as first written, and central finite differences."""
 
+import base64
 import copy
 import dataclasses
 import json
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -26,6 +29,13 @@ from wtalab import (
 from wtalab.losses import batch_objective, stable_softmax
 from wtalab import network
 from wtalab.network import backward_batch, forward_batch
+
+
+def b64(values) -> str:
+    """Checkpoint data for values, built with struct and base64 alone: the
+    base64 of their little-endian float64 bytes."""
+    values = list(values)
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -627,32 +637,44 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, problem",
         [
-            lambda payload: [1],
-            lambda payload: {**payload, "weights": [], "biases": []},
-            lambda payload: {**payload, "biases": payload["biases"][:-1]},
-            lambda payload: {
-                **payload,
-                "biases": [{"shape": [7], "data": [0.0] * 7}, *payload["biases"][1:]],
-            },
-            lambda payload: {
-                **payload,
-                "weights": [
-                    {"shape": [8, 6], "data": [float("nan")] + [0.0] * 47},
-                    *payload["weights"][1:],
-                ],
-            },
+            (lambda payload: [1], "must hold a JSON object"),
+            (
+                lambda payload: {**payload, "weights": [], "biases": []},
+                "at least one layer, got 0 and 0",
+            ),
+            (
+                lambda payload: {**payload, "biases": payload["biases"][:-1]},
+                "one bias vector per weight matrix",
+            ),
+            (
+                lambda payload: {
+                    **payload,
+                    "biases": [{"shape": [7], "data": b64([0.0] * 7)}, *payload["biases"][1:]],
+                },
+                r"layer 0 has weights \(8, 6\) and biases \(7,\)",
+            ),
+            (
+                lambda payload: {
+                    **payload,
+                    "weights": [
+                        {"shape": [8, 6], "data": b64([float("nan")] + [0.0] * 47)},
+                        *payload["weights"][1:],
+                    ],
+                },
+                "layer 0 weights is not finite",
+            ),
         ],
         ids=["not-an-object", "no-layers", "missing-bias", "bias-width", "nan-weight"],
     )
-    def test_unusable_payload_rejected(self, tmp_path, corrupt):
+    def test_unusable_payload_rejected(self, tmp_path, corrupt, problem):
         # small_config: 6 inputs, one hidden layer of 8, 3 heads of 4 steps.
         params = init_params(small_config(), seed=0)
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=problem):
             load_checkpoint(path)
 
     def test_mismatched_layer_shapes_rejected(self, tmp_path):
@@ -663,9 +685,10 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         entry = payload["weights"][1]
         entry["shape"] = [5, 7]
-        entry["data"] = [0.0] * 35
+        entry["data"] = b64([0.0] * 35)
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="mismatched"):
+        # The message, not the file name, which holds the test's name.
+        with pytest.raises(ConfigurationError, match="has mismatched layer shapes"):
             load_checkpoint(path)
 
 
@@ -997,6 +1020,11 @@ class TestStepOracle:
             assert a.tobytes() == b.tobytes()
 
 
+# small_config's weights[1] (27 x 8) as a signalling NaN bit pattern, which
+# neither numpy nor Python arithmetic produces.
+SIGNALLING_NANS = base64.b64encode(struct.pack("<216Q", *[0x7FF0_0000_0000_0001] * 216)).decode()
+
+
 def corrupt_entry(kind, index, **fields):
     def corrupt(payload):
         entries = list(payload[kind])
@@ -1030,14 +1058,20 @@ class TestCheckpointTypes:
             (corrupt_entry("weights", 1, shape=[True, 8]), r"weights\[1\] shape"),
             (corrupt_entry("weights", 0, shape=[-8, -6]), r"weights\[0\] shape"),
             (corrupt_entry("weights", 0, shape=48), r"weights\[0\] shape"),
-            (corrupt_entry("weights", 0, shape=[8, 5]), "48 values for shape"),
-            (corrupt_entry("weights", 0, shape=[10**30, 0], data=[]), "is too large"),
-            (corrupt_entry("biases", 0, data=["0.5"] * 8), r"biases\[0\] data"),
-            (corrupt_entry("biases", 0, data=[True] + [0.0] * 7), r"biases\[0\] data"),
-            (corrupt_entry("biases", 1, data=[None] * 27), r"biases\[1\] data"),
-            (corrupt_entry("biases", 1, data="0" * 27), r"biases\[1\] data"),
-            (corrupt_entry("weights", 1, data=[10**400] * 216), "not finite"),
-            (corrupt_entry("biases", 1, data=[1e400] * 27), "layer 1 biases is not"),
+            (
+                corrupt_entry("weights", 0, shape=[8, 5]),
+                r"weights\[0\] data holds 384 bytes, but shape \[8, 5\] needs 320",
+            ),
+            (corrupt_entry("weights", 0, shape=[10**30, 0], data=""), "is too large"),
+            (corrupt_entry("biases", 0, data=["0.5"] * 8), r"biases\[0\] data must be a base64"),
+            (
+                corrupt_entry("biases", 0, data=[True] + [0.0] * 7),
+                r"biases\[0\] data must be a base64",
+            ),
+            (corrupt_entry("biases", 1, data=[None] * 27), r"biases\[1\] data must be a base64"),
+            (corrupt_entry("biases", 1, data=27), r"biases\[1\] data must be a base64"),
+            (corrupt_entry("weights", 1, data=SIGNALLING_NANS), "layer 1 weights is not"),
+            (corrupt_entry("biases", 1, data=b64([math.inf] * 27)), "layer 1 biases is not"),
             (lambda p: {**p, "model": "other"}, "model is 'other'"),
             (lambda p: {**p, "model": None}, "model is None"),
             (lambda p: {**p, "input_dim": 99}, "input_dim is 99, but the tensors describe 6"),
@@ -1066,8 +1100,8 @@ class TestCheckpointTypes:
             "string-values",
             "bool-value",
             "null-values",
-            "data-not-list",
-            "huge-int",
+            "data-not-string",
+            "nan-bits",
             "infinite",
             "other-model",
             "null-model",
@@ -1101,11 +1135,91 @@ class TestCheckpointTypes:
         with pytest.raises(ConfigurationError, match=r"hidden is \[1\]"):
             load_checkpoint(path)
 
-    def test_integer_values_load_as_floats(self, tmp_path):
+    def test_number_list_data_refused(self, tmp_path):
+        # Format 1's data, JSON numbers, under format_version 2.
         path = self.write(tmp_path, corrupt_entry("biases", 0, data=list(range(8))))
-        params = load_checkpoint(path)
-        assert params.biases[0].tolist() == [float(i) for i in range(8)]
-        assert params.vector.dtype == np.float64
+        with pytest.raises(ConfigurationError, match=r"biases\[0\] data must be a base64"):
+            load_checkpoint(path)
+
+    def test_format_1_file_refused_naming_both_versions(self, tmp_path):
+        params = init_params(small_config(), seed=0)
+        payload = {
+            "format_version": 1,
+            "model": "multihead-mlp",
+            "input_dim": 6,
+            "n_heads": 3,
+            "horizon": 4,
+            "hidden": [8],
+            "weights": [
+                {"shape": list(w.shape), "data": w.ravel().tolist()} for w in params.weights
+            ],
+            "biases": [{"shape": list(b.shape), "data": b.tolist()} for b in params.biases],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="format_version 1, expected 2"):
+            load_checkpoint(path)
+
+    # biases[0] holds 8 values: 64 bytes, so 88 base64 characters ending "==".
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda data: None, "must be a base64 string"),
+            (lambda data: {"data": data}, "must be a base64 string"),
+            (lambda data: [data], "must be a base64 string"),
+            (lambda data: data[:10] + "!" + data[11:], "is not base64: Only base64 data"),
+            (lambda data: data[:10] + "-" + data[11:], "is not base64: Only base64 data"),
+            (lambda data: data[:10] + "é" + data[11:], "is not base64: string argument"),
+            (lambda data: data[:-1], "is not base64: Incorrect padding"),
+            (lambda data: data[:-2], "is not base64: Incorrect padding"),
+            (lambda data: data + "=", "is not base64: Excess data after padding"),
+            (lambda data: data + "AAAA", "is not base64: Excess data after padding"),
+            (lambda data: data[:44] + "\n" + data[44:], "is not base64: Only base64 data"),
+            (lambda data: data + "\n", "is not base64: Excess data after padding"),
+            (lambda data: data[:44] + " " + data[44:], "is not base64: Only base64 data"),
+            (lambda data: " " + data, "is not base64: Only base64 data"),
+        ],
+        ids=[
+            "null",
+            "object",
+            "list",
+            "bang",
+            "url-safe-minus",
+            "non-ascii",
+            "one-pad-short",
+            "no-padding",
+            "pad-after-padding",
+            "data-after-padding",
+            "newline",
+            "trailing-newline",
+            "space",
+            "leading-space",
+        ],
+    )
+    def test_malformed_data_rejected(self, tmp_path, edit, problem):
+        def corrupt(payload):
+            return corrupt_entry("biases", 0, data=edit(payload["biases"][0]["data"]))(payload)
+
+        path = self.write(tmp_path, corrupt)
+        with pytest.raises(ConfigurationError, match=r"biases\[0\] data " + problem):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "missing", [*range(1, 8), 8], ids=[*map(str, range(1, 8)), "one-value"]
+    )
+    def test_short_data_rejected(self, tmp_path, missing):
+        raw = struct.pack("<8d", *range(8))[:-missing]
+        data = base64.b64encode(raw).decode("ascii")
+        path = self.write(tmp_path, corrupt_entry("biases", 0, data=data))
+        problem = rf"biases\[0\] data holds {64 - missing} bytes, but shape \[8\] needs 64"
+        with pytest.raises(ConfigurationError, match=problem):
+            load_checkpoint(path)
+
+    def test_long_data_rejected(self, tmp_path):
+        path = self.write(tmp_path, corrupt_entry("biases", 0, data=b64(range(9))))
+        problem = r"biases\[0\] data holds 72 bytes, but shape \[8\] needs 64"
+        with pytest.raises(ConfigurationError, match=problem):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1115,6 +1229,8 @@ class TestCheckpointTypes:
             ModelConfig(input_dim=4097, n_heads=1, horizon=1, hidden=(1,)),
             ModelConfig(input_dim=40, n_heads=6, horizon=30, hidden=(64, 64)),
         ],
+        # A 4096-value weight matrix encodes with one "=" of padding, and a
+        # 4097-value one with two.
         ids=["linear", "chunk-sized", "chunk-plus-one", "branch3"],
     )
     @pytest.mark.parametrize("special", [False, True], ids=["plain", "special-values"])
@@ -1123,26 +1239,33 @@ class TestCheckpointTypes:
         if special:
             values = [-0.0, 5e-324, 1e300, -2.5e-310, np.nan, np.inf, -np.inf, 1 / 3]
             params.vector[: len(values)] = values[: params.vector.size]
-        # The payload as first written, with json.dumps as the encoder.
+
+        # The payload built from Python floats with struct and base64, no wtalab code.
+        def entry(tensor):
+            return {"shape": list(tensor.shape), "data": b64(tensor.reshape(-1).tolist())}
+
         payload = {
-            "format_version": 1,
+            "format_version": 2,
             "model": "multihead-mlp",
             "input_dim": params.input_dim,
             "n_heads": params.n_heads,
             "horizon": params.horizon,
             "hidden": list(params.hidden),
-            "weights": [
-                {"shape": list(w.shape), "data": w.reshape(-1).tolist()}
-                for w in params.weights
-            ],
-            "biases": [
-                {"shape": list(b.shape), "data": b.reshape(-1).tolist()}
-                for b in params.biases
-            ],
+            "weights": [entry(w) for w in params.weights],
+            "biases": [entry(b) for b in params.biases],
         }
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         assert path.read_bytes() == json.dumps(payload).encode()
+        if special:
+            with pytest.raises(ConfigurationError, match="layer 0 weights is not finite"):
+                load_checkpoint(path)
+            # The finite special values must survive a round trip.
+            params.vector[~np.isfinite(params.vector)] = 0.5
+            save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.vector.dtype == np.float64
+        assert np.array_equal(loaded.vector.view(np.uint64), params.vector.view(np.uint64))
 
     def test_loaded_params_are_packed_and_save_the_same_bytes(self, tmp_path):
         cfg = ModelConfig(input_dim=5, n_heads=3, horizon=4, hidden=(7, 6))
