@@ -20,7 +20,7 @@ from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
 from .losses import squared_distance, stable_softmax
 from .network import ModelParams, forward_batch
-from .postselect import NMSConfig, nms_select, truncate_top_k
+from .postselect import NMSConfig, nms_indices, top_k_indices
 
 MISS_THRESHOLD = 2.0
 
@@ -28,32 +28,53 @@ EFFECTIVE_TAU = 0.01
 
 
 def _scene_metrics(
-    offsets: np.ndarray, scores: np.ndarray
+    trajectories: np.ndarray,
+    targets: np.ndarray,
+    scores: np.ndarray,
+    keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-scene metrics of a batch of hypothesis sets.
 
     Args:
-        offsets: (B, K, L, 2) candidate trajectories minus the ground truth.
-        scores: (B, K) confidence scores.
+        trajectories: (B, K, L, 2) candidate trajectories.
+        targets: (B, L, 2) ground truth.
+        scores: (B, H) confidence scores of the evaluated hypotheses.
+        keep: (B, H) indices into the K candidates of each scene, the
+            hypotheses to evaluate in order; by default all K, so H = K.
 
     Returns:
         (minADE, minFDE, minFDE winner, Brier-FDE), each of shape (B,).
-        minADE is the lowest mean per-step distance over the heads. The
-        minFDE winner is the head with the closest endpoint, ties to the
-        lowest index. Brier-FDE is minFDE + (1 - delta)^2 with delta the
+        minADE is the lowest mean per-step distance over the hypotheses.
+        The minFDE winner is the position of the closest endpoint, ties to
+        the lowest. Brier-FDE is minFDE + (1 - delta)^2 with delta the
         winner's score, penalizing low confidence on the best hypothesis.
+
+    The hypotheses are scored one at a time into (B, H) columns, so the
+    scratch is one hypothesis's (B, L, 2) offsets and their distances; the
+    inputs are not written. Each hypothesis's distances are summed over a
+    contiguous last axis of length L, as np.mean over a (B, H, L) array
+    sums them, so every value has the bits of scoring all at once.
     """
-    batch, _, horizon, _ = offsets.shape
-    dists = squared_distance(offsets)
-    np.sqrt(dists, out=dists)
-    fde = dists[:, :, -1]
-    winners = fde.argmin(axis=1)
+    batch, n_hyp = scores.shape
+    horizon = targets.shape[1]
     rows = np.arange(batch)
+    ade = np.empty((batch, n_hyp))
+    fde = np.empty((batch, n_hyp))
+    for j in range(n_hyp):
+        if keep is None:
+            offsets = trajectories[:, j] - targets
+        else:
+            offsets = trajectories[rows, keep[:, j]]
+            offsets -= targets
+        dists = squared_distance(offsets)
+        np.sqrt(dists, out=dists)
+        fde[:, j] = dists[:, -1]
+        ade[:, j] = dists.sum(axis=1)
+    # A sum then a division in place gives the bits of np.mean.
+    ade /= horizon
+    winners = fde.argmin(axis=1)
     scene_min_fde = fde[rows, winners]
     scene_brier = scene_min_fde + (1.0 - scores[rows, winners]) ** 2
-    # A sum then a division in place gives the bits of np.mean.
-    ade = dists.sum(axis=2)
-    ade /= horizon
     # Gathering at argmin gives the bits of ade.min(axis=1) at about half
     # the cost of the reduction over so short an axis.
     return ade[rows, ade.argmin(axis=1)], scene_min_fde, winners, scene_brier
@@ -133,17 +154,22 @@ def evaluate(
     # Only the outputs are kept: holding the hidden activations through the
     # scoring below would raise the peak memory of every validation pass.
     trajectories, logits = forward_batch(params, features)[:2]
+    # Post-selection picks head indices; only the (B, H) logits are
+    # gathered, and _scene_metrics gathers one kept hypothesis at a time.
+    keep = None
     if nms is not None:
-        trajectories, logits = nms_select(trajectories, logits, nms)
+        keep = nms_indices(trajectories, logits, nms)
+        logits = np.take_along_axis(logits, keep, axis=1)
     if top_k is not None:
-        trajectories, logits = truncate_top_k(trajectories, logits, top_k)
+        ranks = top_k_indices(logits, top_k)
+        keep = ranks if keep is None else np.take_along_axis(keep, ranks, axis=1)
+        logits = np.take_along_axis(logits, ranks, axis=1)
     scores = stable_softmax(logits)
-    # The predictions are not read again, so their offsets overwrite them:
-    # one less array the size of the outputs at the validation peak.
-    offsets = np.subtract(trajectories, targets[:, None, :, :], out=trajectories)
-    scene_min_ade, scene_min_fde, winners, scene_brier = _scene_metrics(offsets, scores)
+    scene_min_ade, scene_min_fde, winners, scene_brier = _scene_metrics(
+        trajectories, targets, scores, keep
+    )
     n_scenes = len(winners)
-    histogram = np.bincount(winners, minlength=offsets.shape[1]).tolist()
+    histogram = np.bincount(winners, minlength=scores.shape[1]).tolist()
 
     return MetricsReport(
         n_scenes=n_scenes,

@@ -419,6 +419,12 @@ def _checkpoint_tensor(entry, where: str) -> np.ndarray:
         raw = binascii.a2b_base64(data, strict_mode=True)
     except ValueError as exc:  # binascii.Error, or a character beyond ASCII
         raise ConfigurationError(f"{where} data is not base64: {exc}") from None
+    # Strict decoding accepts a stray "=" or "==" after complete groups.
+    if len(data) % 4:
+        raise ConfigurationError(
+            f"{where} data is not base64: {len(data)} characters are not whole"
+            " 4-character groups"
+        )
     needed = 8 * math.prod(shape)
     if len(raw) != needed:
         raise ConfigurationError(
@@ -438,9 +444,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     matrix, chained shapes, an output width of K*(2L+1), finite values.
     The model, input_dim and hidden keys must agree with the tensors.
     Types are checked, not converted: counts are integers and may not be
-    booleans, and each tensor's data is a strict base64 string of exactly
-    8 bytes per value. A file of another format_version, format 1's JSON
-    number lists included, is refused.
+    booleans, and each tensor's data is a strict base64 string, in whole
+    4-character groups, of exactly 8 bytes per value. A file of another
+    format_version, format 1's JSON number lists included, is refused.
     """
     payload = read_json_object(path, "checkpoint", ConfigurationError)
     version = payload.get("format_version")

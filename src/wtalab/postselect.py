@@ -1,9 +1,11 @@
 """Post-selection: thin a batch of hypothesis sets before computing metrics.
 
 Used to evaluate an over-complete model (train with many heads, keep a few
-diverse ones). Both rules take (B, K, L, 2) trajectories with (B, K)
-confidence logits and return the kept trajectories and logits, in the order
-they were kept. The scores of a kept set are the softmax over its logits.
+diverse ones). Each rule has an index form, which returns the (B, k) head
+indices kept in each scene in the order they were kept, and a form that
+takes (B, K, L, 2) trajectories with (B, K) confidence logits and returns
+the kept trajectories and logits, a gather over those indices. The scores of
+a kept set are the softmax over its logits.
 """
 
 from __future__ import annotations
@@ -49,20 +51,27 @@ def _take(
     return trajectories[rows, keep], logits[rows, keep]
 
 
+def top_k_indices(logits: np.ndarray, top_k: int) -> np.ndarray:
+    """The (B, top_k) indices of the highest-score hypotheses, in descending
+    score order."""
+    n_heads = logits.shape[-1]
+    if not 1 <= top_k <= n_heads:
+        raise InputError(f"top_k must be in [1, {n_heads}], got {top_k}")
+    return _order_by_score(logits)[:, :top_k]
+
+
 def truncate_top_k(
     trajectories: np.ndarray, logits: np.ndarray, top_k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Keep the top_k highest-score hypotheses, in descending score order."""
-    n_heads = logits.shape[-1]
-    if not 1 <= top_k <= n_heads:
-        raise InputError(f"top_k must be in [1, {n_heads}], got {top_k}")
-    return _take(trajectories, logits, _order_by_score(logits)[:, :top_k])
+    return _take(trajectories, logits, top_k_indices(logits, top_k))
 
 
-def nms_select(
+def nms_indices(
     trajectories: np.ndarray, logits: np.ndarray, config: NMSConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pick up to k_out hypotheses per scene with mutually distant endpoints.
+) -> np.ndarray:
+    """The (B, k_out) indices of the hypotheses that endpoint suppression
+    keeps, in the order they were kept.
 
     Candidates are visited in descending score order (ties by lowest index)
     and accepted when their endpoint lies at distance >= radius from every
@@ -94,7 +103,15 @@ def nms_select(
     # Accepted candidates come first. A scene with fewer than k_out of them
     # had every candidate visited, so the rest back-fill in visiting order.
     ranks = np.argsort(~accepted, axis=0, kind="stable")[: config.k_out].T
-    return _take(trajectories, logits, np.take_along_axis(order, ranks, axis=1))
+    return np.take_along_axis(order, ranks, axis=1)
+
+
+def nms_select(
+    trajectories: np.ndarray, logits: np.ndarray, config: NMSConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick up to k_out hypotheses per scene with mutually distant endpoints:
+    the trajectories and logits at nms_indices."""
+    return _take(trajectories, logits, nms_indices(trajectories, logits, config))
 
 
 def _accept(endpoints: np.ndarray, config: NMSConfig) -> np.ndarray:

@@ -527,7 +527,7 @@ def test_baseline_parity_and_shared_schema(benchmark_runs, tmp_path):
 def one_scene_metrics(trajectories, scores, target):
     """(minADE, minFDE, winner, Brier-FDE) from the batch scorer that
     evaluate runs, on a batch holding one scene."""
-    ade, fde, winner, brier = _scene_metrics((trajectories - target)[None], scores[None])
+    ade, fde, winner, brier = _scene_metrics(trajectories[None], target[None], scores[None])
     return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
 
 

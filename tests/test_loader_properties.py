@@ -144,7 +144,8 @@ BASE64_TEXT = st.text(
 
 def data_string_edited(draw, payload):
     """payload (parsed JSON) with one tensor's data string truncated,
-    extended or with characters replaced; unchanged if no data string is left."""
+    extended, padded with a stray "=" or "==", or with characters replaced;
+    unchanged if no data string is left."""
     entries = [
         entry
         for kind in ("weights", "biases")
@@ -157,10 +158,12 @@ def data_string_edited(draw, payload):
     entry = draw(st.sampled_from(entries))
     data = entry["data"]
     start = draw(st.integers(0, len(data)))
-    edit = draw(st.sampled_from(["truncate", "extend", "replace"]))
+    edit = draw(st.sampled_from(["truncate", "extend", "pad", "replace"]))
     text = draw(BASE64_TEXT)
     if edit == "truncate":
         entry["data"] = data[:start]
+    elif edit == "pad":
+        entry["data"] = data + draw(st.sampled_from(["=", "=="]))
     elif edit == "extend":
         entry["data"] = data + text
     else:
@@ -242,6 +245,10 @@ class TestLoadersTakeAnyBytes:
         if params is not None:
             trajectories, logits, _ = forward_batch(params, np.zeros((1, params.input_dim)))
             assert logits.shape == (1, params.n_heads)
+            # A loaded tensor's data is whole base64 groups: no stray padding.
+            payload = json.loads(data)
+            for kind in ("weights", "biases"):
+                assert all(len(entry["data"]) % 4 == 0 for entry in payload[kind])
 
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import math
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,8 @@ from wtalab import (
 from wtalab.losses import stable_softmax
 from wtalab import metrics
 from wtalab.metrics import REPORT_COLUMNS, _scene_metrics, write_report_csv
-from wtalab.network import forward_batch
-from wtalab.postselect import NMSConfig, truncate_top_k
+from wtalab.network import ModelParams, forward_batch
+from wtalab.postselect import NMSConfig, nms_select, truncate_top_k
 
 
 def scene_metrics(trajectories, target, scores=None):
@@ -37,9 +39,10 @@ def scene_metrics(trajectories, target, scores=None):
     trajectories = np.asarray(trajectories, dtype=float)
     if scores is None:
         scores = stable_softmax(np.zeros(trajectories.shape[0]))
-    offsets = trajectories - np.asarray(target, dtype=float)
     ade, fde, winner, brier = _scene_metrics(
-        offsets[None], np.asarray(scores, dtype=float)[None]
+        trajectories[None],
+        np.asarray(target, dtype=float)[None],
+        np.asarray(scores, dtype=float)[None],
     )
     return float(ade[0]), float(fde[0]), int(winner[0]), float(brier[0])
 
@@ -309,14 +312,70 @@ def reference_scene_metrics(offsets, scores):
     return np.min(np.mean(dists, axis=2), axis=1), scene_min_fde, winners, scene_brier
 
 
+def reference_evaluate(params, features, targets, top_k=None, nms=None):
+    """evaluate as first written, a test oracle: post-selection gathers the
+    kept (B, H, L, 2) trajectories, and reference_scene_metrics scores all
+    of their offsets at once."""
+    trajectories, logits, _ = forward_batch(params, features)
+    if nms is not None:
+        trajectories, logits = nms_select(trajectories, logits, nms)
+    if top_k is not None:
+        trajectories, logits = truncate_top_k(trajectories, logits, top_k)
+    scores = stable_softmax(logits)
+    offsets = trajectories - targets[:, None, :, :]
+    scene_min_ade, scene_min_fde, winners, scene_brier = reference_scene_metrics(offsets, scores)
+    n_scenes = len(winners)
+    histogram = np.bincount(winners, minlength=offsets.shape[1]).tolist()
+    return MetricsReport(
+        n_scenes=n_scenes,
+        min_ade=math.fsum(scene_min_ade.tolist()) / n_scenes,
+        min_fde=math.fsum(scene_min_fde.tolist()) / n_scenes,
+        miss_rate=miss_rate(scene_min_fde),
+        brier_fde=math.fsum(scene_brier.tolist()) / n_scenes,
+        effective_hypotheses=effective_hypotheses(histogram),
+        winner_histogram=histogram,
+    )
+
+
+def assert_same_report_bytes(got: MetricsReport, expected: MetricsReport) -> None:
+    """Every field of the two reports has the same type and the same bits."""
+    for field in dataclasses.fields(MetricsReport):
+        g, e = getattr(got, field.name), getattr(expected, field.name)
+        assert type(g) is type(e), field.name
+        if isinstance(e, float):
+            assert struct.pack("<d", g) == struct.pack("<d", e), field.name
+        else:
+            assert repr(g) == repr(e), field.name
+
+
+# Post-selection of the oracle comparisons, by the number of heads.
+POSTS = ("none", "top_k", "nms", "nms_top_k")
+
+
+def post_kwargs(post: str, n_heads: int) -> dict:
+    half = max(1, n_heads // 2)
+    return {
+        "none": {},
+        "top_k": {"top_k": half},
+        "nms": {"nms": NMSConfig(k_out=half, radius=0.5)},
+        "nms_top_k": {
+            "nms": NMSConfig(k_out=max(1, n_heads - 1), radius=0.5),
+            "top_k": max(1, n_heads // 3),
+        },
+    }[post]
+
+
 class TestSceneMetricsOracle:
     """_scene_metrics and evaluate against the np.linalg.norm formulas, bit
-    for bit; _scene_metrics must leave its offsets unchanged."""
+    for bit; _scene_metrics must leave its inputs unchanged."""
 
-    def assert_matches_reference(self, offsets, scores):
-        before = offsets.tobytes()
-        got = _scene_metrics(offsets, scores)
-        assert offsets.tobytes() == before
+    def assert_matches_reference(self, trajectories, targets, scores, keep=None):
+        before = trajectories.tobytes(), targets.tobytes()
+        got = _scene_metrics(trajectories, targets, scores, keep)
+        assert (trajectories.tobytes(), targets.tobytes()) == before
+        if keep is not None:
+            trajectories = np.take_along_axis(trajectories, keep[:, :, None, None], axis=1)
+        offsets = trajectories - targets[:, None, :, :]
         expected = reference_scene_metrics(offsets, scores)
         for name, g, e in zip(("min_ade", "min_fde", "winners", "brier"), got, expected):
             assert g.dtype == e.dtype, name
@@ -336,8 +395,11 @@ class TestSceneMetricsOracle:
         trajectories = rng.normal(size=(batch, n_heads, horizon, 2)) * scale
         targets = rng.normal(size=(batch, horizon, 2)) * scale
         scores = stable_softmax(rng.normal(size=(batch, n_heads)))
-        offsets = trajectories - targets[:, None, :, :]
-        self.assert_matches_reference(offsets, scores)
+        self.assert_matches_reference(trajectories, targets, scores)
+        # A kept subset, in a per-scene order, is scored as its gather.
+        kept = int(rng.integers(1, n_heads + 1))
+        keep = rng.permuted(np.tile(np.arange(n_heads), (batch, 1)), axis=1)[:, :kept]
+        self.assert_matches_reference(trajectories, targets, scores[:, :kept], keep)
 
     def test_tied_and_mirrored_endpoints(self):
         targets = np.zeros((1, 2, 2))
@@ -345,25 +407,97 @@ class TestSceneMetricsOracle:
             [[[[1.0, 1.0], [3.0, -4.0]], [[0.5, 0.5], [-4.0, 3.0]], [[0.0, 0.0], [4.0, 3.0]]]]
         )
         scores = np.full((1, 3), 1.0 / 3.0)
-        offsets = trajectories - targets[:, None, :, :]
-        self.assert_matches_reference(offsets, scores)
-        assert _scene_metrics(offsets, scores)[2].tolist() == [0]
+        self.assert_matches_reference(trajectories, targets, scores)
+        assert _scene_metrics(trajectories, targets, scores)[2].tolist() == [0]
 
-    @pytest.mark.parametrize("post", ["none", "top_k", "nms"])
-    def test_evaluate_report_equal(self, post, monkeypatch):
+    @pytest.mark.parametrize("post", POSTS)
+    def test_evaluate_report_equal(self, post):
         cfg = GeneratorConfig(seed=3, past_len=5, future_len=8)
         features, targets = generate_split(cfg, 120)
         params = init_params(
             ModelConfig(input_dim=10, n_heads=6, horizon=8, hidden=(16,)), seed=4
         )
-        kwargs = {
-            "none": {},
-            "top_k": {"top_k": 3},
-            "nms": {"nms": NMSConfig(k_out=3, radius=0.5)},
-        }[post]
+        kwargs = post_kwargs(post, 6)
+        assert_same_report_bytes(
+            evaluate(params, features, targets, **kwargs),
+            reference_evaluate(params, features, targets, **kwargs),
+        )
+
+    # L straddles the 8-element block of numpy's pairwise sum.
+    @pytest.mark.parametrize("post", POSTS)
+    @pytest.mark.parametrize("n_heads", [1, 2, 6, 12])
+    @pytest.mark.parametrize("horizon", [1, 7, 8, 9, 30])
+    def test_report_bytes_equal_across_shapes(self, horizon, n_heads, post):
+        rng = np.random.default_rng([horizon, n_heads])
+        features = rng.normal(size=(64, 6)) * 4.0
+        targets = rng.normal(size=(64, horizon, 2))
+        params = init_params(
+            ModelConfig(input_dim=6, n_heads=n_heads, horizon=horizon, hidden=(8,)), seed=1
+        )
+        kwargs = post_kwargs(post, n_heads)
+        assert_same_report_bytes(
+            evaluate(params, features, targets, **kwargs),
+            reference_evaluate(params, features, targets, **kwargs),
+        )
+
+    @pytest.mark.parametrize("post", POSTS)
+    def test_tied_and_mirrored_heads_report_equal(self, post):
+        # One-hot contexts and no hidden layer make each output one weight
+        # plus its bias, rounded once, so head 1 (the negation of head 0),
+        # head 2 (head 0 with x and y swapped) and head 3 (a copy of head 0)
+        # lie at exactly head 0's distance from the zero targets at every
+        # step. The logits tie too: head 0 wins every scene.
+        n_heads, horizon, inputs = 4, 9, 5
+        rng = np.random.default_rng(17)
+        base_w = rng.normal(size=(horizon, 2, inputs))
+        base_b = rng.normal(size=(horizon, 2))
+        heads_w = [base_w, -base_w, base_w[:, ::-1], base_w]
+        heads_b = [base_b, -base_b, base_b[:, ::-1], base_b]
+        weight = np.concatenate(
+            [w.reshape(-1, inputs) for w in heads_w] + [np.ones((n_heads, inputs))]
+        )
+        bias = np.concatenate([b.ravel() for b in heads_b] + [np.zeros(n_heads)])
+        params = ModelParams(weights=[weight], biases=[bias], n_heads=n_heads, horizon=horizon)
+        features = np.eye(inputs)[np.arange(40) % inputs]
+        targets = np.zeros((40, horizon, 2))
+        kwargs = post_kwargs(post, n_heads)
         report = evaluate(params, features, targets, **kwargs)
-        monkeypatch.setattr(metrics, "_scene_metrics", reference_scene_metrics)
-        assert evaluate(params, features, targets, **kwargs) == report
+        assert_same_report_bytes(report, reference_evaluate(params, features, targets, **kwargs))
+        assert report.winner_histogram[0] == 40
+
+
+class TestScratchBound:
+    """Past the forward pass, evaluate holds the forward output and the
+    scratch of one hypothesis at a time: its tracemalloc peak exceeds
+    forward_batch's by a fixed multiple of one hypothesis's (B, L, 2)
+    float64 bytes, whatever the number of heads."""
+
+    BATCH, HORIZON = 400, 30
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "n_heads, nms", [(6, None), (12, NMSConfig(k_out=6, radius=2.0))], ids=["6", "12-nms6"]
+    )
+    def test_peak_over_forward(self, n_heads, nms):
+        rng = np.random.default_rng(n_heads)
+        features = rng.normal(size=(self.BATCH, 10))
+        targets = rng.normal(size=(self.BATCH, self.HORIZON, 2))
+        params = init_params(
+            ModelConfig(input_dim=10, n_heads=n_heads, horizon=self.HORIZON, hidden=(8,)),
+            seed=0,
+        )
+        forward_peak = self.peak(lambda: forward_batch(params, features))
+        evaluate_peak = self.peak(lambda: evaluate(params, features, targets, nms=nms))
+        hypothesis = self.BATCH * self.HORIZON * 2 * 8
+        assert evaluate_peak - forward_peak <= 3 * hypothesis
 
 
 class TestReportCsv:

@@ -1204,6 +1204,22 @@ class TestCheckpointTypes:
         with pytest.raises(ConfigurationError, match=r"biases\[0\] data " + problem):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("padding", ["=", "=="])
+    @pytest.mark.parametrize("kind", ["weights", "biases"])
+    def test_stray_padding_after_whole_groups_rejected(self, tmp_path, kind, padding):
+        # weights[1] and biases[1] hold 216 and 27 values, whole 3-byte
+        # groups, so their data ends without padding; strict decoding alone
+        # reads a surplus "=" or "==" after it as nothing.
+        def corrupt(payload):
+            data = payload[kind][1]["data"]
+            assert not data.endswith("=")
+            return corrupt_entry(kind, 1, data=data + padding)(payload)
+
+        path = self.write(tmp_path, corrupt)
+        problem = rf"{kind}\[1\] data is not base64: \d+ characters are not whole 4-character"
+        with pytest.raises(ConfigurationError, match=problem):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "missing", [*range(1, 8), 8], ids=[*map(str, range(1, 8)), "one-value"]
     )

@@ -19,7 +19,7 @@ from wtalab import (
 )
 from wtalab.losses import stable_softmax
 from wtalab.network import forward_batch
-from wtalab.postselect import truncate_top_k
+from wtalab.postselect import nms_indices, top_k_indices, truncate_top_k
 
 
 def reference_nms(
@@ -193,8 +193,10 @@ class TestAgainstPerSceneReference:
         for _ in range(200):
             trajectories, logits, config = random_batch(rng)
             kept_traj, kept_logits = nms_select(trajectories, logits, config)
+            indices = nms_indices(trajectories, logits, config)
             for i in range(len(trajectories)):
                 keep = reference_nms(trajectories[i], logits[i], config)
+                assert indices[i].tolist() == keep
                 assert np.array_equal(kept_traj[i], trajectories[i, keep])
                 assert np.array_equal(kept_logits[i], logits[i, keep])
 
@@ -203,8 +205,10 @@ class TestAgainstPerSceneReference:
         for _ in range(200):
             trajectories, logits, config = random_batch(rng)
             kept_traj, kept_logits = truncate_top_k(trajectories, logits, config.k_out)
+            indices = top_k_indices(logits, config.k_out)
             for i in range(len(trajectories)):
                 keep = reference_top_k(logits[i], config.k_out)
+                assert indices[i].tolist() == keep
                 assert np.array_equal(kept_traj[i], trajectories[i, keep])
                 assert np.array_equal(kept_logits[i], logits[i, keep])
 

@@ -1,4 +1,5 @@
-"""tools/step_costs.py runs on a tiny config and prints one timing line per piece."""
+"""tools/step_costs.py runs on a tiny config and prints one timing and
+page-fault line per piece."""
 
 import json
 import subprocess
@@ -22,9 +23,10 @@ def test_prints_the_five_pieces(tmp_path):
         timeout=120,
     )
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["piece", "median_us", "iqr_us", "calls"]
+    assert header.split() == ["piece", "median_us", "iqr_us", "minflt", "calls"]
     assert [row.split()[0] for row in rows] == PIECES
     for row in rows:
-        _, median, iqr, calls = row.split()
+        _, median, iqr, minflt, calls = row.split()
         assert float(median) > 0.0 and float(iqr) >= 0.0
+        assert int(minflt) >= 0
         assert calls == "3"
