@@ -10,6 +10,7 @@ field's annotation, so a float round-trips exactly.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import io
@@ -17,7 +18,7 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import WtalabError
 
@@ -45,9 +46,58 @@ def decode_text(data: bytes, path: str | Path, error_type: type[WtalabError]) ->
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error_type(
-            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
-        ) from exc
+        raise _not_utf8(path, exc, 0, error_type) from exc
+    return _universal_newlines(text)
+
+
+def decode_reads(
+    reads: Iterable[bytes], path: str | Path, error_type: type[WtalabError]
+) -> Iterator[str]:
+    """decode_text of the bytes that reads yield, as a piece of text per read.
+
+    The pieces join to decode_text(b"".join(reads), path, error_type), and
+    bytes that are not UTF-8 raise its error, with their offset in the
+    whole. A character or a CRLF split between two reads is decoded whole.
+    No read's bytes are kept while a piece is out, so a caller that drops
+    each piece before the next holds one read and its text at a time.
+    """
+    offset = 0  # of `held` in the whole
+    held = b""  # the start of a character that the next read completes
+    cr = ""  # a piece's final CR, kept back in case the next piece starts with LF
+
+    def decode(data: bytes, final: bool) -> str:
+        nonlocal offset, held, cr
+        try:
+            text, used = codecs.utf_8_decode(data, "strict", final)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, offset, error_type) from exc
+        offset += used
+        held = data[used:]
+        text = cr + text
+        cr = "\r" if text.endswith("\r") and not final else ""
+        return _universal_newlines(text[:-1] if cr else text)
+
+    for data in reads:
+        if held:
+            data = held + data
+        text = decode(data, final=False)
+        del data
+        if text:
+            yield text
+        del text  # before the next read
+    if text := decode(held, final=True):
+        yield text
+
+
+def _not_utf8(
+    path: str | Path, exc: UnicodeDecodeError, offset: int, error_type: type[WtalabError]
+) -> WtalabError:
+    """error_type for bytes that are not UTF-8; exc.start is counted from offset."""
+    return error_type(f"{path} is not UTF-8 text: {exc.reason} at byte {offset + exc.start}")
+
+
+def _universal_newlines(text: str) -> str:
+    """text with CRLF and a lone CR read as LF."""
     if "\r" not in text:  # one fast scan, where each replace is a slow one
         return text
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -13,8 +13,10 @@ pass.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -24,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._files import NUMBER_TYPES, decode_text, read_text, write_text_atomic
+from ._files import NUMBER_TYPES, decode_reads, write_text_atomic
 from .errors import ConfigurationError, DatasetParseError, InputError
 
 _SPLIT_SHAPE_MESSAGE = (
@@ -239,6 +241,11 @@ def save_generated(
     write_text_atomic(path, _record_lines(_scene_rows(config, count, start_index)))
 
 
+# Bytes read from a dataset file at a time. Besides the arrays it returns,
+# which load_split's final concatenate briefly holds twice, a load holds one
+# read's bytes and text and one chunk of records, whatever the file's size.
+READ_BYTES = 1 << 20
+
 # Records held as parsed JSON at one time. A record's Python objects take
 # about five times the memory of its arrays, so a file is parsed and turned
 # into arrays a bounded chunk at a time: parsing a whole split first raises
@@ -362,60 +369,95 @@ def _read_chunk(chunk: list[tuple[int, str]]) -> list[_Block]:
     return [_parse_record(line_number, line) for line_number, line in chunk]
 
 
-def _read_blocks(text: str) -> Iterator[_Block]:
-    """The records in a dataset file's text as blocks, CHUNK_RECORDS lines at a time.
+def _file_lines(handle, path: str | Path, digest=None) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of an open dataset file that is not
+    blank, numbered as in text.split("\n") of decode_text of its bytes.
 
-    Blank lines are skipped but counted, so errors name the file's own line
-    numbers.
+    The file is read READ_BYTES at a time, and each read goes into digest
+    if one is given. Only one read's text is held, besides a line that
+    runs on into the next read.
     """
-    numbered = (pair for pair in enumerate(_lines(text), start=1) if pair[1].strip())
-    while chunk := list(itertools.islice(numbered, CHUNK_RECORDS)):
-        yield from _read_chunk(chunk)
+
+    def read() -> bytes:
+        data = handle.read(READ_BYTES)
+        if digest is not None:
+            digest.update(data)
+        return data
+
+    number = 0
+    head: list[str] = []  # the start of a line that runs on into the next read
+    for text in decode_reads(iter(read, b""), path, InputError):
+        start = 0
+        while (end := text.find("\n", start)) >= 0:
+            line = text[start:end]
+            if head:
+                line = "".join([*head, line])
+                head.clear()
+            number += 1
+            if line.strip():
+                yield number, line
+            start = end + 1
+        head.append(text[start:])
+        del text  # before the next read
+    line = "".join(head)
+    if line.strip():
+        yield number + 1, line
 
 
-def _lines(text: str) -> Iterator[str]:
-    """text.split("\n"), one line at a time, so that no second copy of the
-    file is held as a list of lines."""
-    start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
-        start = end + 1
-    yield text[start:]
+def _read_blocks(lines: Iterator[tuple[int, str]]) -> Iterator[_Block]:
+    """The records of _file_lines as blocks, CHUNK_RECORDS lines at a time.
+
+    A malformed record's DatasetParseError is raised once the rest of the
+    lines are read, so that bytes that are not UTF-8 anywhere in the file
+    win over it, as they did when a file was decoded whole before parsing.
+    """
+    while chunk := list(itertools.islice(lines, CHUNK_RECORDS)):
+        try:
+            blocks = _read_chunk(chunk)
+        except DatasetParseError:
+            collections.deque(lines, maxlen=0)
+            raise
+        yield from blocks
 
 
 def load_split(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """(N, P*2) features and (N, L, 2) targets of a dataset file.
 
     Row i is featurize(load_dataset(path)[i]), byte for byte, without a
-    Scene per line. A malformed record raises DatasetParseError naming its
-    line; else a scene whose offsets from its last past point overflow
-    raises InputError naming it; else a file that is empty or mixes lengths
-    raises ConfigurationError. Bytes that are not UTF-8 raise InputError
-    before any record is parsed.
+    Scene per line. Bytes that are not UTF-8 raise InputError; else a
+    malformed record raises DatasetParseError naming its line; else a scene
+    whose offsets from its last past point overflow raises InputError
+    naming it; else a file that is empty or mixes lengths raises
+    ConfigurationError.
 
-    The file is read once. The arrays are read-only, and the last split
-    that parsed is kept in this process under the sha256 of its file's
-    bytes: a later call on the same bytes returns the same arrays without
-    parsing again.
+    The arrays are read-only, and the last split that parsed is kept in
+    this process under the sha256 of its file's bytes: a later call on the
+    same bytes returns the same arrays without parsing again. A call reads
+    the file once to hash it, and on a miss once more to parse it. The
+    parse hashes the bytes it parses and keys the arrays by them, so an edit
+    between the two reads is never kept under the wrong key.
     """
-    data = Path(path).read_bytes()
-    key = hashlib.sha256(data).digest()
-    split = _splits.get(key)
-    if split is None:
-        text = decode_text(data, path, InputError)
-        del data  # the parse holds the text, so drop the bytes
-        split = _parse_split(path, text)
-        for array in split:
-            array.flags.writeable = False
-        _splits.clear()
-        _splits[key] = split
+    with Path(path).open("rb", buffering=0) as handle:
+        if not handle.seekable():  # a pipe can be read only once, so hold its bytes
+            handle = io.BytesIO(handle.read())
+        split = _splits.get(hashlib.file_digest(handle, "sha256").digest())
+        if split is None:
+            handle.seek(0)
+            digest = hashlib.sha256()
+            split = _parse_split(path, _file_lines(handle, path, digest))
+            for array in split:
+                array.flags.writeable = False
+            _splits.clear()
+            _splits[digest.digest()] = split
     return split
 
 
-def _parse_split(path: str | Path, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """load_split's arrays of the text of the dataset file at path."""
+def _parse_split(
+    path: str | Path, lines: Iterator[tuple[int, str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """load_split's arrays of the lines of the dataset file at path."""
     features, targets, overflowed = [], [], []
-    for block in _read_blocks(text):
+    for block in _read_blocks(lines):
         # The check below reports an overflow; numpy's warning would repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             block_features, block_targets = _model_frame(block.pasts, block.futures)
@@ -443,11 +485,12 @@ def load_dataset(path: str | Path) -> list[Scene]:
     is not UTF-8. An empty file loads as an empty list, and scenes may
     differ in length.
     """
-    return [
-        Scene(scene_id, past, future, mode_label)
-        for block in _read_blocks(read_text(path, InputError))
-        for scene_id, mode_label, past, future in zip(*block)
-    ]
+    with Path(path).open("rb", buffering=0) as handle:
+        return [
+            Scene(scene_id, past, future, mode_label)
+            for block in _read_blocks(_file_lines(handle, path))
+            for scene_id, mode_label, past, future in zip(*block)
+        ]
 
 
 # ---------------------------------------------------------------------------

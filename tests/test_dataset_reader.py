@@ -13,12 +13,19 @@ A split that loads is kept in the process under the sha256 of its file's
 bytes. Every file is loaded twice, so the second load, a hit, must give the
 reference's bytes too; a file that fails must keep nothing. TestSplitCache
 covers what is a hit and what is a miss.
+
+Both loaders read a file datagen.READ_BYTES at a time. TestStreamedReads
+shrinks the reads to a few bytes, so that characters, CRLFs and lines fall
+across them, and TestReadMemory bounds what a load holds besides its result.
 """
 
 import hashlib
 import json
+import os
 import re
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -57,10 +64,21 @@ def _reference_waypoints(raw, key, line_number):
         raise DatasetParseError(line_number, "scene coordinates must be finite") from None
 
 
+def reference_text(path):
+    """The file's text as Path.read_text gives it. Bytes that are not UTF-8
+    raise InputError naming the offset of the first bad one."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return Path(path).read_text(encoding="utf-8")
+
+
 def reference_load_records(path):
     """(scene_id, past, future, mode_label) per record, with the old checks."""
     records = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = reference_text(path)
     for line_number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -149,9 +167,15 @@ def load_split_hit(path):
 
 
 def assert_same_as_reference(text: str, newline: str = "\n"):
+    return assert_bytes_same_as_reference(text.replace("\n", newline).encode())
+
+
+def assert_bytes_same_as_reference(data: bytes):
+    """load_split and load_dataset of a file of these bytes give the
+    reference's outcome, and a split that loads is kept; its outcome."""
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "split.jsonl"
-        path.write_bytes(text.replace("\n", newline).encode())
+        path.write_bytes(data)
         want = reference_outcome(path)
         assert outcome(load_split, path) == want
         if type(want[0]) is tuple:  # loaded: kept, and read back the same
@@ -175,14 +199,17 @@ def assert_same_as_reference(text: str, newline: str = "\n"):
     return want
 
 
-def record_line(scene_id="s", past=((0.0, 0.0),), future=((1.0, 0.0),), mode_label=0):
+def record_line(
+    scene_id="s", past=((0.0, 0.0),), future=((1.0, 0.0),), mode_label=0, ensure_ascii=True
+):
     return json.dumps(
         {
             "scene_id": scene_id,
             "past": [list(p) for p in past],
             "future": [list(p) for p in future],
             "mode_label": mode_label,
-        }
+        },
+        ensure_ascii=ensure_ascii,
     )
 
 
@@ -444,6 +471,127 @@ class TestAnyFileMatchesReference:
 
 
 # ---------------------------------------------------------------------------
+# Reads of a few bytes.
+# ---------------------------------------------------------------------------
+
+READ_SIZES = [1, 2, 3, 7]
+
+# One record per length of UTF-8 character: 2, 3 and 4 bytes.
+WIDE_LINES = [record_line(char * 3, ensure_ascii=False) for char in ("é", "€", "😀")]
+
+NOT_UTF8 = {
+    "invalid-start": b"\xff",
+    "lone-continuation": b"\x80",
+    "overlong": b"\xc0\xaf",
+    "surrogate": b"\xed\xa0\x80",
+    "invalid-continuation": b"\xe2\x28\xa1",
+    "above-unicode": b"\xf4\x90\x80\x80",
+}
+
+
+@pytest.fixture(params=READ_SIZES)
+def small_reads(request, monkeypatch):
+    """Loaders that read request.param bytes at a time."""
+    monkeypatch.setattr(datagen, "READ_BYTES", request.param)
+
+
+@pytest.mark.usefixtures("small_reads")
+class TestStreamedReads:
+    def test_crlf_and_lone_cr_split_across_reads(self):
+        lines = good_lines(6)
+        for newline in ("\r\n", "\r"):
+            text = newline.join(lines) + newline
+            assert type(assert_same_as_reference(text)[0]) is tuple
+        # Every mix: CRLF, CR, LF, CR CRLF, LF CR and CRLF CRLF.
+        separators = ["\r\n", "\r", "\n", "\r\r\n", "\n\r", "\r\n\r\n"]
+        text = "".join(line + sep for line, sep in zip(lines, separators))
+        assert type(assert_same_as_reference(text)[0]) is tuple
+        # An error's line number counts a CRLF as one newline: 7 before it.
+        text = "".join(line + sep for line, sep in zip(lines[:5], separators))
+        error, _, line = assert_same_as_reference(text + BAD_LINES["bool-label"])
+        assert (error, line) == (DatasetParseError, 8)
+
+    def test_a_file_that_ends_in_cr(self):
+        assert type(assert_same_as_reference("\r".join(good_lines(3)) + "\r")[0]) is tuple
+        error, _, line = assert_same_as_reference("\r\r".join(good_lines(2) + ["[1]\r"]))
+        assert (error, line) == (DatasetParseError, 5)
+
+    def test_characters_split_across_reads(self):
+        want = assert_same_as_reference("\n".join(WIDE_LINES + good_lines(2) + WIDE_LINES))
+        assert type(want[0]) is tuple and want[0][0] == 8
+        error, _, line = assert_same_as_reference("\n".join(WIDE_LINES + [WIDE_LINES[2][:-1]]))
+        assert (error, line) == (DatasetParseError, 4)
+
+    @pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+    def test_a_byte_that_is_not_utf8_in_a_late_read(self, kind):
+        head = "\n".join(good_lines(20) + WIDE_LINES).encode()
+        error, message, line = assert_bytes_same_as_reference(head + b"\n" + NOT_UTF8[kind] + b"\n")
+        assert error is InputError and line is None
+        assert message.endswith(f" at byte {len(head) + 1}")
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_a_character_cut_off_at_the_end_of_the_file(self, cut):
+        data = "\n".join(good_lines(3) + ["😀"]).encode()
+        error, message, _ = assert_bytes_same_as_reference(data[:-cut])
+        assert error is InputError and "unexpected end of data" in message
+
+    @pytest.mark.parametrize("kind", ["invalid-json", "float-label", "bom"])
+    def test_a_byte_that_is_not_utf8_wins_over_an_earlier_bad_record(self, kind):
+        lines = good_lines(3 * CHUNK_RECORDS)  # the bad byte is chunks after the bad record
+        lines[1] = BAD_LINES[kind]
+        data = "\n".join(lines).encode() + b"\n\xff"
+        error, message, _ = assert_bytes_same_as_reference(data)
+        assert error is InputError and "not UTF-8" in message
+        # So does one after an overflow and after mixed lengths.
+        lines[1] = record_line("far", past=[(-1e308, 0.0), (1e308, 0.0)])
+        lines[5] = good_lines(1, future_len=3)[0]
+        error, message, _ = assert_bytes_same_as_reference("\n".join(lines).encode() + b"\xc3")
+        assert error is InputError and "not UTF-8" in message
+
+    def test_blank_lines_are_counted_and_the_last_line_needs_no_newline(self):
+        lines = ["", " ", *good_lines(3), "\t", "", *good_lines(2), "  "]
+        assert type(assert_same_as_reference("\n".join(lines), "\r\n")[0]) is tuple
+        lines.append(BAD_LINES["missing-key"])
+        error, _, line = assert_same_as_reference("\n".join(lines), "\r")
+        assert (error, line) == (DatasetParseError, 11)
+
+    def test_a_line_longer_than_many_reads(self):
+        long_line = record_line(past=[(i, -i) for i in range(400)])
+        lines = [long_line, *good_lines(3, past_len=400), long_line]
+        assert type(assert_same_as_reference("\n".join(lines))[0]) is tuple
+
+
+@st.composite
+def mixed_files(draw):
+    """Bytes of near-valid files: good, wide, blank and bad lines joined by
+    LF, CRLF and CR, and sometimes a byte that is not UTF-8."""
+    lines = draw(
+        st.lists(
+            st.sampled_from(good_lines(3) + WIDE_LINES + ["", " ", "\t"])
+            | st.sampled_from(sorted(BAD_LINES.values())),
+            max_size=8,
+        )
+    )
+    newlines = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines)))
+    data = "".join(line + newline for line, newline in zip(lines, newlines)).encode()
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(sorted(NOT_UTF8.values()))) + data[at:]
+    return data
+
+
+class TestAnyReadSizeMatchesReference:
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=mixed_files(), read_bytes=st.integers(1, 16), chunk=st.integers(1, 3))
+    def test_mixed_files(self, data, read_bytes, chunk):
+        """Small chunks put a bad record's chunk before a later bad byte."""
+        with mock.patch.multiple(datagen, READ_BYTES=read_bytes, CHUNK_RECORDS=chunk):
+            assert_bytes_same_as_reference(data)
+
+
+# ---------------------------------------------------------------------------
 # The split cache.
 # ---------------------------------------------------------------------------
 
@@ -519,21 +667,46 @@ class TestSplitCache:
         assert list(datagen._splits) == [cache_key(a)]
 
     def test_the_parse_reads_the_bytes_that_were_hashed(self, tmp_path):
-        """A file edited between the read and the parse cannot get the edit's
-        arrays kept under the key of the bytes read."""
+        """A file edited between the hash that misses and the parse gets the
+        arrays of the bytes parsed, kept under their own sha256."""
         path = write_split(tmp_path / "split.jsonl")
         original = path.read_bytes()
-        real_decode = datagen.decode_text
+        edited = edit_one_coordinate(original)
+        real_file_lines = datagen._file_lines
 
-        def edit_then_decode(data, *args):
-            path.write_bytes(edit_one_coordinate(original))
-            return real_decode(data, *args)
+        def edit_then_read(*args):
+            path.write_bytes(edited)
+            return real_file_lines(*args)
 
-        with mock.patch.object(datagen, "decode_text", edit_then_decode):
+        with mock.patch.object(datagen, "_file_lines", edit_then_read):
             first = load_split(path)
-        path.write_bytes(original)
         assert_same_arrays(first, reference_load_split(path))
+        assert list(datagen._splits) == [hashlib.sha256(edited).digest()]
         assert load_split_hit(path) is first
+        path.write_bytes(original)
+        with counting_parses() as parse:
+            assert_same_arrays(load_split(path), reference_load_split(path))
+        assert parse.call_count == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_loads_like_a_file(self, tmp_path):
+        """A pipe cannot be read twice, for the hash and for the parse."""
+        path = write_split(tmp_path / "split.jsonl")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        for load in (load_split, load_dataset):
+            datagen._splits.clear()
+            writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+            writer.start()
+            try:
+                got = load(pipe)
+            finally:
+                writer.join()
+            if load is load_split:
+                assert_same_arrays(got, reference_load_split(path))
+                assert list(datagen._splits) == [cache_key(path)]
+            else:
+                assert [s.scene_id for s in got] == [r[0] for r in reference_load_records(path)]
 
     @pytest.mark.parametrize("kind", ["invalid-json", "float-label", "bom"])
     def test_a_file_that_turns_malformed_raises_its_error(self, tmp_path, kind):
@@ -546,3 +719,48 @@ class TestSplitCache:
             load_split(path)
         assert excinfo.value.line_number == 4
         assert list(datagen._splits.values()) == [kept]
+
+
+# ---------------------------------------------------------------------------
+# What a load holds.
+# ---------------------------------------------------------------------------
+
+
+def traced(call):
+    """call's result, the tracemalloc peak while it ran and the memory it
+    left traced, both counted from the start of the call."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+@pytest.mark.usefixtures("no_splits")
+class TestReadMemory:
+    """Besides what it returns, a load holds one read's bytes and their
+    text, and one chunk of records, however large the file. At the
+    concatenate that ends it, load_split also holds its arrays twice."""
+
+    @pytest.fixture(params=[500, 4000])
+    def path(self, request, tmp_path):
+        path = tmp_path / "split.jsonl"
+        datagen.save_generated(datagen.GeneratorConfig(), request.param, path)
+        return path
+
+    def bound(self):
+        # A read's bytes and its text, and a MiB for a chunk of records.
+        return 2 * datagen.READ_BYTES + 2**20
+
+    def test_load_split(self, path):
+        (features, targets), peak, kept = traced(lambda: load_split(path))
+        arrays = features.nbytes + targets.nbytes
+        assert arrays <= kept < arrays + 2**16
+        assert peak - kept - arrays < self.bound()
+
+    def test_load_dataset(self, path):
+        scenes, peak, kept = traced(lambda: load_dataset(path))
+        assert kept >= sum(s.past.nbytes + s.future.nbytes for s in scenes)
+        assert peak - kept < self.bound()
