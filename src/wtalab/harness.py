@@ -406,6 +406,37 @@ def _check_writable(out_dir: Path) -> None:
         )
 
 
+# While an awta temperature falls, exp passes through the gradual-underflow
+# band and a losing head's trajectory gradient w * (2 / L) * r / B can be
+# subnormal; each product that reads one takes a microcode assist on x86
+# (about 8% of a benchmark_awta run). So training replaces output-gradient
+# entries with 0 < |x| < tiny by zeros of their sign before backward_batch,
+# which moves no parameter of ordinary size (README, "Run directory"). With
+# w >= FLUSH_WEIGHT_BOUND an entry is subnormal only if |r| < 2**-512 * B * L,
+# so only batches with a positive weight below the bound are flushed. The
+# check does not see the logit columns, which need a logit gap above about
+# 700. Runs with fewer output-layer weights than FLUSH_MIN_OUTPUT_WEIGHTS
+# never check: the assists cost in proportion to that layer's fan-in, and a
+# 64 x 18 output gradient showed no extra time.
+FLUSH_WEIGHT_BOUND = 2.0**-512
+FLUSH_MIN_OUTPUT_WEIGHTS = 4096
+_TINY = np.finfo(float).tiny
+
+
+def _has_tiny_weight(weights: np.ndarray) -> bool:
+    """Whether any assignment weight lies in (0, FLUSH_WEIGHT_BOUND)."""
+    return bool(((weights > 0.0) & (weights < FLUSH_WEIGHT_BOUND)).any())
+
+
+def _flush_subnormals(gradient: np.ndarray) -> None:
+    """Replace each entry with 0 < |x| < tiny by a zero of its sign, in place.
+
+    Zeros, tiny itself, normal values, infinities and NaNs keep their bits:
+    each is multiplied by 1.0, or a NaN or zero by 0.0.
+    """
+    gradient *= np.abs(gradient) >= _TINY
+
+
 def _train_epochs(
     config: ExperimentConfig, params: ModelParams, splits: Splits
 ) -> tuple[ModelParams, list[EpochRecord], ModelParams, int]:
@@ -413,6 +444,7 @@ def _train_epochs(
     params and epoch by validation minFDE."""
     features, targets, val_features, val_targets = splits
     n_scenes = features.shape[0]
+    check_weights = params.weights[-1].size >= FLUSH_MIN_OUTPUT_WEIGHTS
     shuffle_rng = np.random.default_rng([config.seed, 2])
     adam: AdamState = init_adam(params)
     grads = GradientBuffer.zeros_like(params)
@@ -452,6 +484,8 @@ def _train_epochs(
                 raise NonFiniteError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"
                 )
+            if check_weights and _has_tiny_weight(objective.weights):
+                _flush_subnormals(objective.d_outputs)
             backward_batch(params, activations, objective.d_outputs, out=grads)
             try:
                 params, adam = adam_step(params, grads, adam, **optimizer)

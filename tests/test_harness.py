@@ -54,6 +54,7 @@ from wtalab.harness import (
 from wtalab.network import (
     GradientBuffer,
     adam_step,
+    backward_batch,
     init_adam,
     init_params,
     save_checkpoint,
@@ -783,6 +784,109 @@ class TestLeanStepOracle:
         assert result.params.vector.tobytes() == params.vector.tobytes()
         assert [r.train_loss for r in result.records] == losses
 
+    def test_subnormal_output_gradients_are_flushed(self, tmp_path, monkeypatch):
+        # 6 heads over a 30-step horizon behind 64 hidden units: 64 x 366
+        # output weights, above the flush gate. At T = 0.0625 in the last
+        # epoch, losing heads' weights fall into the subnormal band.
+        config = tiny_config(
+            tmp_path,
+            model=ModelConfig(n_heads=6, hidden=(64,)),
+            generator=dataclasses.replace(tiny_generator(), future_len=30),
+            scheduler=ScheduleState(kind="exponential", t0=0.5, rho=0.5),
+            train_count=32,
+            epochs=4,
+        )
+        assert 64 * 366 >= harness.FLUSH_MIN_OUTPUT_WEIGHTS
+        config.validate()
+        splits = harness.build_splits(config)
+        produced, received = [], []
+
+        def objective(*args):
+            result = batch_objective(*args)
+            produced.append(subnormal_count(result.d_outputs))
+            return result
+
+        def backward(params, activations, d_outputs, **kwargs):
+            received.append(subnormal_count(d_outputs))
+            return backward_batch(params, activations, d_outputs, **kwargs)
+
+        monkeypatch.setattr(harness, "batch_objective", objective)
+        monkeypatch.setattr(harness, "backward_batch", backward)
+        result = train(config, write_outputs=False, splits=splits)
+        assert sum(produced) > 0
+        assert received == [0] * len(produced)
+        params, losses = reference_train_epochs(config, splits)
+        assert result.params.vector.tobytes() == params.vector.tobytes()
+        assert [r.train_loss for r in result.records] == losses
+
+
+TINY = np.finfo(float).tiny
+SUBNORMAL = np.nextafter(TINY, 0.0)  # the largest subnormal
+
+
+def subnormal_count(array) -> int:
+    return int(np.count_nonzero((array != 0.0) & (np.abs(array) < TINY)))
+
+
+class TestFlushSubnormals:
+    def test_only_subnormals_become_zeros_of_their_sign(self):
+        values = np.array(
+            [SUBNORMAL, -SUBNORMAL, 5e-324, -5e-324, 0.0, -0.0, TINY, -TINY]
+            + [np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.5e-300, 1e308]
+        )
+        expected = values.copy()
+        expected[:4] = [0.0, -0.0, 0.0, -0.0]
+        flushed = values.copy()
+        harness._flush_subnormals(flushed)
+        assert flushed.tobytes() == expected.tobytes()
+
+    def test_normal_values_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        # Mantissas in [0.5, 1) times 2**e for e >= -1021: every normal exponent.
+        shape = (64, 366)
+        mantissas = rng.uniform(0.5, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+        values = np.ldexp(mantissas, rng.integers(-1021, 1025, shape))
+        assert np.isfinite(values).all() and (np.abs(values) >= TINY).all()
+        flushed = values.copy()
+        harness._flush_subnormals(flushed)
+        assert flushed.tobytes() == values.tobytes()
+
+    def test_tiny_weight_check(self):
+        bound = harness.FLUSH_WEIGHT_BOUND
+        assert harness._has_tiny_weight(np.array([[1.0, 0.0, SUBNORMAL]]))
+        assert harness._has_tiny_weight(np.array([[1.0, np.nextafter(bound, 0.0)]]))
+        assert not harness._has_tiny_weight(np.array([[1.0, 0.0, bound, np.nan]]))
+
+    def test_non_finite_gradient_raises_the_same_error(self, tmp_path, monkeypatch):
+        def nan_in_second_batch(*args):
+            objective = batch_objective(*args)
+            calls.append(None)
+            if len(calls) == 2:
+                objective.d_outputs[0, 0] = np.nan
+                objective.d_outputs[1, 0] = SUBNORMAL
+            return objective
+
+        def flush(gradient):
+            flushed.append(None)
+            flush_subnormals(gradient)
+
+        flush_subnormals = harness._flush_subnormals
+        monkeypatch.setattr(harness, "batch_objective", nan_in_second_batch)
+        monkeypatch.setattr(harness, "_flush_subnormals", flush)
+        messages = []
+        # The gate closed, then open with every batch flushed.
+        for min_weights, bound in ((math.inf, 0.0), (0, math.inf)):
+            monkeypatch.setattr(harness, "FLUSH_MIN_OUTPUT_WEIGHTS", min_weights)
+            monkeypatch.setattr(harness, "FLUSH_WEIGHT_BOUND", bound)
+            calls, flushed = [], []
+            with pytest.raises(NonFiniteError) as raised:
+                train(tiny_config(tmp_path), write_outputs=False)
+            messages.append(str(raised.value))
+            assert len(flushed) == (2 if min_weights == 0 else 0)
+        assert messages == [
+            "epoch 0 batch 1: non-finite gradient in layer 0 weights; step rejected"
+        ] * 2
+
 
 class TestOutDirResolution:
     def test_relative_paths_land_under_env_root(self, tmp_path, monkeypatch):
@@ -1306,6 +1410,19 @@ class TestCli:
         capsys.readouterr()
         saved = load_config(override / "config.json")
         assert saved.seed == 7
+
+    def test_train_seed_keeps_the_scenes_of_the_file(self, tmp_path, capsys):
+        # The generator seed defaults to the file's seed when the config is
+        # loaded, before --seed replaces the run seed.
+        data = config_to_dict(tiny_config(tmp_path, seed=1))
+        del data["generator"]["seed"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["train", "--config", str(path), "--seed", "7"]) == 0
+        capsys.readouterr()
+        saved = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert saved["seed"] == 7
+        assert saved["generator"]["seed"] == 1
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, epochs=1)

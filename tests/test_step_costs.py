@@ -1,10 +1,13 @@
-"""tools/step_costs.py runs on a tiny config and prints one timing and
-page-fault line per piece."""
+"""tools/step_costs.py runs on a tiny config, names its BLAS and prints one
+timing and page-fault line per piece."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PIECES = ["forward_batch", "batch_objective", "backward_batch", "adam_step", "evaluate"]
@@ -22,7 +25,15 @@ def test_prints_the_five_pieces(tmp_path):
         check=True,
         timeout=120,
     )
-    header, *rows = done.stdout.splitlines()
+    blas, header, *rows = done.stdout.splitlines()
+    expected = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    match = re.fullmatch(r"blas (\S+) (\S+) core (\S+) threads (\S+)", blas)
+    assert match, blas
+    assert match.group(1, 2) == (expected["name"], expected["version"])
+    if "openblas" in expected["name"]:
+        # The tool sets one thread before numpy loads.
+        assert match.group(4) == "1"
+        assert match.group(3) != "unknown"
     assert header.split() == ["piece", "median_us", "iqr_us", "minflt", "calls"]
     assert [row.split()[0] for row in rows] == PIECES
     for row in rows:

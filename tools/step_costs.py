@@ -12,9 +12,17 @@ training. --repo times the wtalab sources of another checkout. The minflt
 column is the median change in resource.getrusage's ru_minflt over one call:
 pages the piece touched that were not mapped, such as memory that the
 allocator had handed back to the system after an earlier call.
+
+The first line names the BLAS the timings come from: numpy's BLAS name and
+version, the CPU kernel OpenBLAS picked at run time (its get_corename
+function, looked up in the OpenBLAS bundled with numpy) and its thread
+count, "unknown" where numpy or the library does not say:
+
+    blas scipy-openblas 0.3.31.188.0 core SkylakeX threads 1
 """
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import resource
@@ -24,6 +32,47 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Symbol name prefixes and suffixes of the OpenBLAS builds numpy bundles.
+OPENBLAS_AFFIXES = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
+
+
+def openblas_core_and_threads() -> tuple[str, int | str]:
+    """The run-time CPU kernel and thread count of the OpenBLAS bundled with
+    numpy, found as wtalab.cli finds its thread-count functions."""
+    import numpy as np
+
+    numpy_dir = Path(np.__file__).parent
+    candidates = sorted(numpy_dir.parent.glob("numpy.libs/*blas*")) + sorted(
+        numpy_dir.glob(".libs/*blas*")
+    )
+    for path in candidates:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in OPENBLAS_AFFIXES:
+            get_core = getattr(lib, f"{prefix}get_corename{suffix}", None)
+            get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if get_core is not None and get_threads is not None:
+                get_core.restype, get_core.argtypes = ctypes.c_char_p, []
+                get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+                return get_core().decode(), get_threads()
+    return "unknown", "unknown"
+
+
+def blas_line() -> str:
+    """'blas NAME VERSION core CORE threads N' for numpy's BLAS."""
+    import numpy as np
+
+    name = version = "unknown"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name, version = blas.get("name", name), blas.get("version", version)
+    except (TypeError, KeyError, AttributeError):  # numpy without dict-mode config
+        pass
+    core, threads = openblas_core_and_threads()
+    return f"blas {name} {version} core {core} threads {threads}"
 
 
 def main(argv=None) -> None:
@@ -75,6 +124,7 @@ def main(argv=None) -> None:
         timed("adam_step", network.adam_step, params, grads, adam, **optimizer)
     for _ in range(args.repeats):
         timed("evaluate", metrics.evaluate, params, val_features, val_targets)
+    print(blas_line())
     print(f"{'piece':<16}{'median_us':>11}{'iqr_us':>9}{'minflt':>8}{'calls':>7}")
     for name in pieces:
         q1, median, q3 = statistics.quantiles([s * 1e6 for s in seconds[name]], n=4)
