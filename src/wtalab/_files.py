@@ -28,38 +28,28 @@ NUMBER_TYPES = frozenset({int, float})
 
 
 def read_text(path: str | Path, error_type: type[WtalabError]) -> str:
-    """Read a UTF-8 text file, with universal newlines like Path.read_text.
+    """Read a UTF-8 text file as Path.read_text does, with universal
+    newlines (CRLF and a lone CR read as LF).
 
-    Bytes that are not UTF-8 raise error_type as decode_text says. A missing
-    or unreadable file raises the OSError of open.
+    Bytes that are not UTF-8 raise error_type as decode_reads says. A
+    missing or unreadable file raises the OSError of open.
     """
-    return decode_text(Path(path).read_bytes(), path, error_type)
-
-
-def decode_text(data: bytes, path: str | Path, error_type: type[WtalabError]) -> str:
-    """The text of a file's bytes, as Path.read_text decodes them: UTF-8, with
-    universal newlines (CRLF and a lone CR read as LF).
-
-    Bytes that are not UTF-8 raise error_type naming path and the offset of
-    the first bad byte.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, 0, error_type) from exc
-    return _universal_newlines(text)
+    data = Path(path).read_bytes()
+    return "".join(decode_reads((data,), path, error_type))
 
 
 def decode_reads(
     reads: Iterable[bytes], path: str | Path, error_type: type[WtalabError]
 ) -> Iterator[str]:
-    """decode_text of the bytes that reads yield, as a piece of text per read.
+    """The UTF-8 text of the bytes that reads yield, with universal
+    newlines, as a piece of text per read.
 
-    The pieces join to decode_text(b"".join(reads), path, error_type), and
-    bytes that are not UTF-8 raise its error, with their offset in the
-    whole. A character or a CRLF split between two reads is decoded whole.
-    No read's bytes are kept while a piece is out, so a caller that drops
-    each piece before the next holds one read and its text at a time.
+    Bytes that are not UTF-8 raise error_type naming path and the offset of
+    the first bad byte in the whole. The joined pieces do not depend on
+    where the reads split the bytes: a character or a CRLF split between two
+    reads is decoded whole. No read's bytes are kept while a piece is out,
+    so a caller that drops each piece before the next holds one read and
+    its text at a time.
     """
     offset = 0  # of `held` in the whole
     held = b""  # the start of a character that the next read completes

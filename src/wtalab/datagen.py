@@ -66,13 +66,13 @@ class Scene:
 class GeneratorConfig:
     """Branch geometry and sampling parameters.
 
+    probabilities are the branch sampling weights, one per branch, and
     turns holds the total heading change of each branch over the future,
-    in radians; 0 is straight, positive turns left. probabilities are the
-    branch sampling weights. noise_std is the standard deviation of the
+    in radians; 0 is straight, positive turns left. The number of branches
+    is their common length. noise_std is the standard deviation of the
     i.i.d. Gaussian waypoint noise added to both past and future.
     """
 
-    n_branches: int = 3
     probabilities: tuple[float, ...] = (0.4, 0.4, 0.2)
     turns: tuple[float, ...] = (math.pi / 2, 0.0, -math.pi / 2)
     speed: float = 1.0
@@ -82,11 +82,11 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_branches < 1:
-            raise ConfigurationError(f"n_branches must be >= 1, got {self.n_branches}")
-        if len(self.probabilities) != self.n_branches:
+        n_probabilities, n_turns = len(self.probabilities), len(self.turns)
+        if n_probabilities == 0 or n_probabilities != n_turns:
             raise ConfigurationError(
-                f"expected {self.n_branches} probabilities, got {len(self.probabilities)}"
+                "probabilities and turns need one entry per branch and at least"
+                f" one branch, got {n_probabilities} probabilities and {n_turns} turns"
             )
         if not all(math.isfinite(p) for p in self.probabilities):
             raise ConfigurationError("branch probabilities must be finite")
@@ -94,10 +94,6 @@ class GeneratorConfig:
             raise ConfigurationError("branch probabilities must be nonnegative")
         if abs(sum(self.probabilities) - 1.0) > 1e-9:
             raise ConfigurationError("branch probabilities must sum to 1 within 1e-9")
-        if len(self.turns) != self.n_branches:
-            raise ConfigurationError(
-                f"expected {self.n_branches} turns, got {len(self.turns)}"
-            )
         if not self.speed > 0:
             raise ConfigurationError(f"speed must be positive, got {self.speed}")
         if self.noise_std < 0:
@@ -146,7 +142,7 @@ def _generate_arrays(
     noise = 0.0 + config.noise_std * normals
     past_x = (np.arange(past_len) - (past_len - 1)) * config.speed
     past_template = np.stack([past_x, np.zeros(past_len)], axis=1)
-    waypoints = np.stack([branch_waypoints(config, b) for b in range(config.n_branches)])
+    waypoints = np.stack([branch_waypoints(config, b) for b in range(len(config.turns))])
     pasts = past_template + noise[:, : 2 * past_len].reshape(count, past_len, 2)
     futures = waypoints[branches] + noise[:, 2 * past_len :].reshape(count, future_len, 2)
     if not (np.isfinite(pasts).all() and np.isfinite(futures).all()):
@@ -371,7 +367,7 @@ def _read_chunk(chunk: list[tuple[int, str]]) -> list[_Block]:
 
 def _file_lines(handle, path: str | Path, digest=None) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line of an open dataset file that is not
-    blank, numbered as in text.split("\n") of decode_text of its bytes.
+    blank, numbered as in text.split("\n") of read_text of the file.
 
     The file is read READ_BYTES at a time, and each read goes into digest
     if one is given. Only one read's text is held, besides a line that

@@ -96,11 +96,12 @@ class LossConfig:
 
     temperature, top_n and depth are the values used when the variant needs
     them; during scheduled training schedulers.control sets them per epoch.
-    score_coef scales the confidence cross-entropy term.
+    temperature is not a JSON key: an awta run always takes it from the
+    schedule. score_coef scales the confidence cross-entropy term.
     """
 
     variant: str = "awta"
-    temperature: float = 1.0
+    temperature: float = dataclasses.field(default=1.0, metadata={"json": False})
     epsilon: float = 0.05
     top_n: int = 1
     depth: int = 0

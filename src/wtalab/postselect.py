@@ -1,11 +1,10 @@
 """Post-selection: thin a batch of hypothesis sets before computing metrics.
 
 Used to evaluate an over-complete model (train with many heads, keep a few
-diverse ones). Each rule has an index form, which returns the (B, k) head
-indices kept in each scene in the order they were kept, and a form that
-takes (B, K, L, 2) trajectories with (B, K) confidence logits and returns
-the kept trajectories and logits, a gather over those indices. The scores of
-a kept set are the softmax over its logits.
+diverse ones). Each rule returns the (B, k) head indices kept in each scene,
+in the order they were kept; nms_select also gathers the kept (B, k, L, 2)
+trajectories and (B, k) confidence logits. The scores of a kept set are the
+softmax over its logits.
 """
 
 from __future__ import annotations
@@ -17,38 +16,25 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .losses import stable_softmax
 
-ORDER_RULES = ("score",)
-
 
 @dataclasses.dataclass
 class NMSConfig:
-    """Selection count, suppression radius in meters, and ordering rule."""
+    """Selection count and suppression radius in meters. Candidates are
+    visited in descending score order."""
 
     k_out: int
     radius: float = 2.0
-    order: str = "score"
 
     def validate(self) -> None:
         if self.k_out < 1:
             raise ConfigurationError(f"k_out must be >= 1, got {self.k_out}")
         if self.radius < 0:
             raise ConfigurationError(f"radius must be >= 0, got {self.radius}")
-        if self.order not in ORDER_RULES:
-            raise ConfigurationError(
-                f"unknown order rule {self.order!r}, expected one of {ORDER_RULES}"
-            )
 
 
 def _order_by_score(logits: np.ndarray) -> np.ndarray:
     # Stable sort on the negated scores keeps ties in index order.
     return np.argsort(-stable_softmax(logits), axis=-1, kind="stable")
-
-
-def _take(
-    trajectories: np.ndarray, logits: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(keep.shape[0])[:, None]
-    return trajectories[rows, keep], logits[rows, keep]
 
 
 def top_k_indices(logits: np.ndarray, top_k: int) -> np.ndarray:
@@ -58,13 +44,6 @@ def top_k_indices(logits: np.ndarray, top_k: int) -> np.ndarray:
     if not 1 <= top_k <= n_heads:
         raise InputError(f"top_k must be in [1, {n_heads}], got {top_k}")
     return _order_by_score(logits)[:, :top_k]
-
-
-def truncate_top_k(
-    trajectories: np.ndarray, logits: np.ndarray, top_k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the top_k highest-score hypotheses, in descending score order."""
-    return _take(trajectories, logits, top_k_indices(logits, top_k))
 
 
 def nms_indices(
@@ -111,7 +90,9 @@ def nms_select(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pick up to k_out hypotheses per scene with mutually distant endpoints:
     the trajectories and logits at nms_indices."""
-    return _take(trajectories, logits, nms_indices(trajectories, logits, config))
+    keep = nms_indices(trajectories, logits, config)
+    rows = np.arange(keep.shape[0])[:, None]
+    return trajectories[rows, keep], logits[rows, keep]
 
 
 def _accept(endpoints: np.ndarray, config: NMSConfig) -> np.ndarray:

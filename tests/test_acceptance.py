@@ -323,7 +323,6 @@ def test_two_mode_phase_transition():
     seed = 4
     config = ExperimentConfig(
         generator=GeneratorConfig(
-            n_branches=2,
             probabilities=(0.5, 0.5),
             turns=(half_angle, -half_angle),
             speed=speed,

@@ -26,7 +26,6 @@ CONFIG = {
     "scheduler": {"kind": "exponential", "t0": 150.0, "rho": 0.92, "total_steps": 8},
     "optimizer": {"lr": 0.02},
     "generator": {
-        "n_branches": 3,
         "probabilities": [0.4, 0.4, 0.2],
         "turns": [1.5707963267948966, 0.0, -1.5707963267948966],
         "speed": 1.0,

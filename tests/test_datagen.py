@@ -30,7 +30,6 @@ from wtalab.datagen import branch_waypoints
 
 def tiny_config(**overrides) -> GeneratorConfig:
     base = dict(
-        n_branches=2,
         probabilities=(0.5, 0.5),
         turns=(0.5, -0.5),
         speed=1.0,
@@ -47,7 +46,6 @@ class TestGeneratorConfig:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(n_branches=0),
             dict(probabilities=(0.5, 0.4)),
             dict(probabilities=(0.5, 0.5, 0.0)),
             dict(probabilities=(1.5, -0.5)),
@@ -62,6 +60,16 @@ class TestGeneratorConfig:
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             tiny_config(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "probabilities, turns",
+        [((), ()), ((), (0.5,)), ((0.5, 0.3, 0.2), (0.5, -0.5)), ((1.0,), (0.5, -0.5))],
+    )
+    def test_branch_count_mismatch_names_both_lengths(self, probabilities, turns):
+        config = tiny_config(probabilities=probabilities, turns=turns)
+        message = f"got {len(probabilities)} probabilities and {len(turns)} turns"
+        with pytest.raises(ConfigurationError, match=message):
+            config.validate()
 
     def test_defaults_validate(self):
         GeneratorConfig().validate()
@@ -148,7 +156,6 @@ class TestGenerateScene:
 
     def test_branch_frequencies_match_probabilities(self):
         cfg = tiny_config(
-            n_branches=3,
             probabilities=(0.5, 0.3, 0.2),
             turns=(0.0, 0.4, -0.4),
             seed=5,
@@ -167,7 +174,7 @@ def reference_scene(config: GeneratorConfig, index: int) -> Scene:
     """One scene from its own stream, drawn the way the package first did it:
     the branch through Generator.choice, then past and future noise."""
     rng = np.random.default_rng([config.seed, index])
-    branch = int(rng.choice(config.n_branches, p=np.asarray(config.probabilities)))
+    branch = int(rng.choice(len(config.probabilities), p=np.asarray(config.probabilities)))
     past_x = (np.arange(config.past_len) - (config.past_len - 1)) * config.speed
     past = np.stack([past_x, np.zeros(config.past_len)], axis=1)
     future = branch_waypoints(config, branch)
@@ -213,14 +220,12 @@ class TestGenerationOracle:
         assert_matches_reference(dataclasses.replace(generator, seed=seed), 40, start_index)
 
     def test_single_branch(self):
-        config = tiny_config(n_branches=1, probabilities=(1.0,), turns=(0.3,))
+        config = tiny_config(probabilities=(1.0,), turns=(0.3,))
         scenes = assert_matches_reference(config, 30, 2)
         assert {s.mode_label for s in scenes} == {0}
 
     def test_zero_probability_branch_never_drawn(self):
-        config = tiny_config(
-            n_branches=3, probabilities=(0.5, 0.0, 0.5), turns=(0.4, 0.0, -0.4)
-        )
+        config = tiny_config(probabilities=(0.5, 0.0, 0.5), turns=(0.4, 0.0, -0.4))
         scenes = assert_matches_reference(config, 300, 0)
         assert {s.mode_label for s in scenes} == {0, 2}
 
@@ -230,9 +235,7 @@ class TestGenerationOracle:
     )
     def test_probabilities_off_one_within_tolerance(self, probabilities):
         assert sum(probabilities) != 1.0
-        config = tiny_config(
-            n_branches=3, probabilities=probabilities, turns=(0.4, 0.0, -0.4)
-        )
+        config = tiny_config(probabilities=probabilities, turns=(0.4, 0.0, -0.4))
         assert_matches_reference(config, 200, 9)
 
     def test_noise_free_negative_zero_turn(self):

@@ -68,7 +68,6 @@ from test_network import reference_backward, reference_forward
 
 def tiny_generator(seed=3) -> GeneratorConfig:
     return GeneratorConfig(
-        n_branches=2,
         probabilities=(0.5, 0.5),
         turns=(0.4, -0.4),
         speed=1.0,
@@ -128,14 +127,23 @@ DATASET_CONFIG = {
     "out_dir": "runs/dataset",
 }
 
+# Keys that no run would read, so the loader rejects them as unknown: an awta
+# run takes its temperature from the schedule, nms has one visiting order, and
+# the branch count is the length of probabilities.
+REMOVED_KEYS = [
+    ({"generator": {}, "loss": {"variant": "awta", "temperature": 0.5}}, "temperature"),
+    ({"generator": {}, "nms": {"k_out": 2, "radius": 1.0, "order": "score"}}, "order"),
+    ({"generator": {"n_branches": 3}}, "n_branches"),
+]
+
 # sha256 of the config.json that save_config writes for each config.
 CONFIG_JSON_SHA256 = {
-    "benchmark_awta.json": "173f6a54bcaa2e1e17b99f1c34989c8f3ab984c5dbcc9e26c24b0f3cbcb141a9",
-    "benchmark_wta.json": "8c7aeb7cc595f48da8ff33d5e1f578620f8b5b002937e6efb3f475f86fd12c1a",
-    "benchmark_wta12_nms.json": "5cc353437dd7518b8c4e17f1325208ff5b0c38d6d5291bc04f23bdd49ea65bab",
-    "phase_transition.json": "b4c36013444c2c02264236e4d1ea221206f42bd38a77e7988487e42ff9509097",
-    "quantization_ring.json": "f85e3eb724fca94f8e75a44121aa3f14f525aa764e55941c987f677e1c332367",
-    "dataset.json": "7003f485ab1c563de80ffb910069cc7eba86396793fe20307f55338ec95f675b",
+    "benchmark_awta.json": "c0915be446a1d6a1bea0c2acc93b2369c3ade5fe4ed6b6afdce54e3d4bf1b0f3",
+    "benchmark_wta.json": "e2bbc33be9a6336f4700d353294d21b5a6a58e0dd6416a43c4619f4fc5a5837e",
+    "benchmark_wta12_nms.json": "51782b5cff2ac7eeb12f22f1bcd4e3f45b0b3aaa483b32e8cc83e7dce91e7e15",
+    "phase_transition.json": "f5d7069fb3003442ec344e6ac7a1d708c5a29b1f7ac42a33042af7196cf7bf91",
+    "quantization_ring.json": "6b38f33bf5096d54100caa5a5a45a9a66c68145d978d8a84b0faa2b71988ff2c",
+    "dataset.json": "369d3d908c7287be1922f14b37a69a8cdf00dd87ca314f2094cf7373cbd8ae1f",
 }
 
 
@@ -181,18 +189,19 @@ class TestConfigRoundTrip:
         assert config.scheduler.total_steps == 37
 
     @pytest.mark.parametrize(
-        "data",
+        "data, key",
         [
-            {"generator": {}, "learning_rate": 0.1},
-            {"generator": {}, "model": {"n_heads": 4, "width": 8}},
-            {"generator": {}, "loss": {"variant": "wta", "margin": 1.0}},
-            {"generator": {}, "scheduler": {"kind": "constant", "gamma": 0.9}},
-            {"generator": {"n_branches": 2, "bend": 0.1}},
-            {"generator": {}, "nms": {"k_out": 2, "metric": "l2"}},
+            ({"generator": {}, "learning_rate": 0.1}, "learning_rate"),
+            ({"generator": {}, "model": {"n_heads": 4, "width": 8}}, "width"),
+            ({"generator": {}, "loss": {"variant": "wta", "margin": 1.0}}, "margin"),
+            ({"generator": {}, "scheduler": {"kind": "constant", "gamma": 0.9}}, "gamma"),
+            ({"generator": {"bend": 0.1}}, "bend"),
+            ({"generator": {}, "nms": {"k_out": 2, "metric": "l2"}}, "metric"),
+            *REMOVED_KEYS,
         ],
     )
-    def test_unknown_keys_rejected(self, data):
-        with pytest.raises(ConfigurationError, match="unknown keys"):
+    def test_unknown_keys_rejected(self, data, key):
+        with pytest.raises(ConfigurationError, match=f"unknown keys in .*'{key}'"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("name", sorted(CONFIG_JSON_SHA256))
@@ -227,20 +236,19 @@ FIELDS = {
     },
     "model": {"n_heads": int, "hidden": [int], "init": str},
     "loss": {
-        "variant": str, "temperature": float, "epsilon": float, "top_n": int,
-        "depth": int, "score_coef": float,
+        "variant": str, "epsilon": float, "top_n": int, "depth": int,
+        "score_coef": float,
     },
     "scheduler": {
         "kind": str, "t0": float, "rho": float, "t_floor": float, "total_steps": int,
     },
     "optimizer": {"lr": float, "beta1": float, "beta2": float, "eps": float},
     "generator": {
-        "n_branches": int, "probabilities": [float], "turns": [float],
-        "speed": float, "noise_std": float, "past_len": int, "future_len": int,
-        "seed": int,
+        "probabilities": [float], "turns": [float], "speed": float,
+        "noise_std": float, "past_len": int, "future_len": int, "seed": int,
     },
     "dataset": {"train_path": str, "val_path": str},
-    "nms": {"k_out": int, "radius": float, "order": str},
+    "nms": {"k_out": int, "radius": float},
 }
 
 ANY_JSON = st.recursive(
@@ -260,8 +268,7 @@ PLAUSIBLE = {
     str: st.sampled_from(
         [
             "wta", "rwta", "ewta", "dac", "awta", "exponential", "linear",
-            "constant", "ewta-topn", "dac-depth", "glorot", "clustered", "score",
-            "run", "",
+            "constant", "ewta-topn", "dac-depth", "glorot", "clustered", "run", "",
         ]
     ),
 }
@@ -317,7 +324,7 @@ class TestConfigTyping:
             {"generator": {}, "model": {"hidden": [8, 8.0]}},
             {"generator": {}, "model": {"hidden": 8}},
             {"generator": {}, "model": 5},
-            {"generator": {"probabilities": [0.5, "0.5"], "n_branches": 2}},
+            {"generator": {"probabilities": [0.5, "0.5"]}},
             {"generator": {"speed": float("nan")}},
             {"generator": {"noise_std": float("inf")}},
             {"generator": {}, "optimizer": {"lr": 10**400}},
@@ -1323,14 +1330,23 @@ class TestReadText:
         assert read_text(path, InputError) == "x\nyé\nz\n"
 
     @pytest.mark.parametrize("error_type", [InputError, ConfigurationError])
-    def test_non_utf8_raises_the_callers_type_naming_path(self, tmp_path, error_type):
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"ok\n" + NOT_UTF8, "invalid start byte"),
+            # The file ends after two of the three bytes of a euro sign.
+            (b"ok\n" + "\u20ac".encode()[:2], "unexpected end of data"),
+        ],
+    )
+    def test_non_utf8_raises_the_callers_type_naming_path(
+        self, tmp_path, error_type, data, reason
+    ):
         path = tmp_path / "a.txt"
-        path.write_bytes(b"ok\n" + NOT_UTF8)
+        path.write_bytes(data)
         with pytest.raises(error_type) as excinfo:
             read_text(path, error_type)
         assert type(excinfo.value) is error_type
-        assert str(excinfo.value).startswith(f"{path} is not UTF-8 text")
-        assert "at byte 3" in str(excinfo.value)
+        assert str(excinfo.value) == f"{path} is not UTF-8 text: {reason} at byte 3"
 
     def test_missing_file_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -1546,14 +1562,23 @@ class TestCli:
         payload = json.loads(captured.err.strip())
         assert set(payload) == {"error", "message"}
 
-    def test_bad_config_reports_configuration_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data, key", [({"generator": {}, "bogus_key": 1}, "bogus_key"), *REMOVED_KEYS]
+    )
+    def test_bad_config_reports_configuration_error(self, tmp_path, capsys, data, key):
+        # Small enough that a config the loader wrongly accepts trains fast.
+        small = {
+            "train_count": 8, "val_count": 8, "epochs": 1, "out_dir": str(tmp_path / "run"),
+        }
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"generator": {}, "bogus_key": 1}))
+        path.write_text(json.dumps({**data, **small}))
         rc = main(["train", "--config", str(path)])
         assert rc == 1
-        payload = json.loads(capsys.readouterr().err.strip())
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
         assert payload["error"] == "ConfigurationError"
-        assert "bogus_key" in payload["message"]
+        assert f"'{key}'" in payload["message"]
 
     def test_generate_requires_generator_block(self, tmp_path, capsys):
         config = tiny_config(

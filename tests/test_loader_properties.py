@@ -58,7 +58,6 @@ def written_bytes(write, value) -> bytes:
 @functools.cache
 def valid_dataset() -> bytes:
     config = GeneratorConfig(
-        n_branches=2,
         probabilities=(0.5, 0.5),
         turns=(0.4, -0.4),
         speed=1.0,
@@ -301,7 +300,6 @@ TINY_CONFIG = {"model": {"n_heads": 2, "hidden": [2]}, "epochs": 1, "batch_size"
 
 # One-point pasts and futures fit valid_checkpoint's input and horizon.
 ONE_POINT_GENERATOR = {
-    "n_branches": 1,
     "probabilities": [1.0],
     "turns": [0.0],
     "past_len": 1,

@@ -27,7 +27,7 @@ from wtalab.losses import stable_softmax
 from wtalab import metrics
 from wtalab.metrics import REPORT_COLUMNS, _scene_metrics, write_report_csv
 from wtalab.network import ModelParams, forward_batch
-from wtalab.postselect import NMSConfig, nms_select, truncate_top_k
+from wtalab.postselect import NMSConfig, nms_select, top_k_indices
 
 
 def scene_metrics(trajectories, target, scores=None):
@@ -182,11 +182,10 @@ class TestEffectiveHypotheses:
 
 
 def top_k_one_scene(trajectories, logits, k):
-    """truncate_top_k on a batch holding one scene."""
-    kept_traj, kept_logits = truncate_top_k(
-        np.asarray(trajectories, dtype=float)[None], np.asarray(logits, dtype=float)[None], k
-    )
-    return kept_traj[0], kept_logits[0]
+    """The trajectories and logits of one scene at its top_k_indices."""
+    logits = np.asarray(logits, dtype=float)
+    keep = top_k_indices(logits[None], k)[0]
+    return np.asarray(trajectories, dtype=float)[keep], logits[keep]
 
 
 class TestTruncateTopK:
@@ -320,7 +319,9 @@ def reference_evaluate(params, features, targets, top_k=None, nms=None):
     if nms is not None:
         trajectories, logits = nms_select(trajectories, logits, nms)
     if top_k is not None:
-        trajectories, logits = truncate_top_k(trajectories, logits, top_k)
+        keep = top_k_indices(logits, top_k)
+        rows = np.arange(len(keep))[:, None]
+        trajectories, logits = trajectories[rows, keep], logits[rows, keep]
     scores = stable_softmax(logits)
     offsets = trajectories - targets[:, None, :, :]
     scene_min_ade, scene_min_fde, winners, scene_brier = reference_scene_metrics(offsets, scores)
