@@ -67,19 +67,13 @@ OUT_ROOT_ENV = "WTALAB_OUT_ROOT"
 
 @dataclasses.dataclass
 class OptimizerConfig:
+    """Adam's step size; every run uses adam_step's default betas and eps."""
+
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> None:
         if not self.lr > 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1), got {beta}")
-        if not self.eps > 0:
-            raise ConfigurationError(f"eps must be positive, got {self.eps}")
 
 
 @dataclasses.dataclass
@@ -108,7 +102,6 @@ class ExperimentConfig:
     batch_size: int = 64
     seed: int = 0
     out_dir: str = "run"
-    eval_top_k: int | None = None
     nms: NMSConfig | None = None
 
     def validate(self) -> None:
@@ -131,19 +124,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         # Post-selection runs only after the last epoch, so its sizes are
         # checked here, before any training.
-        n_kept = self.model.n_heads
         if self.nms is not None:
             self.nms.validate()
-            if self.nms.k_out > n_kept:
+            if self.nms.k_out > self.model.n_heads:
                 raise ConfigurationError(
-                    f"nms.k_out={self.nms.k_out} exceeds model.n_heads={n_kept}"
+                    f"nms.k_out={self.nms.k_out} exceeds"
+                    f" model.n_heads={self.model.n_heads}"
                 )
-            n_kept = self.nms.k_out
-        if self.eval_top_k is not None and not 1 <= self.eval_top_k <= n_kept:
-            raise ConfigurationError(
-                f"eval_top_k must be in [1, {n_kept}], the hypotheses left"
-                f" after post-selection; got {self.eval_top_k}"
-            )
         control = schedulers.CONTROLS.get(self.loss.variant)
         if control is not None and self.scheduler.kind not in control[1]:
             raise ConfigurationError(
@@ -456,7 +443,7 @@ def _train_epochs(
     best_epoch = -1
     best_fde = math.inf
     best_params = params.copy()
-    optimizer = dataclasses.asdict(config.optimizer)  # lr, beta1, beta2, eps
+    optimizer = dataclasses.asdict(config.optimizer)  # lr
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -547,9 +534,7 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         params, records, best_params, best_epoch = _train_epochs(config, params, splits)
 
-    best_report = evaluate(
-        best_params, val_features, val_targets, top_k=config.eval_top_k, nms=config.nms
-    )
+    best_report = evaluate(best_params, val_features, val_targets, nms=config.nms)
 
     result = TrainResult(
         params=params,
@@ -577,8 +562,7 @@ def evaluate_cmd(
     """Evaluate a saved checkpoint on the config's validation split.
 
     Raises ConfigurationError when the checkpoint's n_heads or hidden widths
-    differ from the config's model block, which sizes post-selection and
-    eval_top_k.
+    differ from the config's model block, which sizes nms.k_out.
     """
     config.validate()
     params = load_checkpoint(checkpoint_path)
@@ -590,9 +574,7 @@ def evaluate_cmd(
             f" n_heads={model.n_heads} and hidden={list(model.hidden)}"
         )
     features, targets = _split_arrays(config, "val")
-    report = evaluate(
-        params, features, targets, top_k=config.eval_top_k, nms=config.nms
-    )
+    report = evaluate(params, features, targets, nms=config.nms)
     if out_path is not None:
         write_report_csv(report, out_path)
     return report
@@ -630,9 +612,11 @@ def sweep(
 
     The cells share one build_splits of base, since they differ only in
     schedule and seed; each cell's outputs are byte-identical to a solo train
-    of its config. A failed cell is recorded, not raised. Each cell calls the
-    module-global train, so a wrapper patched onto harness.train sees it. A
-    given out_dir is checked before the first cell and receives sweep.csv.
+    of its config. Data that cannot be built raises before the first cell,
+    since every cell would fail on it. A failed cell is recorded, not raised.
+    Each cell calls the module-global train, so a wrapper patched onto
+    harness.train sees it. A given out_dir is checked before the first cell
+    and receives sweep.csv.
     workers stays only for callers that pass 1; any other value raises
     InputError before a cell trains.
 
@@ -658,10 +642,7 @@ def sweep(
     if out_dir is not None:
         out = resolve_out_dir(str(out_dir))
         _check_writable(out)
-    try:
-        splits: Splits | None = build_splits(base)
-    except Exception:  # each cell then builds its own and records the error
-        splits = None
+    splits = build_splits(base)
     cells = []
     for t0, rho, seed in itertools.product(t0_values, rho_values, seeds):
         cell = SweepCell(t0=t0, rho=rho, seed=seed, status="ok")

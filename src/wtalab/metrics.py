@@ -20,7 +20,7 @@ from .datagen import featurize  # noqa: F401
 from .errors import ConfigurationError, InputError
 from .losses import squared_distance, stable_softmax
 from .network import ModelParams, forward_batch
-from .postselect import NMSConfig, nms_indices, top_k_indices
+from .postselect import NMSConfig, nms_indices
 
 MISS_THRESHOLD = 2.0
 
@@ -130,15 +130,13 @@ def evaluate(
     params: ModelParams,
     features: np.ndarray,
     targets: np.ndarray,
-    top_k: int | None = None,
     nms: NMSConfig | None = None,
 ) -> MetricsReport:
     """Run the model over a featurized split and aggregate the metrics.
 
     features (N, D) and targets (N, L, 2) are a split as datagen builds
     it (generate_split or load_split). The predictions optionally pass
-    through endpoint suppression (nms) and then truncation to the top_k
-    highest-score hypotheses before scoring. The histogram
+    through endpoint suppression (nms) before scoring. The histogram
     counts minFDE winners by their position in the evaluated hypothesis set.
     """
     if len(features) == 0:
@@ -160,10 +158,6 @@ def evaluate(
     if nms is not None:
         keep = nms_indices(trajectories, logits, nms)
         logits = np.take_along_axis(logits, keep, axis=1)
-    if top_k is not None:
-        ranks = top_k_indices(logits, top_k)
-        keep = ranks if keep is None else np.take_along_axis(keep, ranks, axis=1)
-        logits = np.take_along_axis(logits, ranks, axis=1)
     scores = stable_softmax(logits)
     scene_min_ade, scene_min_fde, winners, scene_brier = _scene_metrics(
         trajectories, targets, scores, keep

@@ -1,10 +1,11 @@
 """Post-selection: thin a batch of hypothesis sets before computing metrics.
 
 Used to evaluate an over-complete model (train with many heads, keep a few
-diverse ones). Each rule returns the (B, k) head indices kept in each scene,
-in the order they were kept; nms_select also gathers the kept (B, k, L, 2)
-trajectories and (B, k) confidence logits. The scores of a kept set are the
-softmax over its logits.
+diverse ones) through endpoint non-maximum suppression. nms_indices returns
+the (B, k_out) head indices kept in each scene, in the order they were kept;
+nms_select also gathers the kept (B, k_out, L, 2) trajectories and
+(B, k_out) confidence logits. The scores of a kept set are the softmax over
+its logits.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ class NMSConfig:
 def _order_by_score(logits: np.ndarray) -> np.ndarray:
     # Stable sort on the negated scores keeps ties in index order.
     return np.argsort(-stable_softmax(logits), axis=-1, kind="stable")
-
-
-def top_k_indices(logits: np.ndarray, top_k: int) -> np.ndarray:
-    """The (B, top_k) indices of the highest-score hypotheses, in descending
-    score order."""
-    n_heads = logits.shape[-1]
-    if not 1 <= top_k <= n_heads:
-        raise InputError(f"top_k must be in [1, {n_heads}], got {top_k}")
-    return _order_by_score(logits)[:, :top_k]
 
 
 def nms_indices(

@@ -1,6 +1,6 @@
 """Acceptance gate: end-to-end checks of the package's core claims.
 
-Each test prints exactly one PASS/FAIL line with its measured values and
+Each check prints exactly one PASS/FAIL line with its measured values and
 runtime, then asserts. The eight checks:
 
   1. assignment-weight kernels: limit behavior and exact values on random
@@ -19,11 +19,18 @@ runtime, then asserts. The eight checks:
   7. displacement metrics against a plain-Python brute-force evaluator
      plus exact hand-computed examples
   8. byte-identical metrics files for identical (config, seed)
+
+A last test checks that these lines reach pytest's output under its
+default capture.
 """
 
+import contextlib
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -62,24 +69,34 @@ from test_network import gradient_check
 
 
 _terminal = None
+_uncaptured = contextlib.nullcontext
 
 
 @pytest.fixture(autouse=True)
 def _route_announcements(request):
     # Write through the live terminal reporter so the PASS/FAIL lines show
-    # up even when pytest captures test stdout.
-    global _terminal
-    _terminal = request.config.pluginmanager.getplugin("terminalreporter")
+    # up even when pytest captures test stdout. Under the default
+    # --capture=fd the reporter's stream is the captured fd 1, so capture is
+    # suspended around each line.
+    global _terminal, _uncaptured
+    plugins = request.config.pluginmanager
+    _terminal = plugins.getplugin("terminalreporter")
+    capture = plugins.getplugin("capturemanager")
+    _uncaptured = capture.global_and_fixture_disabled if capture else contextlib.nullcontext
     yield
 
 
 def announce(index: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     line = f"[{index}/8] {name}: {status} ({detail})"
-    if _terminal is not None:
-        _terminal.write_line(line)
-    else:
+    if _terminal is None:
         print(line, flush=True)
+        return
+    with _uncaptured():
+        _terminal.ensure_newline()
+        if _terminal._tw.width_of_current_line:  # a -q line of progress dots
+            _terminal.write("\n")
+        _terminal.write_line(line)
 
 
 # ---------------------------------------------------------------------------
@@ -631,3 +648,30 @@ def test_metrics_csv_byte_determinism(tmp_path):
         f"two runs, {len(first)} bytes each, identical {ok}, {elapsed:.1f}s",
     )
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# The verdict lines reach the log.
+# ---------------------------------------------------------------------------
+
+
+def test_verdict_line_printed_under_default_capture():
+    # A fresh pytest with its default --capture=fd must still print the
+    # check's [1/8] line on its own stdout.
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+    )
+    check = "tests/test_acceptance.py::test_weight_kernel_exactness"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", check],
+        cwd=repo,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert any(line.startswith("[1/8] weight-kernel exactness") for line in lines)

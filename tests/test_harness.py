@@ -113,6 +113,24 @@ def blown_dataset_config(tmp_path) -> ExperimentConfig:
     )
 
 
+def bad_train_line_config(tmp_path) -> ExperimentConfig:
+    """A dataset config whose train file breaks at line 2."""
+    gen = tiny_generator()
+    save_dataset(generate(gen, 1), tmp_path / "train.jsonl")
+    with open(tmp_path / "train.jsonl", "a") as handle:
+        handle.write('{"scene_id": \n')
+    save_dataset(generate(gen, 16, start_index=24), tmp_path / "val.jsonl")
+    return tiny_config(
+        tmp_path,
+        generator=None,
+        dataset=DatasetPaths(
+            train_path=str(tmp_path / "train.jsonl"),
+            val_path=str(tmp_path / "val.jsonl"),
+        ),
+        epochs=1,
+    )
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # A dataset-backed config with post-selection set, beside the generator
@@ -122,38 +140,39 @@ DATASET_CONFIG = {
     "model": {"n_heads": 3, "hidden": [8]},
     "loss": {"variant": "wta"},
     "nms": {"k_out": 2, "radius": 1},
-    "eval_top_k": 2,
     "epochs": 0,
     "out_dir": "runs/dataset",
 }
 
-# Keys that no run would read, so the loader rejects them as unknown: an awta
-# run takes its temperature from the schedule, nms has one visiting order, and
-# the branch count is the length of probabilities.
+# Keys that the loader rejects as unknown. No run read the first three: an
+# awta run takes its temperature from the schedule, nms has one visiting
+# order, and the branch count is the length of probabilities. Only tests set
+# the rest: top-k truncation after post-selection, and Adam's constants,
+# which are now adam_step's defaults.
 REMOVED_KEYS = [
     ({"generator": {}, "loss": {"variant": "awta", "temperature": 0.5}}, "temperature"),
     ({"generator": {}, "nms": {"k_out": 2, "radius": 1.0, "order": "score"}}, "order"),
     ({"generator": {"n_branches": 3}}, "n_branches"),
+    ({"generator": {}, "eval_top_k": 2}, "eval_top_k"),
+    ({"generator": {}, "optimizer": {"lr": 0.01, "beta1": 0.9}}, "beta1"),
+    ({"generator": {}, "optimizer": {"beta2": 0.999}}, "beta2"),
+    ({"generator": {}, "optimizer": {"eps": 1e-8}}, "eps"),
 ]
 
 # sha256 of the config.json that save_config writes for each config.
 CONFIG_JSON_SHA256 = {
-    "benchmark_awta.json": "c0915be446a1d6a1bea0c2acc93b2369c3ade5fe4ed6b6afdce54e3d4bf1b0f3",
-    "benchmark_wta.json": "e2bbc33be9a6336f4700d353294d21b5a6a58e0dd6416a43c4619f4fc5a5837e",
-    "benchmark_wta12_nms.json": "51782b5cff2ac7eeb12f22f1bcd4e3f45b0b3aaa483b32e8cc83e7dce91e7e15",
-    "phase_transition.json": "f5d7069fb3003442ec344e6ac7a1d708c5a29b1f7ac42a33042af7196cf7bf91",
-    "quantization_ring.json": "6b38f33bf5096d54100caa5a5a45a9a66c68145d978d8a84b0faa2b71988ff2c",
-    "dataset.json": "369d3d908c7287be1922f14b37a69a8cdf00dd87ca314f2094cf7373cbd8ae1f",
+    "benchmark_awta.json": "50b1e09b52aef921fc0f5723c44c92d6f8663dfa07f0550487661e1405f779b9",
+    "benchmark_wta.json": "a61a79c534f5245e8df7bfdda3df5828636430ea411527082f1b301fadb39dbb",
+    "benchmark_wta12_nms.json": "5d103265a015d25735f09871182aa8d98a244522b438481fabec5b3223b5ba99",
+    "phase_transition.json": "2e326990fad3e2ca16651847a829ede271c34fcdb525b6b55d2f7c57f2b2e1d8",
+    "quantization_ring.json": "e6f0e61ad22ac42c4db8d3395030abccac85c41ae135fbf860f6795fda7a2af6",
+    "dataset.json": "9c2caa09d9b8989a08b1b5c4d0a2ba82068204c87b0018b77bc2cd0153991322",
 }
 
 
 class TestConfigRoundTrip:
     def test_full_round_trip_through_json(self, tmp_path):
-        config = tiny_config(
-            tmp_path,
-            nms=NMSConfig(k_out=2, radius=1.5),
-            eval_top_k=2,
-        )
+        config = tiny_config(tmp_path, nms=NMSConfig(k_out=2, radius=1.5))
         path = tmp_path / "config.json"
         save_config(config, path)
         loaded = load_config(path)
@@ -232,7 +251,7 @@ class TestConfigRoundTrip:
 FIELDS = {
     None: {
         "train_count": int, "val_count": int, "epochs": int, "batch_size": int,
-        "seed": int, "out_dir": str, "eval_top_k": int,
+        "seed": int, "out_dir": str,
     },
     "model": {"n_heads": int, "hidden": [int], "init": str},
     "loss": {
@@ -242,7 +261,7 @@ FIELDS = {
     "scheduler": {
         "kind": str, "t0": float, "rho": float, "t_floor": float, "total_steps": int,
     },
-    "optimizer": {"lr": float, "beta1": float, "beta2": float, "eps": float},
+    "optimizer": {"lr": float},
     "generator": {
         "probabilities": [float], "turns": [float], "speed": float,
         "noise_std": float, "past_len": int, "future_len": int, "seed": int,
@@ -329,7 +348,7 @@ class TestConfigTyping:
             {"generator": {"noise_std": float("inf")}},
             {"generator": {}, "optimizer": {"lr": 10**400}},
             {"generator": {}, "out_dir": 5},
-            {"generator": {}, "eval_top_k": 1.0},
+            {"generator": {}, "batch_size": 1.0},
             {"generator": {}, "nms": {"radius": 1.0}},
             {"dataset": {"train_path": "a.jsonl"}},
             {"generator": {}, "model": {"n_heads": 1}, "loss": {"variant": "rwta"}},
@@ -346,8 +365,8 @@ class TestConfigTyping:
         assert config_to_dict(config)["generator"]["speed"] == 2
 
     def test_null_takes_the_default(self):
-        config = config_from_dict({"generator": {}, "eval_top_k": None, "epochs": None})
-        assert config.eval_top_k is None and config.epochs == 50
+        config = config_from_dict({"generator": {}, "nms": None, "epochs": None})
+        assert config.nms is None and config.epochs == 50
 
     def test_cli_reports_wrong_type_as_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -426,9 +445,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(eval_top_k=4),
             dict(nms=NMSConfig(k_out=4)),
-            dict(nms=NMSConfig(k_out=2), eval_top_k=3),
+            dict(nms=NMSConfig(k_out=0)),
         ],
     )
     def test_post_selection_sizes_checked_before_training(self, tmp_path, overrides):
@@ -735,16 +753,7 @@ def reference_train_epochs(config, splits):
                 objective["d_score_logits"],
             )
             grads = GradientBuffer(weights=grad_w, biases=grad_b)
-            optimizer = config.optimizer
-            adam_step(
-                params,
-                grads,
-                adam,
-                lr=optimizer.lr,
-                beta1=optimizer.beta1,
-                beta2=optimizer.beta2,
-                eps=optimizer.eps,
-            )
+            adam_step(params, grads, adam, lr=config.optimizer.lr)
             loss_sum += float(np.sum(objective["loss"]))
         losses.append(loss_sum / len(features))
     return params, losses
@@ -1071,28 +1080,29 @@ class TestSweep:
             for name in ("metrics.csv", "checkpoint_final.json", "checkpoint_best.json"):
                 assert (cell_dir / name).read_bytes() == (solo.out_dir / name).read_bytes()
 
-    def test_failed_shared_build_fails_every_cell_as_solo(self, tmp_path):
-        gen = tiny_generator()
-        (tmp_path / "train.jsonl").write_text('{"scene_id": \n')
-        save_dataset(generate(gen, 16, start_index=24), tmp_path / "val.jsonl")
-        base = tiny_config(
-            tmp_path,
-            generator=None,
-            dataset=DatasetPaths(
-                train_path=str(tmp_path / "train.jsonl"),
-                val_path=str(tmp_path / "val.jsonl"),
-            ),
-            epochs=1,
-        )
-        cells = sweep(base, [5.0], [0.5], [1, -1, 2], out_dir=tmp_path / "sweep")
-        assert [c.status for c in cells] == ["failed"] * 3
-        for cell in cells:
-            assert cell.report is None
-            with pytest.raises(Exception) as excinfo:
-                train(dataclasses.replace(base, seed=cell.seed))
-            assert cell.error == f"{type(excinfo.value).__name__}: {excinfo.value}"
-        assert cells[0].error.startswith("DatasetParseError: line 1")
-        assert cells[1].error.startswith("ConfigurationError: seed must be >= 0")
+    def test_unbuildable_data_fails_once_before_any_cell(self, tmp_path, monkeypatch):
+        # Cells differ only in schedule and seed, so data that cannot be
+        # built would fail every cell the same way: the sweep parses the bad
+        # file once and raises before the first cell trains.
+        base = bad_train_line_config(tmp_path)
+        real_load_split, real_train = harness.load_split, harness.train
+        loads, trains = [], []
+
+        def counting_load_split(path):
+            loads.append(path)
+            return real_load_split(path)
+
+        def counting_train(config, write_outputs=True, splits=None):
+            trains.append(config.seed)
+            return real_train(config, write_outputs=write_outputs, splits=splits)
+
+        monkeypatch.setattr(harness, "load_split", counting_load_split)
+        monkeypatch.setattr(harness, "train", counting_train)
+        with pytest.raises(DatasetParseError, match="^line 2"):
+            sweep(base, [5.0], [0.5], [1, 2, 3], out_dir=tmp_path / "sweep")
+        assert loads == [base.dataset.train_path]
+        assert trains == []
+        assert not (tmp_path / "sweep").exists()
         assert not (tmp_path / "run").exists()
 
     def test_empty_grid_rejected(self, tmp_path):
@@ -1474,6 +1484,19 @@ class TestCli:
         assert "seed must be >= 0" in payload["message"]
         rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2 and ",failed," in rows[1]
+
+    def test_sweep_on_unbuildable_data_exits_one_before_any_cell(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        save_config(bad_train_line_config(tmp_path), path)
+        argv = ["sweep", "--config", str(path), "--t0", "5.0", "--rho", "0.5"]
+        assert main(argv + ["--seeds", "1,2,3", "--out-dir", str(tmp_path / "sweep")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "DatasetParseError"
+        assert payload["message"].startswith("line 2")
+        assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
     def test_sweep_over_a_value_the_run_does_not_read_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(

@@ -27,7 +27,7 @@ from wtalab.losses import stable_softmax
 from wtalab import metrics
 from wtalab.metrics import REPORT_COLUMNS, _scene_metrics, write_report_csv
 from wtalab.network import ModelParams, forward_batch
-from wtalab.postselect import NMSConfig, nms_select, top_k_indices
+from wtalab.postselect import NMSConfig, nms_select
 
 
 def scene_metrics(trajectories, target, scores=None):
@@ -181,38 +181,6 @@ class TestEffectiveHypotheses:
             effective_hypotheses(histogram)
 
 
-def top_k_one_scene(trajectories, logits, k):
-    """The trajectories and logits of one scene at its top_k_indices."""
-    logits = np.asarray(logits, dtype=float)
-    keep = top_k_indices(logits[None], k)[0]
-    return np.asarray(trajectories, dtype=float)[keep], logits[keep]
-
-
-class TestTruncateTopK:
-    def test_keeps_highest_scores_in_order(self):
-        traj = np.arange(8.0).reshape(4, 1, 2)
-        logits = np.array([0.0, 3.0, 1.0, 2.0])
-        kept, _ = top_k_one_scene(traj, logits, 2)
-        assert np.array_equal(kept, traj[[1, 3]])
-
-    def test_scores_renormalize_like_subset_softmax(self):
-        logits = np.array([0.0, 3.0, 1.0, 2.0])
-        _, kept_logits = top_k_one_scene(np.zeros((4, 1, 2)), logits, 3)
-        assert kept_logits.tolist() == [3.0, 2.0, 1.0]
-        subset = np.exp([3.0, 2.0, 1.0])
-        assert np.allclose(stable_softmax(kept_logits), subset / subset.sum(), atol=1e-12)
-
-    def test_tied_scores_keep_index_order(self):
-        traj = np.arange(6.0).reshape(3, 1, 2)
-        kept, _ = top_k_one_scene(traj, np.zeros(3), 2)
-        assert np.array_equal(kept, traj[[0, 1]])
-
-    def test_bad_k_rejected(self):
-        for k in (0, 4):
-            with pytest.raises(InputError):
-                top_k_one_scene(np.zeros((3, 1, 2)), np.zeros(3), k)
-
-
 class TestShapes:
     def test_target_shape_mismatch_rejected(self):
         # evaluate checks the targets before it subtracts them, where numpy
@@ -271,13 +239,6 @@ class TestEvaluate:
         assert twice.brier_fde == once.brier_fde
         assert twice.miss_rate == once.miss_rate
 
-    def test_top_k_truncation_applies(self):
-        params, (features, targets) = self.make_model_and_split(10)
-        report = evaluate(params, features, targets, top_k=2)
-        assert len(report.winner_histogram) == 2
-        full = evaluate(params, features, targets)
-        assert report.min_ade >= full.min_ade - 1e-12
-
     def test_empty_dataset_rejected(self):
         params, _ = self.make_model_and_split(1)
         with pytest.raises(InputError):
@@ -311,17 +272,13 @@ def reference_scene_metrics(offsets, scores):
     return np.min(np.mean(dists, axis=2), axis=1), scene_min_fde, winners, scene_brier
 
 
-def reference_evaluate(params, features, targets, top_k=None, nms=None):
+def reference_evaluate(params, features, targets, nms=None):
     """evaluate as first written, a test oracle: post-selection gathers the
     kept (B, H, L, 2) trajectories, and reference_scene_metrics scores all
     of their offsets at once."""
     trajectories, logits, _ = forward_batch(params, features)
     if nms is not None:
         trajectories, logits = nms_select(trajectories, logits, nms)
-    if top_k is not None:
-        keep = top_k_indices(logits, top_k)
-        rows = np.arange(len(keep))[:, None]
-        trajectories, logits = trajectories[rows, keep], logits[rows, keep]
     scores = stable_softmax(logits)
     offsets = trajectories - targets[:, None, :, :]
     scene_min_ade, scene_min_fde, winners, scene_brier = reference_scene_metrics(offsets, scores)
@@ -350,19 +307,14 @@ def assert_same_report_bytes(got: MetricsReport, expected: MetricsReport) -> Non
 
 
 # Post-selection of the oracle comparisons, by the number of heads.
-POSTS = ("none", "top_k", "nms", "nms_top_k")
+POSTS = ("none", "nms")
 
 
 def post_kwargs(post: str, n_heads: int) -> dict:
     half = max(1, n_heads // 2)
     return {
         "none": {},
-        "top_k": {"top_k": half},
         "nms": {"nms": NMSConfig(k_out=half, radius=0.5)},
-        "nms_top_k": {
-            "nms": NMSConfig(k_out=max(1, n_heads - 1), radius=0.5),
-            "top_k": max(1, n_heads // 3),
-        },
     }[post]
 
 
@@ -532,7 +484,7 @@ class TestReportCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.fixture(scope="module", params=["none", "top_k", "nms"])
+@pytest.fixture(scope="module", params=["none", "nms"])
 def written_report(request, tmp_path_factory):
     """An evaluate report, with and without post-selection, and the path of
     its metrics.csv."""
@@ -543,7 +495,6 @@ def written_report(request, tmp_path_factory):
     )
     kwargs = {
         "none": {},
-        "top_k": {"top_k": 2},
         "nms": {"nms": NMSConfig(k_out=3, radius=0.5)},
     }[request.param]
     report = evaluate(params, features, targets, **kwargs)

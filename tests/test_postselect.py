@@ -1,4 +1,4 @@
-"""Tests for endpoint non-maximum suppression and top-k truncation."""
+"""Tests for endpoint non-maximum suppression."""
 
 import math
 import tracemalloc
@@ -19,7 +19,7 @@ from wtalab import (
 )
 from wtalab.losses import stable_softmax
 from wtalab.network import forward_batch
-from wtalab.postselect import nms_indices, top_k_indices
+from wtalab.postselect import nms_indices
 
 
 def reference_nms(
@@ -199,14 +199,6 @@ class TestAgainstPerSceneReference:
                 assert np.array_equal(kept_traj[i], trajectories[i, keep])
                 assert np.array_equal(kept_logits[i], logits[i, keep])
 
-    def test_top_k_matches_reference_on_random_batches(self):
-        rng = np.random.default_rng(20241019)
-        for _ in range(200):
-            _, logits, config = random_batch(rng)
-            indices = top_k_indices(logits, config.k_out)
-            for i in range(len(logits)):
-                assert indices[i].tolist() == reference_top_k(logits[i], config.k_out)
-
     def test_evaluate_scores_the_reference_selection(self):
         generator = GeneratorConfig(seed=1, past_len=4, future_len=6)
         features, targets = generate_split(generator, 60)
@@ -214,20 +206,19 @@ class TestAgainstPerSceneReference:
             ModelConfig(input_dim=8, n_heads=8, horizon=6, hidden=(16,)), seed=3
         )
         config = NMSConfig(k_out=4, radius=0.3)
-        report = evaluate(params, features, targets, top_k=3, nms=config)
+        report = evaluate(params, features, targets, nms=config)
         trajectories, logits, _ = forward_batch(params, features)
         fdes, briers, winners = [], [], []
         for i in range(len(features)):
             kept = reference_nms(trajectories[i], logits[i], config)
-            top = [kept[j] for j in reference_top_k(logits[i, kept], 3)]
-            ends = trajectories[i, top, -1]
+            ends = trajectories[i, kept, -1]
             finals = [math.hypot(*(end - targets[i, -1])) for end in ends]
             winner = finals.index(min(finals))
             value = finals[winner]
             fdes.append(value)
             winners.append(winner)
-            briers.append(value + (1.0 - stable_softmax(logits[i, top])[winner]) ** 2)
-        assert report.winner_histogram == np.bincount(winners, minlength=3).tolist()
+            briers.append(value + (1.0 - stable_softmax(logits[i, kept])[winner]) ** 2)
+        assert report.winner_histogram == np.bincount(winners, minlength=4).tolist()
         assert report.min_fde == pytest.approx(np.mean(fdes), abs=1e-12)
         assert report.brier_fde == pytest.approx(np.mean(briers), abs=1e-12)
 
