@@ -447,10 +447,12 @@ class TestConfigValidation:
         [
             dict(nms=NMSConfig(k_out=4)),
             dict(nms=NMSConfig(k_out=0)),
+            dict(nms=NMSConfig(k_out=2, radius=-1.0)),
         ],
     )
     def test_post_selection_sizes_checked_before_training(self, tmp_path, overrides):
-        # tiny_config has 3 heads; post-selection runs only after training.
+        # tiny_config has 3 heads; post-selection runs only after training,
+        # so its k_out and radius are checked before the first epoch.
         config = tiny_config(tmp_path, **overrides)
         save_config(config, tmp_path / "config.json")
         with pytest.raises(ConfigurationError):

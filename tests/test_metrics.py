@@ -306,8 +306,10 @@ def assert_same_report_bytes(got: MetricsReport, expected: MetricsReport) -> Non
             assert repr(g) == repr(e), field.name
 
 
-# Post-selection of the oracle comparisons, by the number of heads.
-POSTS = ("none", "nms")
+# Post-selection of the oracle comparisons, by the number of heads. With
+# radius 0 nothing is suppressed, so NMS keeps the highest scores in score
+# order; nms_keep_most drops only one head per scene.
+POSTS = ("none", "nms", "nms_radius_0", "nms_keep_most")
 
 
 def post_kwargs(post: str, n_heads: int) -> dict:
@@ -315,6 +317,8 @@ def post_kwargs(post: str, n_heads: int) -> dict:
     return {
         "none": {},
         "nms": {"nms": NMSConfig(k_out=half, radius=0.5)},
+        "nms_radius_0": {"nms": NMSConfig(k_out=half, radius=0.0)},
+        "nms_keep_most": {"nms": NMSConfig(k_out=max(1, n_heads - 1), radius=0.5)},
     }[post]
 
 
@@ -484,7 +488,7 @@ class TestReportCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.fixture(scope="module", params=["none", "nms"])
+@pytest.fixture(scope="module", params=["none", "nms", "nms_radius_0"])
 def written_report(request, tmp_path_factory):
     """An evaluate report, with and without post-selection, and the path of
     its metrics.csv."""
@@ -496,6 +500,7 @@ def written_report(request, tmp_path_factory):
     kwargs = {
         "none": {},
         "nms": {"nms": NMSConfig(k_out=3, radius=0.5)},
+        "nms_radius_0": {"nms": NMSConfig(k_out=2, radius=0.0)},
     }[request.param]
     report = evaluate(params, features, targets, **kwargs)
     path = tmp_path_factory.mktemp(request.param) / "metrics.csv"
