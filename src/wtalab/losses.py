@@ -32,6 +32,9 @@ from .errors import ConfigurationError, InputError
 
 VARIANTS = ("wta", "rwta", "ewta", "dac", "awta")
 
+# The share of the weight that rwta spreads over the non-winning heads.
+RWTA_EPSILON = 0.05
+
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, with the row max subtracted before
@@ -92,20 +95,18 @@ def max_dac_depth(n_heads: int) -> int:
 
 @dataclasses.dataclass
 class LossConfig:
-    """Which weight variant to train with, plus its knobs.
+    """Which weight variant to train with, plus its scheduled knob.
 
-    temperature, top_n and depth are the values used when the variant needs
-    them; during scheduled training schedulers.control sets them per epoch.
-    temperature is not a JSON key: an awta run always takes it from the
-    schedule. score_coef scales the confidence cross-entropy term.
+    variant is the one JSON key. temperature (awta), top_n (ewta) and depth
+    (dac) are not JSON keys: schedulers.control sets the variant's knob from
+    the schedule each epoch. rwta always uses RWTA_EPSILON, and the
+    confidence cross-entropy term always has weight 1.
     """
 
     variant: str = "awta"
     temperature: float = dataclasses.field(default=1.0, metadata={"json": False})
-    epsilon: float = 0.05
-    top_n: int = 1
-    depth: int = 0
-    score_coef: float = 1.0
+    top_n: int = dataclasses.field(default=1, metadata={"json": False})
+    depth: int = dataclasses.field(default=0, metadata={"json": False})
 
     def validate(self, n_heads: int) -> None:
         """Check the knobs for a model of n_heads heads. The variant's knob
@@ -115,12 +116,10 @@ class LossConfig:
             raise ConfigurationError(
                 f"unknown loss variant {self.variant!r}, expected one of {VARIANTS}"
             )
-        if self.score_coef < 0.0:
-            raise ConfigurationError("score_coef must be nonnegative")
         if n_heads < 1:
             raise ConfigurationError(f"need at least one head, got {n_heads}")
         knobs = {
-            "rwta": self.epsilon, "ewta": self.top_n, "dac": self.depth,
+            "rwta": RWTA_EPSILON, "ewta": self.top_n, "dac": self.depth,
             "awta": self.temperature,
         }
         try:
@@ -164,7 +163,7 @@ def wta_weights(costs) -> np.ndarray:
     return weights
 
 
-def rwta_weights(costs, epsilon: float = 0.05) -> np.ndarray:
+def rwta_weights(costs, epsilon: float = RWTA_EPSILON) -> np.ndarray:
     """Relaxed winner weights: 1 - epsilon on the winner, the rest uniform."""
     costs = np.asarray(costs, dtype=float)
     n_heads = costs.shape[-1]
@@ -244,7 +243,7 @@ def assignment_weights(costs, config: LossConfig) -> np.ndarray:
     if config.variant == "wta":
         return wta_weights(costs)
     if config.variant == "rwta":
-        return rwta_weights(costs, config.epsilon)
+        return rwta_weights(costs)
     if config.variant == "ewta":
         return ewta_weights(costs, config.top_n)
     if config.variant == "dac":
@@ -329,16 +328,15 @@ def batch_objective(
 
     score, probs = _score_terms(logits, winners, rows)
     loss = np.add.reduce(weights * costs, axis=1)
-    score *= config.score_coef
     loss += score
 
     # Trajectory columns: w * (2 / L) * residual / B. Logit columns:
-    # coef * (softmax - one_hot(winner)) / B, where subtracting 1 at the
-    # winners equals subtracting the one-hot row.
+    # (softmax - one_hot(winner)) / B, where subtracting 1 at the winners
+    # equals subtracting the one-hot row.
     scale = weights[:, :, None, None] * (2.0 / horizon)
     np.multiply(scale, residual, out=residual)
     probs[rows, winners] -= 1.0
-    np.multiply(config.score_coef, probs, out=d_outputs[:, n_traj:])
+    d_outputs[:, n_traj:] = probs
     d_outputs /= batch
 
     return BatchObjective(

@@ -14,22 +14,22 @@ from .losses import LossConfig, max_dac_depth
 
 # The ScheduleState fields that each kind's value reads.
 KIND_FIELDS = {
-    "exponential": ("t0", "rho", "t_floor"),
-    "linear": ("t0", "t_floor"),
+    "exponential": ("t0", "rho"),
     "ewta-topn": ("total_steps",),
     "dac-depth": ("total_steps",),
     "constant": ("t0",),
 }
 KINDS = tuple(KIND_FIELDS)
 
-LINEAR_HORIZON = 100
+# The lowest temperature an exponential schedule returns.
+T_FLOOR = 1e-8
 
 # The scheduled variants: the LossConfig field the schedule sets each epoch,
 # and the schedule kinds that may drive it. wta and rwta have no schedule.
 CONTROLS = {
-    "awta": ("temperature", ("exponential", "linear", "constant")),
-    "ewta": ("top_n", ("ewta-topn", "constant")),
-    "dac": ("depth", ("dac-depth", "constant")),
+    "awta": ("temperature", ("exponential", "constant")),
+    "ewta": ("top_n", ("ewta-topn",)),
+    "dac": ("depth", ("dac-depth",)),
 }
 
 
@@ -38,9 +38,8 @@ class ScheduleState:
     """One schedule: the scheduler block of a config.
 
     kind: which schedule family.
-    t0: initial temperature (exponential, linear, constant).
+    t0: initial temperature (exponential, constant).
     rho: per-epoch decay factor (exponential).
-    t_floor: lowest temperature ever returned.
     total_steps: length of the run; segments the ewta-topn and dac-depth
         ladders.
     """
@@ -48,7 +47,6 @@ class ScheduleState:
     kind: str
     t0: float = 10.0
     rho: float = 0.834
-    t_floor: float = 1e-8
     total_steps: int = 100
 
     def __post_init__(self):
@@ -61,8 +59,6 @@ class ScheduleState:
             raise ConfigurationError(f"t0 must be positive, got {self.t0}")
         if "rho" in read and not 0.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must be in (0, 1), got {self.rho}")
-        if not self.t_floor > 0.0:
-            raise ConfigurationError(f"t_floor must be positive, got {self.t_floor}")
         if self.total_steps < 1:
             raise ConfigurationError(
                 f"total_steps must be >= 1, got {self.total_steps}"
@@ -72,27 +68,21 @@ class ScheduleState:
 def value(schedule: ScheduleState, step: int, n_heads: int) -> float:
     """The schedule's value at epoch step for a model of n_heads heads.
 
-    exponential: t0 * rho^t, clamped below at t_floor.
-    linear: t0 * (1 - t / 100), clamped below at t_floor, and t_floor from
-        t = 100 on.
+    exponential: t0 * rho^t, clamped below at T_FLOOR.
     constant: t0.
     ewta-topn: a ladder from K heads down to 1. The run is cut into K equal
         segments; the i-th keeps the K - i lowest-cost heads.
     dac-depth: a ladder from depth 0 up to max_dac_depth(K), one equal
         segment per depth.
     A ladder holds its last rung at and past total_steps. A temperature is
-    returned as the expression gives it, so an integer t0 or t_floor can
-    come back as an int.
+    returned as the expression gives it, so a constant schedule's integer
+    t0 comes back as an int.
     """
     if step < 0:
         raise InputError(f"step must be >= 0, got {step}")
     kind = schedule.kind
     if kind == "exponential":
-        return max(schedule.t0 * schedule.rho**step, schedule.t_floor)
-    if kind == "linear":
-        if step >= LINEAR_HORIZON:
-            return schedule.t_floor
-        return max(schedule.t0 * (1.0 - step / LINEAR_HORIZON), schedule.t_floor)
+        return max(schedule.t0 * schedule.rho**step, T_FLOOR)
     if kind == "constant":
         return schedule.t0
     if kind == "ewta-topn":
@@ -109,15 +99,11 @@ def control(
     """The schedule value logged at step and the loss config trained with.
 
     The schedule sets the LossConfig field that CONTROLS names for the
-    variant. A constant schedule sets awta's temperature to t0 but leaves
-    ewta's top_n and dac's depth at their loss config values. A ladder
-    value is logged as a float; wta and rwta log None.
+    variant. A ladder value is logged as a float; wta and rwta log None.
     """
     if loss.variant not in CONTROLS:
         return None, loss
     field = CONTROLS[loss.variant][0]
-    if not fields_read(loss, schedule):
-        return float(getattr(loss, field)), loss
     setting = value(schedule, step, n_heads)
     logged = setting if field == "temperature" else float(setting)
     return logged, dataclasses.replace(loss, **{field: setting})
@@ -126,13 +112,9 @@ def control(
 def fields_read(loss: LossConfig, schedule: ScheduleState) -> tuple[str, ...]:
     """The ScheduleState fields that a run with this loss config reads.
 
-    A variant outside CONTROLS has no schedule and reads none. A constant
-    schedule leaves ewta's top_n and dac's depth at their loss config
-    values, so it reads none for them either. Otherwise the run reads what
-    its kind's value reads (KIND_FIELDS).
+    A variant outside CONTROLS has no schedule and reads none. Otherwise the
+    run reads what its kind's value reads (KIND_FIELDS).
     """
     if loss.variant not in CONTROLS:
-        return ()
-    if CONTROLS[loss.variant][0] != "temperature" and schedule.kind == "constant":
         return ()
     return KIND_FIELDS[schedule.kind]

@@ -36,6 +36,21 @@ def costs_of(preds, targets):
     return (residual**2).sum(axis=3).mean(axis=2)
 
 
+def score_term(logits, winners):
+    """(B,) the confidence cross-entropy -log softmax(logits)[winner], which
+    the reported loss adds to the trajectory term."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    rows = np.arange(len(logits))
+    return np.log(np.exp(shifted).sum(axis=1)) - shifted[rows, winners]
+
+
+def trajectory_loss(out, preds, logits, targets):
+    """(B,) the reported loss less its score term, whose winner is each
+    row's lowest-cost head."""
+    winners = costs_of(preds, targets).argmin(axis=1)
+    return out.loss - score_term(logits, winners)
+
+
 def softmin(costs, temperature):
     shifted = np.exp(-(costs - costs.min(axis=1, keepdims=True)) / temperature)
     return shifted / shifted.sum(axis=1, keepdims=True)
@@ -54,8 +69,8 @@ def hard_weights(costs, variant):
     order = costs.argsort(axis=1)
     rows, winners = np.arange(len(costs)), order[:, 0]
     if variant == "rwta":
-        weights = np.full_like(costs, 0.1 / 3)
-        weights[rows, winners] = 0.9
+        weights = np.full_like(costs, 0.05 / 3)
+        weights[rows, winners] = 0.95
         return weights
     weights = np.zeros_like(costs)
     if variant == "wta":
@@ -69,10 +84,10 @@ def hard_weights(costs, variant):
 
 
 HARD_CONFIGS = {
-    "wta": LossConfig(variant="wta", score_coef=0.0),
-    "rwta": LossConfig(variant="rwta", epsilon=0.1, score_coef=0.0),
-    "ewta": LossConfig(variant="ewta", top_n=2, score_coef=0.0),
-    "dac": LossConfig(variant="dac", depth=1, score_coef=0.0),
+    "wta": LossConfig(variant="wta"),
+    "rwta": LossConfig(variant="rwta"),
+    "ewta": LossConfig(variant="ewta", top_n=2),
+    "dac": LossConfig(variant="dac", depth=1),
 }
 
 
@@ -90,9 +105,10 @@ def central_differences(objective, preds):
 @pytest.mark.parametrize("temperature", [0.1, 0.3, 0.7, 2.0, 10.0])
 def test_awta_step_descends_the_free_energy_not_the_logged_loss(temperature):
     preds, logits, targets = make_batch(0)
-    config = LossConfig(variant="awta", temperature=temperature, score_coef=0.0)
+    config = LossConfig(variant="awta", temperature=temperature)
     out = batch_objective(preds, logits, targets, config)
     applied = gradient_views(out)[0]
+    logged = trajectory_loss(out, preds, logits, targets).mean()
 
     def mean_free_energy(p):
         return free_energy(costs_of(p, targets), temperature).mean()
@@ -103,9 +119,10 @@ def test_awta_step_descends_the_free_energy_not_the_logged_loss(temperature):
 
     numeric_f = central_differences(mean_free_energy, preds)
     np.testing.assert_allclose(applied, numeric_f, rtol=0, atol=TOLERANCE)
-    # The reported loss is D, which lies above F by T times the entropy.
-    assert out.loss.mean() == pytest.approx(mean_distortion(preds), rel=1e-12)
-    assert out.loss.mean() > mean_free_energy(preds)
+    # The reported trajectory term is D, which lies above F by T times the
+    # entropy.
+    assert logged == pytest.approx(mean_distortion(preds), rel=1e-12)
+    assert logged > mean_free_energy(preds)
     numeric_d = central_differences(mean_distortion, preds)
     assert np.abs(applied - numeric_d).max() > 1e-3
 
@@ -120,6 +137,7 @@ def test_piecewise_constant_variants_descend_the_logged_loss(variant, seed):
         costs = costs_of(p, targets)
         return (hard_weights(costs, variant) * costs).sum(axis=1).mean()
 
-    assert out.loss.mean() == pytest.approx(mean_distortion(preds), rel=1e-12)
+    logged = trajectory_loss(out, preds, logits, targets).mean()
+    assert logged == pytest.approx(mean_distortion(preds), rel=1e-12)
     numeric = central_differences(mean_distortion, preds)
     np.testing.assert_allclose(gradient_views(out)[0], numeric, rtol=0, atol=TOLERANCE)

@@ -147,8 +147,11 @@ DATASET_CONFIG = {
 # Keys that the loader rejects as unknown. No run read the first three: an
 # awta run takes its temperature from the schedule, nms has one visiting
 # order, and the branch count is the length of probabilities. Only tests set
-# the rest: top-k truncation after post-selection, and Adam's constants,
-# which are now adam_step's defaults.
+# the next four: top-k truncation after post-selection, and Adam's
+# constants, which are now adam_step's defaults. No config, acceptance check
+# or benchmark workload moved the last five off one value: ewta's top_n and
+# dac's depth come from their ladders, rwta's epsilon is RWTA_EPSILON, the
+# score term has weight 1 and the exponential floor is T_FLOOR.
 REMOVED_KEYS = [
     ({"generator": {}, "loss": {"variant": "awta", "temperature": 0.5}}, "temperature"),
     ({"generator": {}, "nms": {"k_out": 2, "radius": 1.0, "order": "score"}}, "order"),
@@ -157,16 +160,54 @@ REMOVED_KEYS = [
     ({"generator": {}, "optimizer": {"lr": 0.01, "beta1": 0.9}}, "beta1"),
     ({"generator": {}, "optimizer": {"beta2": 0.999}}, "beta2"),
     ({"generator": {}, "optimizer": {"eps": 1e-8}}, "eps"),
+    ({"generator": {}, "loss": {"variant": "rwta", "epsilon": 0.05}}, "epsilon"),
+    (
+        {
+            "generator": {},
+            "loss": {"variant": "ewta", "top_n": 2},
+            "scheduler": {"kind": "ewta-topn"},
+        },
+        "top_n",
+    ),
+    (
+        {
+            "generator": {},
+            "loss": {"variant": "dac", "depth": 1},
+            "scheduler": {"kind": "dac-depth"},
+        },
+        "depth",
+    ),
+    ({"generator": {}, "loss": {"variant": "awta", "score_coef": 1.0}}, "score_coef"),
+    ({"generator": {}, "scheduler": {"kind": "exponential", "t_floor": 1e-8}}, "t_floor"),
+]
+
+# Schedules that no longer load: the linear kind is gone, and ewta and dac
+# take their knob from their ladder alone, so a constant schedule has
+# nothing to set.
+REMOVED_SCHEDULES = [
+    (
+        {"generator": {}, "scheduler": {"kind": "linear", "t0": 10.0}},
+        "unknown schedule kind 'linear', expected one of"
+        " ('exponential', 'ewta-topn', 'dac-depth', 'constant')",
+    ),
+    (
+        {"generator": {}, "loss": {"variant": "ewta"}, "scheduler": {"kind": "constant"}},
+        "ewta needs a schedule of kind ewta-topn, got kind 'constant'",
+    ),
+    (
+        {"generator": {}, "loss": {"variant": "dac"}, "scheduler": {"kind": "constant"}},
+        "dac needs a schedule of kind dac-depth, got kind 'constant'",
+    ),
 ]
 
 # sha256 of the config.json that save_config writes for each config.
 CONFIG_JSON_SHA256 = {
-    "benchmark_awta.json": "50b1e09b52aef921fc0f5723c44c92d6f8663dfa07f0550487661e1405f779b9",
-    "benchmark_wta.json": "a61a79c534f5245e8df7bfdda3df5828636430ea411527082f1b301fadb39dbb",
-    "benchmark_wta12_nms.json": "5d103265a015d25735f09871182aa8d98a244522b438481fabec5b3223b5ba99",
-    "phase_transition.json": "2e326990fad3e2ca16651847a829ede271c34fcdb525b6b55d2f7c57f2b2e1d8",
-    "quantization_ring.json": "e6f0e61ad22ac42c4db8d3395030abccac85c41ae135fbf860f6795fda7a2af6",
-    "dataset.json": "9c2caa09d9b8989a08b1b5c4d0a2ba82068204c87b0018b77bc2cd0153991322",
+    "benchmark_awta.json": "38a9223c4a5359c28487a02dbe117ba9d09809963795fb911fe6a9eeadbe01b8",
+    "benchmark_wta.json": "818be899c1d9778dddf3db99863819e1c1d6670d09cfaf8da3394b42ad46302a",
+    "benchmark_wta12_nms.json": "f1283b455379cf0b30e94193dd31eb0269012da8f80c47aa006b084005438921",
+    "phase_transition.json": "cf51fc3e5d8699c9f635dfe419ebc8290de326abd47935996cf1cbd3cccb6501",
+    "quantization_ring.json": "1e65c8f7d107f6ab4bda7bc38189d9fd4b0ee49161a8ecd38d35cd8bb8215744",
+    "dataset.json": "7556b2887dae2cea89266b66f1dba704ff6093325ae567fecc25ffaa218daa8d",
 }
 
 
@@ -223,6 +264,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError, match=f"unknown keys in .*'{key}'"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("data, message", REMOVED_SCHEDULES)
+    def test_removed_schedules_rejected(self, data, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            config_from_dict(data)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("name", sorted(CONFIG_JSON_SHA256))
     def test_config_json_bytes_are_pinned(self, tmp_path, name):
         source = CONFIGS / name
@@ -254,13 +301,8 @@ FIELDS = {
         "seed": int, "out_dir": str,
     },
     "model": {"n_heads": int, "hidden": [int], "init": str},
-    "loss": {
-        "variant": str, "epsilon": float, "top_n": int, "depth": int,
-        "score_coef": float,
-    },
-    "scheduler": {
-        "kind": str, "t0": float, "rho": float, "t_floor": float, "total_steps": int,
-    },
+    "loss": {"variant": str},
+    "scheduler": {"kind": str, "t0": float, "rho": float, "total_steps": int},
     "optimizer": {"lr": float},
     "generator": {
         "probabilities": [float], "turns": [float], "speed": float,
@@ -286,8 +328,8 @@ PLAUSIBLE = {
     float: st.floats(-1.0, 60.0) | st.sampled_from([0.5, 1e-8, 10**400]),
     str: st.sampled_from(
         [
-            "wta", "rwta", "ewta", "dac", "awta", "exponential", "linear",
-            "constant", "ewta-topn", "dac-depth", "glorot", "clustered", "run", "",
+            "wta", "rwta", "ewta", "dac", "awta", "exponential", "constant",
+            "ewta-topn", "dac-depth", "glorot", "clustered", "run", "",
         ]
     ),
 }
@@ -408,7 +450,7 @@ class TestConfigValidation:
             ("awta", "ewta-topn"),
             ("awta", "dac-depth"),
             ("ewta", "exponential"),
-            ("dac", "linear"),
+            ("dac", "constant"),
         ],
     )
     def test_variant_schedule_mismatch_rejected(self, tmp_path, variant, kind):
@@ -465,9 +507,9 @@ class TestConfigValidation:
         config = tiny_config(
             tmp_path,
             loss=LossConfig(variant="ewta", top_n=4),
-            scheduler=ScheduleState(kind="constant", t0=1.0),
+            scheduler=ScheduleState(kind="ewta-topn"),
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="top_n must be in"):
             config.validate()
 
 
@@ -763,7 +805,7 @@ def reference_train_epochs(config, splits):
 
 LEAN_STEP_LOSSES = {
     "wta": (LossConfig(variant="wta"), ScheduleState(kind="constant")),
-    "rwta": (LossConfig(variant="rwta", epsilon=0.1), ScheduleState(kind="constant")),
+    "rwta": (LossConfig(variant="rwta"), ScheduleState(kind="constant")),
     "ewta": (
         LossConfig(variant="ewta"),
         ScheduleState(kind="ewta-topn", total_steps=3),
@@ -1136,7 +1178,7 @@ class TestSweep:
         [
             ("wta", ScheduleState(kind="constant", t0=1.0), [1.0, 2.0], [0.5], "t0"),
             ("wta", ScheduleState(kind="exponential"), [5.0], [0.5, 0.9], "rho"),
-            ("awta", ScheduleState(kind="linear", t0=10.0), [5.0], [0.5, 0.9], "rho"),
+            ("dac", ScheduleState(kind="dac-depth"), [5.0], [0.5, 0.9], "rho"),
             ("awta", ScheduleState(kind="constant", t0=1.0), [5.0], [0.5, 0.9], "rho"),
             ("ewta", ScheduleState(kind="ewta-topn"), [5.0, 10.0], [0.5], "t0"),
         ],
@@ -1588,7 +1630,13 @@ class TestCli:
         assert set(payload) == {"error", "message"}
 
     @pytest.mark.parametrize(
-        "data, key", [({"generator": {}, "bogus_key": 1}, "bogus_key"), *REMOVED_KEYS]
+        "data, key",
+        [
+            ({"generator": {}, "bogus_key": 1}, "bogus_key"),
+            *REMOVED_KEYS,
+            # The message names the schedule kind that no longer loads.
+            *[(data, data["scheduler"]["kind"]) for data, _ in REMOVED_SCHEDULES],
+        ],
     )
     def test_bad_config_reports_configuration_error(self, tmp_path, capsys, data, key):
         # Small enough that a config the loader wrongly accepts trains fast.

@@ -248,7 +248,7 @@ class TestAssignmentWeightsDispatch:
         costs = RNG.uniform(0.0, 50.0, size=(3, 4))
         pairs = [
             (LossConfig(variant="wta"), wta_weights(costs)),
-            (LossConfig(variant="rwta", epsilon=0.2), rwta_weights(costs, 0.2)),
+            (LossConfig(variant="rwta"), rwta_weights(costs, 0.05)),
             (LossConfig(variant="ewta", top_n=2), ewta_weights(costs, 2)),
             (LossConfig(variant="dac", depth=1), dac_weights(costs, 1)),
             (LossConfig(variant="awta", temperature=2.5), awta_weights(costs, 2.5)),
@@ -306,14 +306,15 @@ class TestCostsAndLoss:
             )
 
     def test_weighted_loss_is_dot_product(self):
-        # With the score term off, the loss is costs . weights.
+        # With three equal logits the score term is log 3, so the loss is
+        # costs . weights + log 3.
         rng = np.random.default_rng(4)
         preds = rng.normal(size=(3, 2, 2))
         target = rng.normal(size=(2, 2))
-        config = LossConfig(variant="awta", temperature=1.0, score_coef=0.0)
+        config = LossConfig(variant="awta", temperature=1.0)
         out = one_scene_objective(preds, np.zeros(3), target, config)
         expected = float(np.dot(out.costs[0], awta_weights(out.costs[0], 1.0)))
-        assert out.loss[0] == pytest.approx(expected, rel=1e-15)
+        assert out.loss[0] == pytest.approx(expected + math.log(3.0), rel=1e-15)
 
     def test_score_loss_is_negative_log(self):
         # Head 1 matches the target exactly, so it wins at zero cost and the
@@ -442,12 +443,12 @@ def reference_batch_objective(preds, logits, targets, config):
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(shifted), axis=1))
     score = log_norm - shifted[np.arange(batch), winners]
-    loss = np.sum(weights * costs, axis=1) + config.score_coef * score
+    loss = np.sum(weights * costs, axis=1) + score
     d_traj = weights[:, :, None, None] * (2.0 / horizon) * residual / batch
     probs = reference_softmax(logits)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(batch), winners] = 1.0
-    d_logits = config.score_coef * (probs - one_hot) / batch
+    d_logits = (probs - one_hot) / batch
     return dict(
         loss=loss,
         d_outputs=np.concatenate([d_traj.reshape(batch, -1), d_logits], axis=1),
@@ -524,10 +525,10 @@ def oracle_configs(n_heads):
         LossConfig(variant="wta"),
         LossConfig(variant="ewta", top_n=(n_heads + 1) // 2),
         LossConfig(variant="dac", depth=(max_dac_depth(n_heads) + 1) // 2),
-        LossConfig(variant="awta", temperature=0.7, score_coef=0.5),
+        LossConfig(variant="awta", temperature=0.7),
     ]
     if n_heads > 1:
-        configs.append(LossConfig(variant="rwta", epsilon=0.1))
+        configs.append(LossConfig(variant="rwta"))
     return configs
 
 
@@ -619,15 +620,10 @@ class TestLossConfigValidate:
             ),
             (LossConfig(temperature=0.0), "temperature must be positive, got 0.0"),
             (LossConfig(temperature=-1.0), "temperature must be positive, got -1.0"),
-            (LossConfig(score_coef=-0.1), "score_coef must be nonnegative"),
             (LossConfig(variant="ewta", top_n=0), "top_n must be in [1, 4], got 0"),
             (LossConfig(variant="ewta", top_n=5), "top_n must be in [1, 4], got 5"),
             (LossConfig(variant="dac", depth=3), "depth must be in [0, 2] for K=4, got 3"),
             (LossConfig(variant="dac", depth=-1), "depth must be in [0, 2] for K=4, got -1"),
-            (
-                LossConfig(variant="rwta", epsilon=0.9),
-                "epsilon must be in (0, 0.75] for K=4, got 0.9",
-            ),
         ],
     )
     def test_bad_configs_rejected(self, config, message):
@@ -636,9 +632,9 @@ class TestLossConfigValidate:
         assert str(excinfo.value) == message
 
     def test_rwta_epsilon_checked_against_head_count(self):
-        with pytest.raises(WtalabError):
-            LossConfig(variant="rwta", epsilon=0.9).validate(n_heads=2)
-        LossConfig(variant="rwta", epsilon=0.9).validate(n_heads=16)
+        with pytest.raises(WtalabError, match="rwta needs at least two heads"):
+            LossConfig(variant="rwta").validate(n_heads=1)
+        LossConfig(variant="rwta").validate(n_heads=2)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_no_heads_rejected(self, variant):

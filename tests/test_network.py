@@ -934,7 +934,7 @@ def gradient_check(params, context, target, config, step=1e-5):
         head_costs = np.mean(np.sum((p[0] - target) ** 2, axis=-1), axis=1)
         shifted = lg[0] - lg[0].max()
         score = np.log(np.exp(shifted).sum()) - shifted[frozen_winner]
-        return float(frozen_weights @ head_costs + config.score_coef * score)
+        return float(frozen_weights @ head_costs + score)
 
     # Entries to leave out, in the layout of params: the tied heads' rows of
     # the output layer (trajectory rows head-major, then one logit row each).

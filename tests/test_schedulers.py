@@ -6,7 +6,7 @@ import pytest
 
 from wtalab import ConfigurationError, InputError, ScheduleState
 from wtalab.losses import VARIANTS, LossConfig, max_dac_depth
-from wtalab.schedulers import CONTROLS, KINDS, control, fields_read, value
+from wtalab.schedulers import CONTROLS, KINDS, T_FLOOR, control, fields_read, value
 
 
 def test_exponential_matches_closed_form():
@@ -16,21 +16,10 @@ def test_exponential_matches_closed_form():
 
 
 def test_exponential_clamps_at_floor():
-    s = ScheduleState(kind="exponential", t0=10.0, rho=0.5, t_floor=1e-8)
-    assert value(s, 500, 6) == 1e-8
-
-
-def test_linear_ramp_values():
-    s = ScheduleState(kind="linear", t0=20.0)
-    assert value(s, 0, 6) == 20.0
-    assert value(s, 50, 6) == 10.0
-    assert value(s, 99, 6) == pytest.approx(0.2)
-
-
-def test_linear_holds_floor_at_and_past_horizon():
-    s = ScheduleState(kind="linear", t0=20.0, t_floor=1e-8)
-    assert value(s, 100, 6) == 1e-8
-    assert value(s, 1000, 6) == 1e-8
+    s = ScheduleState(kind="exponential", t0=10.0, rho=0.5)
+    assert T_FLOOR == 1e-8
+    assert value(s, 500, 6) == T_FLOOR
+    assert value(s, 29, 6) == 10.0 * 0.5**29 > T_FLOOR
 
 
 def test_constant_is_flat():
@@ -42,14 +31,15 @@ def test_constant_is_flat():
 def test_temperature_dispatch():
     assert value(ScheduleState(kind="constant", t0=2.0), 0, 6) == 2.0
     assert value(ScheduleState(kind="exponential", t0=8.0, rho=0.5), 1, 6) == 4.0
-    assert value(ScheduleState(kind="linear", t0=8.0), 50, 6) == 4.0
 
 
 def test_integer_temperatures_keep_their_type():
+    # Only a constant schedule returns t0 itself; an exponential one
+    # multiplies it by a float power of rho.
     assert type(value(ScheduleState(kind="constant", t0=2), 3, 6)) is int
-    s = ScheduleState(kind="exponential", t0=2.0, rho=0.4, t_floor=1)
-    assert [value(s, t, 6) for t in range(3)] == [2.0, 1, 1]
-    assert [type(value(s, t, 6)) for t in range(3)] == [float, int, int]
+    s = ScheduleState(kind="exponential", t0=2, rho=0.4)
+    assert [value(s, t, 6) for t in range(3)] == [2.0, 0.8, 2 * 0.4**2]
+    assert [type(value(s, t, 6)) for t in range(3)] == [float, float, float]
 
 
 def test_ewta_ladder_descends_from_k_to_one():
@@ -95,9 +85,19 @@ def test_ladders_need_a_head(kind):
         value(ScheduleState(kind=kind), 0, 0)
 
 
-def test_kind_validation():
-    with pytest.raises(ConfigurationError):
-        ScheduleState(kind="cosine")
+@pytest.mark.parametrize("kind", ["cosine", "linear"])
+def test_kind_validation(kind):
+    with pytest.raises(ConfigurationError, match=f"unknown schedule kind '{kind}'"):
+        ScheduleState(kind=kind)
+
+
+def test_four_kinds_and_one_kind_per_ladder():
+    assert KINDS == ("exponential", "ewta-topn", "dac-depth", "constant")
+    assert CONTROLS == {
+        "awta": ("temperature", ("exponential", "constant")),
+        "ewta": ("top_n", ("ewta-topn",)),
+        "dac": ("depth", ("dac-depth",)),
+    }
 
 
 def test_rho_validation():
@@ -117,7 +117,7 @@ def test_negative_step_rejected():
         value(ScheduleState(kind="constant"), -1, 6)
 
 
-PERTURBED = {"t0": 13.0, "rho": 0.5, "t_floor": 0.5, "total_steps": 37}
+PERTURBED = {"t0": 13.0, "rho": 0.5, "total_steps": 37}
 
 
 # Every variant with every schedule kind the config check lets it take.
@@ -149,8 +149,9 @@ def test_fields_read_examples():
     assert fields_read(LossConfig(variant="awta"), ScheduleState("exponential")) == (
         "t0",
         "rho",
-        "t_floor",
     )
     assert fields_read(LossConfig(variant="awta"), ScheduleState("constant")) == ("t0",)
     assert fields_read(LossConfig(variant="wta"), ScheduleState("constant")) == ()
-    assert fields_read(LossConfig(variant="ewta"), ScheduleState("constant")) == ()
+    assert fields_read(LossConfig(variant="ewta"), ScheduleState("ewta-topn")) == (
+        "total_steps",
+    )

@@ -4,8 +4,8 @@ Runs, with one BLAS thread and a fresh temporary output root:
 
     wtalab train     on each file in configs/, then on short configs derived
                      from configs/phase_transition.json: one per loss variant
-                     and schedule kind it accepts, and two awta runs with an
-                     integer t0 or t_floor
+                     and schedule kind it accepts, and an awta run with a
+                     constant schedule at an integer t0
     wtalab eval      of benchmark_wta12_nms's best checkpoint
     wtalab generate  --config configs/benchmark_awta.json
     wtalab eval      of the same checkpoint on the generated JSONL file, read
@@ -65,22 +65,21 @@ CHART_FILES = (
 )
 WITHOUT_WALL_S = ("epochs.csv", "charts_data.csv")
 PAIRINGS_CONFIG = "phase_transition"
-SCHEDULE_KINDS = ("exponential", "linear", "constant", "ewta-topn", "dac-depth")
+SCHEDULE_KINDS = ("exponential", "constant", "ewta-topn", "dac-depth")
 # Loss variant -> (its loss block, the schedule kinds it accepts). wta and
-# rwta take no schedule value, so they accept every kind. ewta's top_n and
-# dac's depth are not their defaults, so a constant schedule that kept them
-# shows in the outputs.
+# rwta take no schedule value, so they accept every kind; ewta and dac take
+# only their ladder.
 PAIRINGS = {
     "wta": ({"variant": "wta"}, SCHEDULE_KINDS),
     "rwta": ({"variant": "rwta"}, SCHEDULE_KINDS),
-    "ewta": ({"variant": "ewta", "top_n": 2}, ("ewta-topn", "constant")),
-    "dac": ({"variant": "dac", "depth": 1}, ("dac-depth", "constant")),
-    "awta": ({"variant": "awta"}, ("exponential", "linear", "constant")),
+    "ewta": ({"variant": "ewta"}, ("ewta-topn",)),
+    "dac": ({"variant": "dac"}, ("dac-depth",)),
+    "awta": ({"variant": "awta"}, ("exponential", "constant")),
 }
-# An integer temperature reaches config.json and epochs.csv as an int.
+# A constant schedule's integer t0 reaches config.json and epochs.csv as an
+# int.
 INTEGER_TEMPERATURES = {
     "awta_constant_int_t0": {"kind": "constant", "t0": 2},
-    "awta_exponential_int_t_floor": {"kind": "exponential", "t0": 2.0, "t_floor": 1},
 }
 
 
