@@ -67,7 +67,8 @@ OUT_ROOT_ENV = "WTALAB_OUT_ROOT"
 
 @dataclasses.dataclass
 class OptimizerConfig:
-    """Adam's step size; every run uses adam_step's default betas and eps."""
+    """Adam's step size; every run uses network's ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS."""
 
     lr: float = 1e-3
 
@@ -131,11 +132,11 @@ class ExperimentConfig:
                     f"nms.k_out={self.nms.k_out} exceeds"
                     f" model.n_heads={self.model.n_heads}"
                 )
-        control = schedulers.CONTROLS.get(self.loss.variant)
-        if control is not None and self.scheduler.kind not in control[1]:
+        kinds = schedulers.CONTROLS.get(self.loss.variant)
+        if kinds is not None and self.scheduler.kind not in kinds:
             raise ConfigurationError(
                 f"{self.loss.variant} needs a schedule of kind"
-                f" {' or '.join(control[1])}, got kind {self.scheduler.kind!r}"
+                f" {' or '.join(kinds)}, got kind {self.scheduler.kind!r}"
             )
 
 
@@ -443,13 +444,17 @@ def _train_epochs(
     best_epoch = -1
     best_fde = math.inf
     best_params = params.copy()
-    optimizer = dataclasses.asdict(config.optimizer)  # lr
+    variant = config.loss.variant
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        schedule_value, epoch_loss = schedulers.control(
-            config.loss, config.scheduler, epoch, config.model.n_heads
-        )
+        # A scheduled variant's kernel takes the schedule's value as its
+        # knob. A temperature is logged as the schedule gives it, a ladder
+        # rung as a float.
+        knob = schedule_value = None
+        if variant in schedulers.CONTROLS:
+            knob = schedulers.value(config.scheduler, epoch, config.model.n_heads)
+            schedule_value = knob if variant == "awta" else float(knob)
         order = shuffle_rng.permutation(n_scenes)
         # A permutation is always in range; mode="raise" would copy out first.
         np.take(features, order, axis=0, out=shuffled_features, mode="clip")
@@ -461,7 +466,7 @@ def _train_epochs(
                 params, shuffled_features[start:stop]
             )
             objective = batch_objective(
-                preds, logits, shuffled_targets[start:stop], epoch_loss
+                preds, logits, shuffled_targets[start:stop], variant, knob
             )
             # A finite sum proves every loss finite; only a non-finite one
             # needs the element check, which accepts finite losses whose sum
@@ -475,7 +480,7 @@ def _train_epochs(
                 _flush_subnormals(objective.d_outputs)
             backward_batch(params, activations, objective.d_outputs, out=grads)
             try:
-                params, adam = adam_step(params, grads, adam, **optimizer)
+                params, adam = adam_step(params, grads, adam, lr=config.optimizer.lr)
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"epoch {epoch} batch {batch_index}: {exc}"
@@ -620,20 +625,29 @@ def sweep(
     workers stays only for callers that pass 1; any other value raises
     InputError before a cell trains.
 
-    A grid whose cells would repeat a run raises InputError before the
-    first cell: a value listed twice, or more than one value of t0 or rho
-    where the run does not read it (schedulers.fields_read). One such value
-    is allowed, since the command line always passes both.
+    A grid whose cells would repeat a run or share a directory raises
+    InputError before the first cell: a value listed twice, two t0 or rho
+    values that print alike at 6 significant digits, or more than one value
+    of t0 or rho where the run does not read it (schedulers.fields_read).
+    One such value is allowed, since the command line always passes both.
     """
     if workers != 1:
         raise InputError(f"sweep runs cells serially; workers must be 1, got {workers}")
     if not t0_values or not rho_values or not seeds:
         raise InputError("sweep needs at least one t0, rho and seed")
-    read = schedulers.fields_read(base.loss, base.scheduler)
+    read = schedulers.fields_read(base.loss.variant, base.scheduler)
     for name, values in (("t0", t0_values), ("rho", rho_values), ("seed", seeds)):
         if len(set(values)) < len(values):
             raise InputError(f"sweep grid repeats a {name} value: {values}")
-        if name != "seed" and len(values) > 1 and name not in read:
+        if name == "seed":
+            continue
+        # A cell's directory names its t0 and rho at 6 significant digits.
+        if len({f"{v:g}" for v in values}) < len(values):
+            raise InputError(
+                f"sweep grid has {name} values that print alike at 6 significant"
+                f" digits, so two cells would share a directory: {values}"
+            )
+        if len(values) > 1 and name not in read:
             raise InputError(
                 f"a {base.loss.variant} run with a {base.scheduler.kind} schedule"
                 f" does not read {name}, so its {len(values)} {name} values would"

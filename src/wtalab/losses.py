@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-VARIANTS = ("wta", "rwta", "ewta", "dac", "awta")
-
 # The share of the weight that rwta spreads over the non-winning heads.
 RWTA_EPSILON = 0.05
 
@@ -95,57 +93,26 @@ def max_dac_depth(n_heads: int) -> int:
 
 @dataclasses.dataclass
 class LossConfig:
-    """Which weight variant to train with, plus its scheduled knob.
+    """Which weight variant to train with: the loss block of a config.
 
-    variant is the one JSON key. temperature (awta), top_n (ewta) and depth
-    (dac) are not JSON keys: schedulers.control sets the variant's knob from
-    the schedule each epoch. rwta always uses RWTA_EPSILON, and the
-    confidence cross-entropy term always has weight 1.
+    A scheduled variant's knob (awta's temperature, ewta's top_n, dac's
+    depth) is not a setting: each epoch, training passes the schedule's
+    value to the kernel (schedulers.CONTROLS). rwta always uses RWTA_EPSILON, and
+    the confidence cross-entropy term always has weight 1.
     """
 
     variant: str = "awta"
-    temperature: float = dataclasses.field(default=1.0, metadata={"json": False})
-    top_n: int = dataclasses.field(default=1, metadata={"json": False})
-    depth: int = dataclasses.field(default=0, metadata={"json": False})
 
     def validate(self, n_heads: int) -> None:
-        """Check the knobs for a model of n_heads heads. The variant's knob
-        is checked by the rule its kernel applies, so a bad value raises
-        ConfigurationError with the kernel's text."""
+        """Check the variant for a model of n_heads heads."""
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown loss variant {self.variant!r}, expected one of {VARIANTS}"
             )
         if n_heads < 1:
             raise ConfigurationError(f"need at least one head, got {n_heads}")
-        knobs = {
-            "rwta": RWTA_EPSILON, "ewta": self.top_n, "dac": self.depth,
-            "awta": self.temperature,
-        }
-        try:
-            _check_knob(self.variant, knobs.get(self.variant), n_heads)
-        except InputError as exc:
-            raise ConfigurationError(str(exc)) from exc
-
-
-def _check_knob(variant: str, value, n_heads: int) -> None:
-    """Raise InputError unless value suits the kernel of variant (wta takes
-    no knob) for n_heads heads. The rules need no cost array, so validate
-    checks a head count of any size without allocating."""
-    if variant == "rwta":
-        if n_heads < 2:
-            raise InputError("rwta needs at least two heads")
-        hi = (n_heads - 1) / n_heads
-        if not 0.0 < value <= hi:
-            raise InputError(f"epsilon must be in (0, {hi}] for K={n_heads}, got {value}")
-    elif variant == "ewta" and not 1 <= value <= n_heads:
-        raise InputError(f"top_n must be in [1, {n_heads}], got {value}")
-    elif variant == "dac" and not 0 <= value <= max_dac_depth(n_heads):
-        raise InputError(
-            f"depth must be in [0, {max_dac_depth(n_heads)}] for K={n_heads}, got {value}"
-        )
-    elif variant == "awta" and not value > 0.0:
-        raise InputError(f"temperature must be positive, got {value}")
+        if self.variant == "rwta" and n_heads < 2:
+            raise ConfigurationError("rwta needs at least two heads")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +134,11 @@ def rwta_weights(costs, epsilon: float = RWTA_EPSILON) -> np.ndarray:
     """Relaxed winner weights: 1 - epsilon on the winner, the rest uniform."""
     costs = np.asarray(costs, dtype=float)
     n_heads = costs.shape[-1]
-    _check_knob("rwta", epsilon, n_heads)
+    if n_heads < 2:
+        raise InputError("rwta needs at least two heads")
+    hi = (n_heads - 1) / n_heads
+    if not 0.0 < epsilon <= hi:
+        raise InputError(f"epsilon must be in (0, {hi}] for K={n_heads}, got {epsilon}")
     weights = np.full_like(costs, epsilon / (n_heads - 1))
     winners = costs.argmin(axis=-1)
     np.put_along_axis(weights, winners[..., None], 1.0 - epsilon, axis=-1)
@@ -177,7 +148,9 @@ def rwta_weights(costs, epsilon: float = RWTA_EPSILON) -> np.ndarray:
 def ewta_weights(costs, top_n: int) -> np.ndarray:
     """Uniform weights over the top_n lowest-cost heads."""
     costs = np.asarray(costs, dtype=float)
-    _check_knob("ewta", top_n, costs.shape[-1])
+    n_heads = costs.shape[-1]
+    if not 1 <= top_n <= n_heads:
+        raise InputError(f"top_n must be in [1, {n_heads}], got {top_n}")
     order = costs.argsort(axis=-1, kind="stable")
     weights = np.zeros_like(costs)
     np.put_along_axis(weights, order[..., :top_n], 1.0 / top_n, axis=-1)
@@ -192,7 +165,9 @@ def dac_block_ids(n_heads: int, depth: int) -> np.ndarray:
     rest; singleton blocks stay as they are. At max_dac_depth(K) all blocks
     are singletons.
     """
-    _check_knob("dac", depth, n_heads)
+    deepest = max_dac_depth(n_heads)
+    if not 0 <= depth <= deepest:
+        raise InputError(f"depth must be in [0, {deepest}] for K={n_heads}, got {depth}")
     blocks = [(0, n_heads)]
     for _ in range(depth):
         split = []
@@ -225,7 +200,8 @@ def dac_weights(costs, depth: int) -> np.ndarray:
 def awta_weights(costs, temperature: float) -> np.ndarray:
     """Softmin weights exp(-cost / T) normalized over heads."""
     costs = np.asarray(costs, dtype=float)
-    _check_knob("awta", temperature, costs.shape[-1])
+    if not temperature > 0.0:
+        raise InputError(f"temperature must be positive, got {temperature}")
     # Subtracting the row minimum keeps the largest exponent at exactly 0,
     # so the normalizer is always >= 1 and never overflows. Negating then
     # dividing in place gives the bits of -shifted / temperature, NaN signs
@@ -238,21 +214,26 @@ def awta_weights(costs, temperature: float) -> np.ndarray:
     return weights
 
 
-def assignment_weights(costs, config: LossConfig) -> np.ndarray:
-    """Dispatch to the kernel selected by config.variant."""
-    if config.variant == "wta":
-        return wta_weights(costs)
-    if config.variant == "rwta":
-        return rwta_weights(costs)
-    if config.variant == "ewta":
-        return ewta_weights(costs, config.top_n)
-    if config.variant == "dac":
-        return dac_weights(costs, config.depth)
-    if config.variant == "awta":
-        return awta_weights(costs, config.temperature)
-    raise ConfigurationError(
-        f"unknown loss variant {config.variant!r}, expected one of {VARIANTS}"
-    )
+# The weight kernel of each variant. A kernel's second argument is its
+# knob: awta's temperature, ewta's top_n, dac's depth, rwta's epsilon.
+KERNELS = {
+    "wta": wta_weights,
+    "rwta": rwta_weights,
+    "ewta": ewta_weights,
+    "dac": dac_weights,
+    "awta": awta_weights,
+}
+VARIANTS = tuple(KERNELS)
+
+
+def assignment_weights(costs, variant: str, knob=None) -> np.ndarray:
+    """The weights of variant's kernel, passed knob when it is not None."""
+    kernel = KERNELS.get(variant)
+    if kernel is None:
+        raise ConfigurationError(
+            f"unknown loss variant {variant!r}, expected one of {VARIANTS}"
+        )
+    return kernel(costs) if knob is None else kernel(costs, knob)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +264,8 @@ def batch_objective(
     preds: np.ndarray,
     logits: np.ndarray,
     targets: np.ndarray,
-    config: LossConfig,
+    variant: str,
+    knob=None,
 ) -> BatchObjective:
     """Evaluate the composite objective on a batch of model outputs.
 
@@ -291,7 +273,9 @@ def batch_objective(
         preds: (B, K, L, 2) predicted trajectories.
         logits: (B, K) raw confidence logits.
         targets: (B, L, 2) ground-truth trajectories.
-        config: loss variant with its per-epoch control values resolved.
+        variant: the weight variant, a key of KERNELS.
+        knob: the variant's knob, the schedule's value at this epoch for
+            awta, ewta and dac; None for wta and rwta.
 
     Returns:
         BatchObjective with per-sample losses and mean-loss gradients.
@@ -322,7 +306,7 @@ def batch_objective(
     square = np.square(residual)
     costs = np.add.reduce(square[..., 0] + square[..., 1], axis=2)
     costs /= horizon
-    weights = assignment_weights(costs, config)
+    weights = assignment_weights(costs, variant, knob)
     winners = costs.argmin(axis=1)
     rows = np.arange(batch)
 

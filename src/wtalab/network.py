@@ -264,6 +264,12 @@ def backward_batch(
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator offset, the same in every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclasses.dataclass
 class AdamState:
     """First and second moment accumulators plus the step counter.
@@ -316,21 +322,19 @@ def adam_step(
     params: ModelParams,
     grads: GradientBuffer,
     state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    lr: float,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update of every tensor at once, in place.
+    """One bias-corrected Adam update of every tensor at once, in place,
+    with step size lr and ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     Rejects the step with NonFiniteError if any gradient entry is NaN or
     infinite, naming the first offending tensor; parameters, moments and
     the step counter are left untouched.
 
-    Once beta1**step is below half an ulp of 1, the first bias correction
-    1 - beta1**step rounds to exactly 1.0, and m / 1.0 is m bit for bit; from
-    then on the step skips that division. At beta1 = 0.9 this holds from
-    step 356, at 0.85 from step 231.
+    Once ADAM_BETA1**step is below half an ulp of 1, the first bias
+    correction 1 - ADAM_BETA1**step rounds to exactly 1.0, and m / 1.0 is m
+    bit for bit; from then on, step 356 and later, the step skips that
+    division.
     """
     grad = grads.vector
     if not _all_finite(grad):
@@ -338,18 +342,18 @@ def adam_step(
             f"non-finite gradient in {_first_non_finite(grads)}; step rejected"
         )
     state.step += 1
-    correction1 = 1.0 - beta1**state.step
-    correction2 = 1.0 - beta2**state.step
+    correction1 = 1.0 - ADAM_BETA1**state.step
+    correction2 = 1.0 - ADAM_BETA2**state.step
     m, v, update, denom = state.m.vector, state.v.vector, state.update, state.denom
     # Two scratch buffers hold every intermediate; the operations and their
     # order are those of
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
     #   params -= lr * (m / c1) / (sqrt(v / c2) + eps)
-    m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=update)
-    v *= beta2
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
+    v *= ADAM_BETA2
     np.multiply(grad, grad, out=denom)
-    v += np.multiply(denom, 1.0 - beta2, out=denom)
+    v += np.multiply(denom, 1.0 - ADAM_BETA2, out=denom)
     if correction1 == 1.0:
         np.multiply(m, lr, out=update)
     else:
@@ -357,7 +361,7 @@ def adam_step(
         update *= lr
     np.divide(v, correction2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     update /= denom
     params.vector -= update
     if not _all_finite(params.vector):

@@ -1,4 +1,4 @@
-"""Annealing schedules, and which loss setting each one drives.
+"""Annealing schedules, and which loss variant each one drives.
 
 The step counter t is the epoch index, starting at 0. A schedule's value is
 a pure function of the schedule, the step and the head count, so logged
@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import ConfigurationError, InputError
-from .losses import LossConfig, max_dac_depth
+from .losses import max_dac_depth
 
 # The ScheduleState fields that each kind's value reads.
 KIND_FIELDS = {
@@ -24,12 +24,13 @@ KINDS = tuple(KIND_FIELDS)
 # The lowest temperature an exponential schedule returns.
 T_FLOOR = 1e-8
 
-# The scheduled variants: the LossConfig field the schedule sets each epoch,
-# and the schedule kinds that may drive it. wta and rwta have no schedule.
+# The scheduled variants and the schedule kinds that may drive each. Each
+# epoch the schedule's value is the variant's knob: awta's temperature,
+# ewta's top_n, dac's depth. wta and rwta have no schedule.
 CONTROLS = {
-    "awta": ("temperature", ("exponential", "constant")),
-    "ewta": ("top_n", ("ewta-topn",)),
-    "dac": ("depth", ("dac-depth",)),
+    "awta": ("exponential", "constant"),
+    "ewta": ("ewta-topn",),
+    "dac": ("dac-depth",),
 }
 
 
@@ -93,28 +94,10 @@ def value(schedule: ScheduleState, step: int, n_heads: int) -> float:
     return min(deepest, (step * (deepest + 1)) // schedule.total_steps)
 
 
-def control(
-    loss: LossConfig, schedule: ScheduleState, step: int, n_heads: int
-) -> tuple[float | None, LossConfig]:
-    """The schedule value logged at step and the loss config trained with.
-
-    The schedule sets the LossConfig field that CONTROLS names for the
-    variant. A ladder value is logged as a float; wta and rwta log None.
-    """
-    if loss.variant not in CONTROLS:
-        return None, loss
-    field = CONTROLS[loss.variant][0]
-    setting = value(schedule, step, n_heads)
-    logged = setting if field == "temperature" else float(setting)
-    return logged, dataclasses.replace(loss, **{field: setting})
-
-
-def fields_read(loss: LossConfig, schedule: ScheduleState) -> tuple[str, ...]:
-    """The ScheduleState fields that a run with this loss config reads.
+def fields_read(variant: str, schedule: ScheduleState) -> tuple[str, ...]:
+    """The ScheduleState fields that a run of this loss variant reads.
 
     A variant outside CONTROLS has no schedule and reads none. Otherwise the
     run reads what its kind's value reads (KIND_FIELDS).
     """
-    if loss.variant not in CONTROLS:
-        return ()
-    return KIND_FIELDS[schedule.kind]
+    return KIND_FIELDS[schedule.kind] if variant in CONTROLS else ()

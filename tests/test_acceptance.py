@@ -200,10 +200,9 @@ def test_gradient_fidelity():
         max_params = max(max_params, params.vector.size)
         context = rng.normal(size=input_dim)
         target = rng.normal(size=(horizon, 2))
-        losses = [LossConfig(variant="awta", temperature=t) for t in (0.1, 1.0, 10.0)]
-        losses.append(LossConfig(variant="wta"))
+        losses = [("awta", t) for t in (0.1, 1.0, 10.0)] + [("wta", None)]
         for loss in losses:
-            result = gradient_check(params, context, target, loss)
+            result = gradient_check(params, context, target, *loss)
             max_err = max(max_err, result.max_rel_error)
 
     elapsed = time.perf_counter() - started

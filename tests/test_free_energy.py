@@ -13,7 +13,7 @@ checks of test_network.gradient_check are a separate matter.
 import numpy as np
 import pytest
 
-from wtalab import LossConfig, batch_objective
+from wtalab import batch_objective
 
 from test_losses import gradient_views
 
@@ -65,7 +65,7 @@ def free_energy(costs, temperature):
 
 def hard_weights(costs, variant):
     """(B, 4) weights of the piecewise-constant variants at the knobs of
-    HARD_CONFIGS, written out for four heads."""
+    HARD_KNOBS, written out for four heads."""
     order = costs.argsort(axis=1)
     rows, winners = np.arange(len(costs)), order[:, 0]
     if variant == "rwta":
@@ -83,12 +83,8 @@ def hard_weights(costs, variant):
     return weights
 
 
-HARD_CONFIGS = {
-    "wta": LossConfig(variant="wta"),
-    "rwta": LossConfig(variant="rwta"),
-    "ewta": LossConfig(variant="ewta", top_n=2),
-    "dac": LossConfig(variant="dac", depth=1),
-}
+# The knob of each piecewise-constant variant: ewta's top_n, dac's depth.
+HARD_KNOBS = {"wta": None, "rwta": None, "ewta": 2, "dac": 1}
 
 
 def central_differences(objective, preds):
@@ -105,8 +101,7 @@ def central_differences(objective, preds):
 @pytest.mark.parametrize("temperature", [0.1, 0.3, 0.7, 2.0, 10.0])
 def test_awta_step_descends_the_free_energy_not_the_logged_loss(temperature):
     preds, logits, targets = make_batch(0)
-    config = LossConfig(variant="awta", temperature=temperature)
-    out = batch_objective(preds, logits, targets, config)
+    out = batch_objective(preds, logits, targets, "awta", temperature)
     applied = gradient_views(out)[0]
     logged = trajectory_loss(out, preds, logits, targets).mean()
 
@@ -127,11 +122,11 @@ def test_awta_step_descends_the_free_energy_not_the_logged_loss(temperature):
     assert np.abs(applied - numeric_d).max() > 1e-3
 
 
-@pytest.mark.parametrize("variant", sorted(HARD_CONFIGS))
+@pytest.mark.parametrize("variant", sorted(HARD_KNOBS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_piecewise_constant_variants_descend_the_logged_loss(variant, seed):
     preds, logits, targets = make_batch(seed)
-    out = batch_objective(preds, logits, targets, HARD_CONFIGS[variant])
+    out = batch_objective(preds, logits, targets, variant, HARD_KNOBS[variant])
 
     def mean_distortion(p):
         costs = costs_of(p, targets)

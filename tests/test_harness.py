@@ -60,7 +60,7 @@ from wtalab.network import (
     save_checkpoint,
 )
 from wtalab.losses import VARIANTS, batch_objective
-from wtalab.schedulers import CONTROLS, KINDS, control, value
+from wtalab.schedulers import CONTROLS, KINDS, value
 
 from test_losses import reference_batch_objective
 from test_network import reference_backward, reference_forward
@@ -470,7 +470,7 @@ class TestConfigValidation:
             "loss": {"variant": variant},
             "scheduler": {"kind": kind},
         }
-        if variant in ("wta", "rwta") or kind in CONTROLS[variant][1]:
+        if variant in ("wta", "rwta") or kind in CONTROLS[variant]:
             config_from_dict(data)
         else:
             with pytest.raises(ConfigurationError, match="schedule"):
@@ -506,10 +506,10 @@ class TestConfigValidation:
     def test_loss_checked_against_head_count(self, tmp_path):
         config = tiny_config(
             tmp_path,
-            loss=LossConfig(variant="ewta", top_n=4),
-            scheduler=ScheduleState(kind="ewta-topn"),
+            model=ModelConfig(n_heads=1, hidden=(8,)),
+            loss=LossConfig(variant="rwta"),
         )
-        with pytest.raises(ConfigurationError, match="top_n must be in"):
+        with pytest.raises(ConfigurationError, match="rwta needs at least two heads"):
             config.validate()
 
 
@@ -778,17 +778,18 @@ def reference_train_epochs(config, splits):
     adam = init_adam(params)
     shuffle_rng = np.random.default_rng([config.seed, 2])
     losses = []
+    variant = config.loss.variant
     for epoch in range(config.epochs):
-        loss_config = control(
-            config.loss, config.scheduler, epoch, config.model.n_heads
-        )[1]
+        knob = None
+        if variant in CONTROLS:
+            knob = value(config.scheduler, epoch, config.model.n_heads)
         order = shuffle_rng.permutation(len(features))
         loss_sum = 0.0
         for start in range(0, len(features), config.batch_size):
             rows = order[start : start + config.batch_size]
             preds, logits, activations = reference_forward(params, features[rows])
             objective = reference_batch_objective(
-                preds, logits, targets[rows], loss_config
+                preds, logits, targets[rows], variant, knob
             )
             grad_w, grad_b = reference_backward(
                 params,
@@ -1211,6 +1212,23 @@ class TestSweep:
         monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
         with pytest.raises(InputError, match=f"repeats a {name} value"):
             sweep(tiny_config(tmp_path), t0_values, rho_values, seeds)
+        assert trained == []
+
+    @pytest.mark.parametrize(
+        "t0_values,rho_values,name",
+        [([40.0000001, 40.0000002], [0.5], "t0"), ([5.0], [0.5, 0.50000001], "rho")],
+    )
+    def test_values_that_would_share_a_cell_directory_rejected_before_any_cell(
+        self, tmp_path, monkeypatch, t0_values, rho_values, name
+    ):
+        # A cell directory names t0 and rho at 6 significant digits, so these
+        # two cells would write one directory, the second over the first.
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+        with pytest.raises(InputError, match=f"{name} values that print alike"):
+            sweep(
+                tiny_config(tmp_path), t0_values, rho_values, [1], write_cell_outputs=True
+            )
         assert trained == []
 
     def test_one_value_of_an_unread_parameter_is_allowed(self, tmp_path):

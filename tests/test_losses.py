@@ -169,6 +169,27 @@ class TestAwta:
             awta_weights([1.0, 2.0], temperature=0.0)
 
 
+@pytest.mark.parametrize(
+    "kernel, knob, message",
+    [
+        (awta_weights, 0.0, "temperature must be positive, got 0.0"),
+        (awta_weights, -1.0, "temperature must be positive, got -1.0"),
+        (ewta_weights, 0, "top_n must be in [1, 4], got 0"),
+        (ewta_weights, 5, "top_n must be in [1, 4], got 5"),
+        (dac_weights, 3, "depth must be in [0, 2] for K=4, got 3"),
+        (dac_weights, -1, "depth must be in [0, 2] for K=4, got -1"),
+        (rwta_weights, 0.8, "epsilon must be in (0, 0.75] for K=4, got 0.8"),
+    ],
+    ids=["awta-0", "awta-neg", "ewta-0", "ewta-5", "dac-3", "dac-neg", "rwta-0.8"],
+)
+def test_out_of_range_knob_rejected_by_its_kernel(kernel, knob, message):
+    # The kernel is the only check of a knob: training passes it the
+    # schedule's value, which tests/test_schedulers.py shows is in range.
+    with pytest.raises(InputError) as excinfo:
+        kernel(RNG.uniform(0.0, 50.0, size=(3, 4)), knob)
+    assert str(excinfo.value) == message
+
+
 @st.composite
 def cost_vectors(draw):
     k = draw(st.integers(min_value=2, max_value=8))
@@ -246,15 +267,20 @@ def test_squared_distance_has_the_bits_of_a_summed_square():
 class TestAssignmentWeightsDispatch:
     def test_dispatch_matches_direct_calls(self):
         costs = RNG.uniform(0.0, 50.0, size=(3, 4))
-        pairs = [
-            (LossConfig(variant="wta"), wta_weights(costs)),
-            (LossConfig(variant="rwta"), rwta_weights(costs, 0.05)),
-            (LossConfig(variant="ewta", top_n=2), ewta_weights(costs, 2)),
-            (LossConfig(variant="dac", depth=1), dac_weights(costs, 1)),
-            (LossConfig(variant="awta", temperature=2.5), awta_weights(costs, 2.5)),
+        cases = [
+            ("wta", None, wta_weights(costs)),
+            ("rwta", None, rwta_weights(costs, 0.05)),
+            ("ewta", 2, ewta_weights(costs, 2)),
+            ("dac", 1, dac_weights(costs, 1)),
+            ("awta", 2.5, awta_weights(costs, 2.5)),
         ]
-        for config, direct in pairs:
-            np.testing.assert_array_equal(assignment_weights(costs, config), direct)
+        for variant, knob, direct in cases:
+            got = assignment_weights(costs, variant, knob)
+            np.testing.assert_array_equal(got, direct)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown loss variant 'softmin'"):
+            assignment_weights(np.zeros(3), "softmin")
 
     def test_batch_rows_match_single_vectors(self):
         costs = RNG.uniform(0.0, 50.0, size=(2, 3, 5))
@@ -282,13 +308,14 @@ def gradient_views(out: BatchObjective) -> tuple[np.ndarray, np.ndarray]:
     return d_trajectories, out.d_outputs[:, n_traj:]
 
 
-def one_scene_objective(preds, logits, target, config):
+def one_scene_objective(preds, logits, target, variant, knob=None):
     """batch_objective on a batch holding one scene."""
     return batch_objective(
         np.asarray(preds, dtype=float)[None],
         np.asarray(logits, dtype=float)[None],
         np.asarray(target, dtype=float)[None],
-        config,
+        variant,
+        knob,
     )
 
 
@@ -296,13 +323,13 @@ class TestCostsAndLoss:
     def test_ade_cost_is_mean_squared_norm(self):
         pred = np.zeros((1, 4, 2))
         target = np.tile([3.0, 4.0], (4, 1))
-        out = one_scene_objective(pred, [0.0], target, LossConfig(variant="wta"))
+        out = one_scene_objective(pred, [0.0], target, "wta")
         assert out.costs.tolist() == [[25.0]]
 
     def test_ade_cost_shape_mismatch(self):
         with pytest.raises(InputError):
             one_scene_objective(
-                np.zeros((1, 4, 2)), [0.0], np.zeros((5, 2)), LossConfig(variant="wta")
+                np.zeros((1, 4, 2)), [0.0], np.zeros((5, 2)), "wta"
             )
 
     def test_weighted_loss_is_dot_product(self):
@@ -311,8 +338,7 @@ class TestCostsAndLoss:
         rng = np.random.default_rng(4)
         preds = rng.normal(size=(3, 2, 2))
         target = rng.normal(size=(2, 2))
-        config = LossConfig(variant="awta", temperature=1.0)
-        out = one_scene_objective(preds, np.zeros(3), target, config)
+        out = one_scene_objective(preds, np.zeros(3), target, "awta", 1.0)
         expected = float(np.dot(out.costs[0], awta_weights(out.costs[0], 1.0)))
         assert out.loss[0] == pytest.approx(expected + math.log(3.0), rel=1e-15)
 
@@ -321,7 +347,7 @@ class TestCostsAndLoss:
         # loss is the score term alone: -log(0.75).
         preds = np.array([[[1.0, 0.0]], [[0.0, 0.0]]])
         logits = [0.0, math.log(3.0)]
-        out = one_scene_objective(preds, logits, np.zeros((1, 2)), LossConfig(variant="wta"))
+        out = one_scene_objective(preds, logits, np.zeros((1, 2)), "wta")
         assert out.winners.tolist() == [1]
         assert out.loss[0] == pytest.approx(-math.log(0.75), rel=1e-15)
 
@@ -332,8 +358,7 @@ class TestCostsAndLoss:
         # derivative.
         preds = np.array([[[1.0, 0.0]], [[0.0, 0.0]]])
         logits = [0.0, -1e4]
-        config = LossConfig(variant="wta")
-        out = one_scene_objective(preds, logits, np.zeros((1, 2)), config)
+        out = one_scene_objective(preds, logits, np.zeros((1, 2)), "wta")
         assert out.winners.tolist() == [1]
         top = max(logits)
         expected = top + math.log(sum(math.exp(v - top) for v in logits)) - logits[1]
@@ -343,8 +368,8 @@ class TestCostsAndLoss:
         step = 1e-3
         for k in range(2):
             nudge = np.eye(2)[k] * step
-            plus = one_scene_objective(preds, logits + nudge, np.zeros((1, 2)), config)
-            minus = one_scene_objective(preds, logits - nudge, np.zeros((1, 2)), config)
+            plus = one_scene_objective(preds, logits + nudge, np.zeros((1, 2)), "wta")
+            minus = one_scene_objective(preds, logits - nudge, np.zeros((1, 2)), "wta")
             numeric = (plus.loss[0] - minus.loss[0]) / (2.0 * step)
             assert numeric == pytest.approx(d_score_logits[0, k], abs=1e-6)
 
@@ -363,8 +388,7 @@ class TestBatchObjective:
 
     def test_loss_matches_per_sample_recomputation(self):
         preds, logits, targets = self.make_batch()
-        config = LossConfig(variant="awta", temperature=1.5)
-        out = batch_objective(preds, logits, targets, config)
+        out = batch_objective(preds, logits, targets, "awta", 1.5)
         batch, n_heads, horizon, _ = preds.shape
         for i in range(batch):
             # Plain loops: squared-distance costs, softmin weights, and the
@@ -388,8 +412,7 @@ class TestBatchObjective:
 
     def test_trajectory_gradient_shape_and_scaling(self):
         preds, logits, targets = self.make_batch()
-        config = LossConfig(variant="wta")
-        out = batch_objective(preds, logits, targets, config)
+        out = batch_objective(preds, logits, targets, "wta")
         d_trajectories, d_score_logits = gradient_views(out)
         assert d_trajectories.shape == preds.shape
         assert d_score_logits.shape == logits.shape
@@ -403,7 +426,7 @@ class TestBatchObjective:
     def test_score_gradient_sums_to_zero_when_coef_balanced(self):
         # softmax minus one-hot has zero row sums
         preds, logits, targets = self.make_batch()
-        out = batch_objective(preds, logits, targets, LossConfig(variant="wta"))
+        out = batch_objective(preds, logits, targets, "wta")
         np.testing.assert_allclose(
             gradient_views(out)[1].sum(axis=1), 0.0, atol=1e-12
         )
@@ -422,7 +445,7 @@ def reference_awta_weights(costs, temperature):
     return weights / np.sum(weights, axis=-1, keepdims=True)
 
 
-def reference_batch_objective(preds, logits, targets, config):
+def reference_batch_objective(preds, logits, targets, variant, knob=None):
     """The objective as first written, kept as an oracle for batch_objective.
 
     Costs reduce the (x, y) axis with np.sum and the steps with np.mean; the
@@ -435,10 +458,10 @@ def reference_batch_objective(preds, logits, targets, config):
     batch, _, horizon, _ = preds.shape
     residual = preds - targets[:, None, :, :]
     costs = np.mean(np.sum(residual**2, axis=3), axis=2)
-    if config.variant == "awta":
-        weights = reference_awta_weights(costs, config.temperature)
+    if variant == "awta":
+        weights = reference_awta_weights(costs, knob)
     else:
-        weights = assignment_weights(costs, config)
+        weights = assignment_weights(costs, variant, knob)
     winners = np.argmin(costs, axis=1)
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(shifted), axis=1))
@@ -519,17 +542,17 @@ class TestKernelOracle:
         assert x.tobytes() == before
 
 
-def oracle_configs(n_heads):
-    """One config per variant that is valid for n_heads heads."""
-    configs = [
-        LossConfig(variant="wta"),
-        LossConfig(variant="ewta", top_n=(n_heads + 1) // 2),
-        LossConfig(variant="dac", depth=(max_dac_depth(n_heads) + 1) // 2),
-        LossConfig(variant="awta", temperature=0.7),
+def oracle_losses(n_heads):
+    """One (variant, knob) per variant that is valid for n_heads heads."""
+    losses = [
+        ("wta", None),
+        ("ewta", (n_heads + 1) // 2),
+        ("dac", (max_dac_depth(n_heads) + 1) // 2),
+        ("awta", 0.7),
     ]
     if n_heads > 1:
-        configs.append(LossConfig(variant="rwta"))
-    return configs
+        losses.append(("rwta", None))
+    return losses
 
 
 class TestObjectiveOracle:
@@ -538,9 +561,9 @@ class TestObjectiveOracle:
     def assert_matches_reference(self, preds, logits, targets):
         names = [field.name for field in dataclasses.fields(BatchObjective)]
         assert names == ["loss", "d_outputs", "costs", "weights", "winners"]
-        for config in oracle_configs(preds.shape[1]):
-            out = batch_objective(preds, logits, targets, config)
-            expected = reference_batch_objective(preds, logits, targets, config)
+        for loss in oracle_losses(preds.shape[1]):
+            out = batch_objective(preds, logits, targets, *loss)
+            expected = reference_batch_objective(preds, logits, targets, *loss)
             views = gradient_views(out)
             got_by_name = {name: getattr(out, name) for name in names}
             got_by_name.update(zip(("d_trajectories", "d_score_logits"), views))
@@ -549,7 +572,7 @@ class TestObjectiveOracle:
                 assert got.dtype == want.dtype, name
                 assert got.shape == want.shape, name
                 assert got.tobytes() == want.tobytes(), (
-                    f"{config.variant}: {name} differs from the reference"
+                    f"{loss[0]}: {name} differs from the reference"
                 )
             for view in views:
                 assert np.shares_memory(view, out.d_outputs)
@@ -601,7 +624,7 @@ class TestObjectiveOracle:
         logits[:, 0] = -1e4
         logits[::2, 1] = 800.0
         self.assert_matches_reference(preds, logits, targets)
-        out = batch_objective(preds, logits, targets, LossConfig(variant="wta"))
+        out = batch_objective(preds, logits, targets, "wta")
         assert np.all(out.winners == 0)
         assert np.all(np.isfinite(out.loss))
 
@@ -610,26 +633,13 @@ class TestLossConfigValidate:
     def test_defaults_pass(self):
         LossConfig().validate(n_heads=4)
 
-    @pytest.mark.parametrize(
-        "config, message",
-        [
-            (
-                LossConfig(variant="softmin"),
-                "unknown loss variant 'softmin', expected one of"
-                " ('wta', 'rwta', 'ewta', 'dac', 'awta')",
-            ),
-            (LossConfig(temperature=0.0), "temperature must be positive, got 0.0"),
-            (LossConfig(temperature=-1.0), "temperature must be positive, got -1.0"),
-            (LossConfig(variant="ewta", top_n=0), "top_n must be in [1, 4], got 0"),
-            (LossConfig(variant="ewta", top_n=5), "top_n must be in [1, 4], got 5"),
-            (LossConfig(variant="dac", depth=3), "depth must be in [0, 2] for K=4, got 3"),
-            (LossConfig(variant="dac", depth=-1), "depth must be in [0, 2] for K=4, got -1"),
-        ],
-    )
-    def test_bad_configs_rejected(self, config, message):
+    def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            config.validate(n_heads=4)
-        assert str(excinfo.value) == message
+            LossConfig(variant="softmin").validate(n_heads=4)
+        assert str(excinfo.value) == (
+            "unknown loss variant 'softmin', expected one of"
+            " ('wta', 'rwta', 'ewta', 'dac', 'awta')"
+        )
 
     def test_rwta_epsilon_checked_against_head_count(self):
         with pytest.raises(WtalabError, match="rwta needs at least two heads"):
@@ -643,6 +653,6 @@ class TestLossConfigValidate:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_head_count_beyond_any_array_is_checked_without_one(self, variant):
-        # The knob rules are arithmetic on the head count: a cost row this
-        # wide could not even be shaped.
+        # The head-count rules are arithmetic: a cost row this wide could
+        # not even be shaped.
         LossConfig(variant=variant).validate(n_heads=10**30)

@@ -145,7 +145,7 @@ def test_every_variant_trains_on_every_schedule_kind_it_accepts(tmp_path, monkey
         (variant, kind)
         for variant in VARIANTS
         for kind in KINDS
-        if variant in ("wta", "rwta") or kind in CONTROLS[variant][1]
+        if variant in ("wta", "rwta") or kind in CONTROLS[variant]
     }
     assert set(pairings) == accepted
     assert len(pairings) == len(accepted) + 1

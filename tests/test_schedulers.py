@@ -2,11 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from wtalab import ConfigurationError, InputError, ScheduleState
-from wtalab.losses import VARIANTS, LossConfig, max_dac_depth
-from wtalab.schedulers import CONTROLS, KINDS, T_FLOOR, control, fields_read, value
+from wtalab.losses import KERNELS, VARIANTS, max_dac_depth
+from wtalab.schedulers import CONTROLS, KINDS, T_FLOOR, fields_read, value
 
 
 def test_exponential_matches_closed_form():
@@ -94,9 +95,9 @@ def test_kind_validation(kind):
 def test_four_kinds_and_one_kind_per_ladder():
     assert KINDS == ("exponential", "ewta-topn", "dac-depth", "constant")
     assert CONTROLS == {
-        "awta": ("temperature", ("exponential", "constant")),
-        "ewta": ("top_n", ("ewta-topn",)),
-        "dac": ("depth", ("dac-depth",)),
+        "awta": ("exponential", "constant"),
+        "ewta": ("ewta-topn",),
+        "dac": ("dac-depth",),
     }
 
 
@@ -125,33 +126,87 @@ ACCEPTED_PAIRS = [
     (variant, kind)
     for variant in VARIANTS
     for kind in KINDS
-    if variant not in CONTROLS or kind in CONTROLS[variant][1]
+    if variant not in CONTROLS or kind in CONTROLS[variant]
 ]
+
+
+def knobs(variant, schedule):
+    """The knob that each of 150 epochs of a 6-head run passes to the
+    variant's kernel: the schedule's value, or None without a schedule."""
+    if variant not in CONTROLS:
+        return [None] * 150
+    return [value(schedule, step, 6) for step in range(150)]
 
 
 @pytest.mark.parametrize("variant,kind", ACCEPTED_PAIRS)
 def test_fields_read_are_the_fields_that_move_the_run(variant, kind):
-    # control is the oracle: changing a field outside fields_read leaves the
-    # logged value and the loss config of every epoch as they were, and
-    # changing a field inside it moves at least one epoch.
-    loss = LossConfig(variant=variant)
+    # The knobs are the oracle: changing a field outside fields_read leaves
+    # the knob of every epoch as it was, and changing a field inside it
+    # moves at least one epoch.
     base = ScheduleState(kind=kind)
-    read = fields_read(loss, base)
+    read = fields_read(variant, base)
     assert set(read) <= set(PERTURBED)
-    unmoved = [control(loss, base, step, 6) for step in range(150)]
+    unmoved = knobs(variant, base)
     for name, moved in PERTURBED.items():
         changed = dataclasses.replace(base, **{name: moved})
-        epochs = [control(loss, changed, step, 6) for step in range(150)]
-        assert (epochs != unmoved) == (name in read), name
+        assert (knobs(variant, changed) != unmoved) == (name in read), name
 
 
 def test_fields_read_examples():
-    assert fields_read(LossConfig(variant="awta"), ScheduleState("exponential")) == (
-        "t0",
-        "rho",
-    )
-    assert fields_read(LossConfig(variant="awta"), ScheduleState("constant")) == ("t0",)
-    assert fields_read(LossConfig(variant="wta"), ScheduleState("constant")) == ()
-    assert fields_read(LossConfig(variant="ewta"), ScheduleState("ewta-topn")) == (
-        "total_steps",
-    )
+    assert fields_read("awta", ScheduleState("exponential")) == ("t0", "rho")
+    assert fields_read("awta", ScheduleState("constant")) == ("t0",)
+    assert fields_read("wta", ScheduleState("constant")) == ()
+    assert fields_read("ewta", ScheduleState("ewta-topn")) == ("total_steps",)
+
+
+# Temperature schedules for the kernel property below: the smallest and the
+# largest positive t0, and decays from none to total. 5e-324 and a rho of
+# 5e-324 put the exponential at T_FLOOR from step 0 and step 1.
+TEMPERATURE_SCHEDULES = [
+    ScheduleState(kind="constant", t0=t0) for t0 in (5e-324, 1e-8, 2, 150.0, 1e308)
+] + [
+    ScheduleState(kind="exponential", t0=t0, rho=rho)
+    for t0 in (5e-324, 1e-8, 10.0, 150.0, 1e308)
+    for rho in (5e-324, 0.5, 0.834, 0.92, 1.0 - 2.0**-53)
+]
+
+
+def scheduled_knobs(variant, kind, n_heads):
+    """Every value that value returns for a kind on n_heads heads: over
+    total_steps 1 to 64 and steps up to twice past the end for a ladder,
+    over 300 steps of each TEMPERATURE_SCHEDULES entry for a temperature."""
+    if kind in ("ewta-topn", "dac-depth"):
+        schedules = [ScheduleState(kind=kind, total_steps=n) for n in range(1, 65)]
+        return [
+            value(s, step, n_heads) for s in schedules for step in range(3 * s.total_steps)
+        ]
+    return [
+        value(s, step, n_heads)
+        for s in TEMPERATURE_SCHEDULES
+        if s.kind == kind
+        for step in range(300)
+    ]
+
+
+@pytest.mark.parametrize(
+    "variant,kind", [(v, kind) for v, kinds in CONTROLS.items() for kind in kinds]
+)
+def test_every_scheduled_value_passes_the_kernel_check(variant, kind):
+    # LossConfig.validate checks no knob: each kernel checks the value it
+    # is given, so every value a schedule can hand it must pass. The check
+    # depends only on the value and the head count, so each distinct value
+    # is run through the kernel once per head count.
+    kernel = KERNELS[variant]
+    seen = set()
+    with np.errstate(over="ignore"):
+        for n_heads in range(1, 17):
+            values = scheduled_knobs(variant, kind, n_heads)
+            costs = np.linspace(0.0, 3.0, n_heads)
+            for knob in set(values):
+                weights = kernel(costs, knob)
+                assert np.add.reduce(weights) == pytest.approx(1.0), knob
+            seen.update(values)
+    if kind == "exponential":
+        assert T_FLOOR in seen and min(seen) == T_FLOOR
+    if kind == "constant":
+        assert min(seen) == 5e-324

@@ -7,8 +7,11 @@ minor page faults of one call of it:
 N training steps on the first batch of CONFIG's train split (default
 configs/phase_transition.json), each timing forward_batch, batch_objective,
 backward_batch and adam_step, then N of the per-epoch validation evaluate.
-The loss is CONFIG's at epoch 0 and Adam's step count advances as in
-training. --repo times the wtalab sources of another checkout. The minflt
+The loss is CONFIG's variant with its schedule's knob at epoch 0, and
+Adam's step count advances as in training. --repo times the wtalab sources
+of another checkout; it calls batch_objective with a variant and a knob, so
+the checkout must be one whose LossConfig holds only the variant. Time an
+older tree with that tree's own copy of this tool. The minflt
 column is the median change in resource.getrusage's ru_minflt over one call:
 pages the piece touched that were not mapped, such as memory that the
 allocator had handed back to the system after an earlier call.
@@ -92,10 +95,12 @@ def main(argv=None) -> None:
     features, targets, val_features, val_targets = harness.build_splits(config)
     model = dataclasses.replace(config.model, input_dim=features.shape[1], horizon=targets.shape[1])
     params = network.init_params(model, seed=config.seed)
-    loss = schedulers.control(config.loss, config.scheduler, 0, model.n_heads)[1]
+    variant = config.loss.variant
+    knob = None
+    if variant in schedulers.CONTROLS:
+        knob = schedulers.value(config.scheduler, 0, model.n_heads)
     batch, batch_targets = features[: config.batch_size], targets[: config.batch_size]
     adam, grads = network.init_adam(params), network.GradientBuffer.zeros_like(params)
-    optimizer = dataclasses.asdict(config.optimizer)
     pieces = ("forward_batch", "batch_objective", "backward_batch", "adam_step", "evaluate")
     seconds = {name: [] for name in pieces}
     faults = {name: [] for name in pieces}
@@ -111,7 +116,7 @@ def main(argv=None) -> None:
     for _ in range(args.repeats):
         preds, logits, activations = timed("forward_batch", network.forward_batch, params, batch)
         objective = timed(
-            "batch_objective", losses.batch_objective, preds, logits, batch_targets, loss
+            "batch_objective", losses.batch_objective, preds, logits, batch_targets, variant, knob
         )
         timed(
             "backward_batch",
@@ -121,7 +126,7 @@ def main(argv=None) -> None:
             objective.d_outputs,
             out=grads,
         )
-        timed("adam_step", network.adam_step, params, grads, adam, **optimizer)
+        timed("adam_step", network.adam_step, params, grads, adam, lr=config.optimizer.lr)
     for _ in range(args.repeats):
         timed("evaluate", metrics.evaluate, params, val_features, val_targets)
     print(blas_line())
