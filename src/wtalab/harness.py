@@ -462,11 +462,9 @@ def _train_epochs(
         loss_sum = 0.0
         for batch_index, start in enumerate(range(0, n_scenes, config.batch_size)):
             stop = start + config.batch_size
-            preds, logits, activations = forward_batch(
-                params, shuffled_features[start:stop]
-            )
+            activations = forward_batch(params, shuffled_features[start:stop])[2]
             objective = batch_objective(
-                preds, logits, shuffled_targets[start:stop], variant, knob
+                activations[-1], shuffled_targets[start:stop], variant, knob
             )
             # A finite sum proves every loss finite; only a non-finite one
             # needs the element check, which accepts finite losses whose sum

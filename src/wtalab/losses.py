@@ -261,17 +261,14 @@ class BatchObjective:
 
 
 def batch_objective(
-    preds: np.ndarray,
-    logits: np.ndarray,
-    targets: np.ndarray,
-    variant: str,
-    knob=None,
+    outputs: np.ndarray, targets: np.ndarray, variant: str, knob=None
 ) -> BatchObjective:
     """Evaluate the composite objective on a batch of model outputs.
 
     Args:
-        preds: (B, K, L, 2) predicted trajectories.
-        logits: (B, K) raw confidence logits.
+        outputs: (B, K*(2L+1)) output rows in the layout of network: each
+            head's L (x, y) steps, head by head, then the K logits.
+            forward_batch returns them as the last entry of activations.
         targets: (B, L, 2) ground-truth trajectories.
         variant: the weight variant, a key of KERNELS.
         knob: the variant's knob, the schedule's value at this epoch for
@@ -280,47 +277,58 @@ def batch_objective(
     Returns:
         BatchObjective with per-sample losses and mean-loss gradients.
     """
-    preds = np.asarray(preds, dtype=float)
-    logits = np.asarray(logits, dtype=float)
+    outputs = np.asarray(outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if preds.ndim != 4 or preds.shape[-1] != 2:
-        raise InputError(f"preds must be (B, K, L, 2), got {preds.shape}")
-    batch, n_heads, horizon, _ = preds.shape
-    if logits.shape != (batch, n_heads):
-        raise InputError(f"logits must be {(batch, n_heads)}, got {logits.shape}")
-    if targets.shape != (batch, horizon, 2):
+    if targets.ndim != 3 or targets.shape[1] < 1 or targets.shape[2] != 2:
+        raise InputError(f"targets must be (B, L, 2) with L >= 1, got {targets.shape}")
+    batch, horizon, _ = targets.shape
+    if batch == 0:
+        raise InputError("batch is empty: no output rows")
+    step = 2 * horizon + 1
+    n_heads = outputs.shape[1] // step if outputs.ndim == 2 else 0
+    if n_heads < 1 or outputs.shape != (batch, n_heads * step):
         raise InputError(
-            f"targets must be {(batch, horizon, 2)}, got {targets.shape}"
+            f"outputs must be (B, K*(2L+1)) = ({batch}, K*{step}) with K >= 1 for"
+            f" targets {targets.shape}, got {outputs.shape}"
         )
 
-    # One buffer holds every output gradient. Its trajectory columns first
-    # hold the residual, which becomes the trajectory gradient in place.
+    # Each large pass is one ufunc call on whole rows. The gradient first holds
+    # the targets per head and 0.0 per logit, so one subtraction gives the
+    # residual and the logits bit for bit (x - 0.0 is x, -0.0 included).
     n_traj = n_heads * horizon * 2
-    d_outputs = np.empty((batch, n_traj + n_heads))
-    residual = d_outputs[:, :n_traj].reshape(preds.shape)
-    np.subtract(preds, targets[:, None, :, :], out=residual)
-    # Squaring the whole residual at once, then adding its two columns,
-    # gives the bits of squared_distance: the batch is small, so one
-    # full-size temporary is cheaper than two half-size products. A sum
-    # then a division in place gives the bits of np.mean.
-    square = np.square(residual)
-    costs = np.add.reduce(square[..., 0] + square[..., 1], axis=2)
+    d_outputs = np.empty_like(outputs)
+    heads = d_outputs[:, :n_traj].reshape(batch, n_heads, 2 * horizon)
+    heads[...] = targets.reshape(batch, 1, 2 * horizon)
+    d_outputs[:, n_traj:] = 0.0
+    np.subtract(outputs, d_outputs, out=d_outputs)
+    # Adding the two coordinate columns of the square gives the bits of
+    # squared_distance, and a sum then a division in place those of np.mean.
+    # Overflow warnings are off for the whole square: a logit's square is
+    # discarded, and a trajectory's gives an infinite cost and so a
+    # non-finite loss, which train rejects.
+    with np.errstate(over="ignore"):
+        square = np.square(d_outputs)
+    costs = square[:, :n_traj].reshape(batch, n_heads, horizon, 2)
+    costs = np.add.reduce(costs[..., 0] + costs[..., 1], axis=2)
     costs /= horizon
     weights = assignment_weights(costs, variant, knob)
     winners = costs.argmin(axis=1)
     rows = np.arange(batch)
 
-    score, probs = _score_terms(logits, winners, rows)
+    score, probs = _score_terms(outputs[:, n_traj:], winners, rows)
     loss = np.add.reduce(weights * costs, axis=1)
     loss += score
 
-    # Trajectory columns: w * (2 / L) * residual / B. Logit columns:
-    # (softmax - one_hot(winner)) / B, where subtracting 1 at the winners
-    # equals subtracting the one-hot row.
-    scale = weights[:, :, None, None] * (2.0 / horizon)
-    np.multiply(scale, residual, out=residual)
+    # The square becomes the row multiplier: w * (2 / L) over each head's
+    # columns and 1.0 over the logits, whose block takes softmax -
+    # one_hot(winner). It is the first operand, as w * (2 / L) is in the
+    # formula, so where both are NaN its NaN is the one kept.
+    multiplier = square
+    multiplier[:, :n_traj].reshape(heads.shape)[...] = (weights * (2.0 / horizon))[..., None]
+    multiplier[:, n_traj:] = 1.0
     probs[rows, winners] -= 1.0
     d_outputs[:, n_traj:] = probs
+    np.multiply(multiplier, d_outputs, out=d_outputs)
     d_outputs /= batch
 
     return BatchObjective(

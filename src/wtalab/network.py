@@ -193,8 +193,9 @@ def forward_batch(
     """Run the network on (B, input_dim) contexts.
 
     Returns (trajectories (B, K, L, 2), logits (B, K), activations). The
-    activations list holds the input and every hidden layer output and is
-    consumed by backward_batch.
+    activations list holds the input, every hidden layer output, then the
+    (B, K*(2L+1)) output rows that batch_objective takes; trajectories and
+    logits are views of those rows. backward_batch reads all but the rows.
     """
     contexts = _check_context_batch(params, contexts)
     activations = [contexts]
@@ -206,6 +207,7 @@ def forward_batch(
         activations.append(hidden)
     out = hidden @ params.weights[-1].T
     out += params.biases[-1]
+    activations.append(out)
     batch = out.shape[0]
     n_traj = params.n_heads * params.horizon * 2
     trajectories = out[:, :n_traj].reshape(batch, params.n_heads, params.horizon, 2)

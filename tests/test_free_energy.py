@@ -15,7 +15,7 @@ import pytest
 
 from wtalab import batch_objective
 
-from test_losses import gradient_views
+from test_losses import gradient_views, join_rows
 
 STEP = 1e-5
 # Central differences at STEP agree with the applied gradient to about 1e-10;
@@ -101,7 +101,7 @@ def central_differences(objective, preds):
 @pytest.mark.parametrize("temperature", [0.1, 0.3, 0.7, 2.0, 10.0])
 def test_awta_step_descends_the_free_energy_not_the_logged_loss(temperature):
     preds, logits, targets = make_batch(0)
-    out = batch_objective(preds, logits, targets, "awta", temperature)
+    out = batch_objective(join_rows(preds, logits), targets, "awta", temperature)
     applied = gradient_views(out)[0]
     logged = trajectory_loss(out, preds, logits, targets).mean()
 
@@ -126,7 +126,7 @@ def test_awta_step_descends_the_free_energy_not_the_logged_loss(temperature):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_piecewise_constant_variants_descend_the_logged_loss(variant, seed):
     preds, logits, targets = make_batch(seed)
-    out = batch_objective(preds, logits, targets, variant, HARD_KNOBS[variant])
+    out = batch_objective(join_rows(preds, logits), targets, variant, HARD_KNOBS[variant])
 
     def mean_distortion(p):
         costs = costs_of(p, targets)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,15 +309,16 @@ def gradient_views(out: BatchObjective) -> tuple[np.ndarray, np.ndarray]:
     return d_trajectories, out.d_outputs[:, n_traj:]
 
 
+def join_rows(preds, logits):
+    """(B, K, L, 2) trajectories and (B, K) logits as (B, K*(2L+1)) output rows."""
+    preds = np.asarray(preds, dtype=float)
+    return np.concatenate([preds.reshape(len(preds), -1), logits], axis=1)
+
+
 def one_scene_objective(preds, logits, target, variant, knob=None):
     """batch_objective on a batch holding one scene."""
-    return batch_objective(
-        np.asarray(preds, dtype=float)[None],
-        np.asarray(logits, dtype=float)[None],
-        np.asarray(target, dtype=float)[None],
-        variant,
-        knob,
-    )
+    rows = join_rows(np.asarray(preds, dtype=float)[None], np.asarray(logits, dtype=float)[None])
+    return batch_objective(rows, np.asarray(target, dtype=float)[None], variant, knob)
 
 
 class TestCostsAndLoss:
@@ -388,7 +390,7 @@ class TestBatchObjective:
 
     def test_loss_matches_per_sample_recomputation(self):
         preds, logits, targets = self.make_batch()
-        out = batch_objective(preds, logits, targets, "awta", 1.5)
+        out = batch_objective(join_rows(preds, logits), targets, "awta", 1.5)
         batch, n_heads, horizon, _ = preds.shape
         for i in range(batch):
             # Plain loops: squared-distance costs, softmin weights, and the
@@ -412,7 +414,7 @@ class TestBatchObjective:
 
     def test_trajectory_gradient_shape_and_scaling(self):
         preds, logits, targets = self.make_batch()
-        out = batch_objective(preds, logits, targets, "wta")
+        out = batch_objective(join_rows(preds, logits), targets, "wta")
         d_trajectories, d_score_logits = gradient_views(out)
         assert d_trajectories.shape == preds.shape
         assert d_score_logits.shape == logits.shape
@@ -426,7 +428,7 @@ class TestBatchObjective:
     def test_score_gradient_sums_to_zero_when_coef_balanced(self):
         # softmax minus one-hot has zero row sums
         preds, logits, targets = self.make_batch()
-        out = batch_objective(preds, logits, targets, "wta")
+        out = batch_objective(join_rows(preds, logits), targets, "wta")
         np.testing.assert_allclose(
             gradient_views(out)[1].sum(axis=1), 0.0, atol=1e-12
         )
@@ -555,27 +557,33 @@ def oracle_losses(n_heads):
     return losses
 
 
+def assert_matches_reference(preds, logits, targets):
+    """batch_objective on join_rows(preds, logits) against the reference,
+    field by field as bytes, for every variant; the rows stay unchanged."""
+    names = [field.name for field in dataclasses.fields(BatchObjective)]
+    assert names == ["loss", "d_outputs", "costs", "weights", "winners"]
+    rows = join_rows(preds, logits)
+    before = rows.tobytes()
+    for loss in oracle_losses(preds.shape[1]):
+        out = batch_objective(rows, targets, *loss)
+        expected = reference_batch_objective(preds, logits, targets, *loss)
+        assert rows.tobytes() == before
+        views = gradient_views(out)
+        got_by_name = {name: getattr(out, name) for name in names}
+        got_by_name.update(zip(("d_trajectories", "d_score_logits"), views))
+        for name, got in got_by_name.items():
+            want = expected[name]
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), (
+                f"{loss[0]}: {name} differs from the reference"
+            )
+        for view in views:
+            assert np.shares_memory(view, out.d_outputs)
+
+
 class TestObjectiveOracle:
     """batch_objective against the reference formulas, bit for bit."""
-
-    def assert_matches_reference(self, preds, logits, targets):
-        names = [field.name for field in dataclasses.fields(BatchObjective)]
-        assert names == ["loss", "d_outputs", "costs", "weights", "winners"]
-        for loss in oracle_losses(preds.shape[1]):
-            out = batch_objective(preds, logits, targets, *loss)
-            expected = reference_batch_objective(preds, logits, targets, *loss)
-            views = gradient_views(out)
-            got_by_name = {name: getattr(out, name) for name in names}
-            got_by_name.update(zip(("d_trajectories", "d_score_logits"), views))
-            for name, got in got_by_name.items():
-                want = expected[name]
-                assert got.dtype == want.dtype, name
-                assert got.shape == want.shape, name
-                assert got.tobytes() == want.tobytes(), (
-                    f"{loss[0]}: {name} differs from the reference"
-                )
-            for view in views:
-                assert np.shares_memory(view, out.d_outputs)
 
     @pytest.mark.parametrize(
         "shape",
@@ -590,7 +598,7 @@ class TestObjectiveOracle:
         preds = rng.normal(size=(batch, n_heads, horizon, 2)) * scale
         logits = rng.normal(size=(batch, n_heads)) * 3.0
         targets = rng.normal(size=(batch, horizon, 2)) * scale
-        self.assert_matches_reference(preds, logits, targets)
+        assert_matches_reference(preds, logits, targets)
 
     def test_tied_heads(self):
         # Heads 0 and 2 are copies, and so are 1 and 3: every scene has a
@@ -600,7 +608,7 @@ class TestObjectiveOracle:
         preds = np.concatenate([half, half], axis=1)
         targets = rng.normal(size=(16, 6, 2))
         logits = np.zeros((16, 4))
-        self.assert_matches_reference(preds, logits, targets)
+        assert_matches_reference(preds, logits, targets)
 
     def test_exact_and_mirrored_coordinates(self):
         # Residuals (a, b) and (b, a) and exact hits give equal or zero costs.
@@ -612,7 +620,7 @@ class TestObjectiveOracle:
             ]
         )
         logits = np.array([[1.0, 1.0, 1.0], [0.0, -1.0, 2.0]])
-        self.assert_matches_reference(preds, logits, targets)
+        assert_matches_reference(preds, logits, targets)
 
     def test_winner_probability_underflows(self):
         # The winning head's logit sits 1e4 below the others, so its
@@ -623,10 +631,139 @@ class TestObjectiveOracle:
         logits = np.zeros((8, 4))
         logits[:, 0] = -1e4
         logits[::2, 1] = 800.0
-        self.assert_matches_reference(preds, logits, targets)
-        out = batch_objective(preds, logits, targets, "wta")
+        assert_matches_reference(preds, logits, targets)
+        out = batch_objective(join_rows(preds, logits), targets, "wta")
         assert np.all(out.winners == 0)
         assert np.all(np.isfinite(out.loss))
+
+
+# Entries whose bits the objective must carry through: zeros and NaNs of
+# both signs, infinities, the smallest and largest subnormals, and numbers
+# whose squares overflow.
+SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+SPECIAL_VALUES += [np.nextafter(np.finfo(float).tiny, 0.0), 1e308, -1e308]
+POSITIVE_NAN_VALUES = [v for v in SPECIAL_VALUES if not (np.isnan(v) and np.signbit(v))]
+NON_NAN_VALUES = [v for v in SPECIAL_VALUES if not np.isnan(v)]
+
+
+class TestSpecialRowsOracle:
+    """batch_objective on output rows holding special values, against the
+    reference as bytes, on 6 heads of 30 steps, the training shape.
+
+    A product of two NaNs takes the first operand's NaN in numpy's vector
+    loops but the second one's in the scalar tail of a contiguous loop,
+    the last B * K * (2L + 1) mod 8 entries. Here those entries are logit
+    columns, whose multiplier is 1.0, so every NaN of the trajectory
+    gradient comes from the multiplier-first vector loop that the reference
+    runs too. Two NaN signs differ from the reference in steps that do not
+    depend on the row layout; test_known_nan_signs_differ shows each.
+    """
+
+    def special_batch(self, batch, values, logit_values):
+        rng = np.random.default_rng([batch, 17])
+        preds = rng.normal(size=(batch, 6, 30, 2)) * 10.0
+        logits = rng.normal(size=(batch, 6)) * 3.0
+        targets = rng.normal(size=(batch, 30, 2)) * 10.0
+        # Every third row stays finite; the others hold specials at 30% or
+        # 2%, and row 0 starts with each of them.
+        rates = np.array([0.3, 0.02, 0.0])[np.arange(batch) % 3]
+        for array in (preds, logits, targets):
+            chosen = logit_values if array is logits else values
+            hit = rng.random(array.shape) < rates.reshape(-1, *[1] * (array.ndim - 1))
+            array[hit] = rng.choice(chosen, hit.sum())
+            row = array[0].reshape(-1)
+            row[: len(chosen)] = chosen[: row.size]
+        nans = [v for v in logit_values if np.isnan(v)]
+        logits[0] = (nans[::-1] + [v for v in logit_values if not np.isnan(v)])[:6]
+        assert (batch * (6 * 61)) % 8 <= 6
+        return preds, logits, targets
+
+    @pytest.mark.parametrize("batch", [1, 40, 63, 64])
+    def test_matches_reference_bytes(self, batch):
+        # A one-row batch gets no NaN entry and finite logits (see
+        # one-row-nans below); its infinities still make NaN costs and weights.
+        values, logit_values = POSITIVE_NAN_VALUES, POSITIVE_NAN_VALUES
+        if batch == 1:
+            values, logit_values = NON_NAN_VALUES, [v for v in SPECIAL_VALUES if np.isfinite(v)]
+        preds, logits, targets = self.special_batch(batch, values, logit_values)
+        assert np.isinf(preds).any() and np.isnan(preds).any() == (batch > 1)
+        with np.errstate(all="ignore"):
+            assert_matches_reference(preds, logits, targets)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="a NaN sign that differs from the reference"
+    )
+    @pytest.mark.parametrize(
+        "batch, values, logit_values",
+        [
+            # _score_terms shifts the logits by their max gathered at
+            # argmax, a -NaN itself, where np.max returns +NaN.
+            (40, POSITIVE_NAN_VALUES, SPECIAL_VALUES),
+            # In a one-row batch every ufunc runs numpy's scalar loop, where
+            # loss += score keeps score's NaN and the reference's
+            # sum + score the sum's.
+            (1, POSITIVE_NAN_VALUES, POSITIVE_NAN_VALUES),
+        ],
+        ids=["negative-nan-logit", "one-row-nans"],
+    )
+    def test_known_nan_signs_differ(self, batch, values, logit_values):
+        preds, logits, targets = self.special_batch(batch, values, logit_values)
+        with np.errstate(all="ignore"):
+            assert_matches_reference(preds, logits, targets)
+
+    def test_discarded_logit_squares_raise_no_warning(self):
+        rng = np.random.default_rng(3)
+        preds, targets = rng.normal(size=(5, 3, 4, 2)), rng.normal(size=(5, 4, 2))
+        # Squares that overflow, differences that do not.
+        logits = np.array([[1e200, -1e200, 1e154]] * 5)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for loss in oracle_losses(3):
+                batch_objective(join_rows(preds, logits), targets, *loss)
+        assert np.geterr() == before
+
+    def test_trajectory_square_overflow_is_silent_and_non_finite(self):
+        # Overflow warnings are off for the whole square: a residual whose
+        # square overflows gives an infinite cost, and the loss it reaches is
+        # not finite, which train rejects. Its 0 * inf still warns as invalid.
+        rng = np.random.default_rng(4)
+        preds, targets = rng.normal(size=(5, 3, 4, 2)), rng.normal(size=(5, 4, 2))
+        preds[2, :, 1, 0] = 1e200
+        logits = rng.normal(size=(5, 3))
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            out = batch_objective(join_rows(preds, logits), targets, "wta")
+        assert np.isinf(out.costs[2]).all()
+        assert not np.isfinite(out.loss[2])
+        assert np.isfinite(np.delete(out.loss, 2)).all()
+
+
+class TestMalformedRows:
+    """Output rows and targets that do not describe one batch are refused."""
+
+    @pytest.mark.parametrize(
+        "outputs, targets",
+        [
+            (np.zeros((2, 10)), np.zeros((2, 4, 2))),  # not K * (2L + 1) wide
+            (np.zeros((2, 8)), np.zeros((2, 4, 2))),
+            (np.zeros((2, 0)), np.zeros((2, 4, 2))),  # no heads
+            (np.zeros(9), np.zeros((1, 4, 2))),
+            (np.zeros((2, 9, 1)), np.zeros((2, 4, 2))),
+            (np.zeros((2, 9)), np.zeros((3, 4, 2))),  # targets for other rows
+            (np.zeros((2, 9)), np.zeros((2, 4, 3))),
+            (np.zeros((2, 9)), np.zeros((2, 8))),
+            (np.zeros((2, 1)), np.zeros((2, 0, 2))),  # no steps
+        ],
+        ids=["width10", "width8", "width0", "1d", "3d", "rows", "coords", "2d", "L0"],
+    )
+    def test_mismatched_shapes_rejected(self, outputs, targets):
+        with pytest.raises(InputError, match="must be"):
+            batch_objective(outputs, targets, "wta")
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InputError, match="empty"):
+            batch_objective(np.zeros((0, 9)), np.zeros((0, 4, 2)), "wta")
 
 
 class TestLossConfigValidate:

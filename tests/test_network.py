@@ -29,6 +29,8 @@ from wtalab.losses import batch_objective, stable_softmax
 from wtalab import network
 from wtalab.network import backward_batch, forward_batch
 
+from test_losses import join_rows
+
 
 def b64(values) -> str:
     """Checkpoint data for values, built with struct and base64 alone: the
@@ -208,8 +210,13 @@ class TestForward:
         traj, logits, activations = forward_batch(params, contexts)
         assert traj.shape == (7, 3, 4, 2)
         assert logits.shape == (7, 3)
-        assert len(activations) == 2
+        assert len(activations) == 3
         assert activations[0] is not None and activations[1].shape == (7, 8)
+        # The output rows come last; both returned arrays are views of them.
+        rows = activations[2]
+        assert rows.shape == (7, 3 * (2 * 4 + 1)) and rows.flags.c_contiguous
+        assert traj.base is rows and logits.base is rows
+        assert np.array_equal(rows, np.concatenate([traj.reshape(7, -1), logits], axis=1))
 
     def test_single_context_batch(self):
         params = init_params(small_config(), seed=0)
@@ -260,15 +267,10 @@ class TestForward:
             forward_batch(params, np.zeros((4, 5)))
 
 
-def join(d_traj, d_logits):
-    """(B, K, L, 2) and (B, K) gradients as one (B, K*L*2 + K) output gradient."""
-    return np.concatenate([d_traj.reshape(len(d_traj), -1), d_logits], axis=1)
-
-
 def backward_one(params, context, d_traj, d_logits):
     """backward_batch for a batch holding one context."""
     _, _, activations = forward_batch(params, np.asarray(context)[None, :])
-    return backward_batch(params, activations, join(d_traj[None], d_logits[None]))
+    return backward_batch(params, activations, join_rows(d_traj[None], d_logits[None]))
 
 
 class TestBackward:
@@ -291,7 +293,7 @@ class TestBackward:
         d_traj = rng.normal(size=(4, 3, 4, 2))
         d_logits = rng.normal(size=(4, 3))
         _, _, activations = forward_batch(params, contexts)
-        whole = backward_batch(params, activations, join(d_traj, d_logits))
+        whole = backward_batch(params, activations, join_rows(d_traj, d_logits))
         parts = [
             backward_one(params, contexts[i], d_traj[i], d_logits[i]) for i in range(4)
         ]
@@ -323,7 +325,7 @@ class TestBackward:
         rng = np.random.default_rng(3)
         _, _, activations = forward_batch(params, rng.normal(size=(5, 5)))
         d_traj, d_logits = rng.normal(size=(5, 2, 3, 2)), rng.normal(size=(5, 2))
-        joined = backward_batch(params, activations, join(d_traj, d_logits))
+        joined = backward_batch(params, activations, join_rows(d_traj, d_logits))
         split = backward_batch(params, activations, d_traj, d_logits)
         assert split.vector.tobytes() == joined.vector.tobytes()
 
@@ -919,8 +921,8 @@ def gradient_check(params, context, target, variant, knob=None, step=1e-5):
     """
     context = np.asarray(context, dtype=float)
     target = np.asarray(target, dtype=float)
-    preds, logits, activations = forward_batch(params, context[None, :])
-    objective = batch_objective(preds, logits, target[None], variant, knob)
+    activations = forward_batch(params, context[None, :])[2]
+    objective = batch_objective(activations[-1], target[None], variant, knob)
     analytic = backward_batch(params, activations, objective.d_outputs)
 
     frozen_weights = objective.weights[0]
@@ -985,10 +987,10 @@ class TestUnalignedViews:
         d_logits = rng.normal(size=logits_a.shape)
         want_w, want_b = reference_backward(separate, acts_a, d_traj, d_logits)
         out = on_unaligned_vector(GradientBuffer.zeros_like(params), offset=3)
-        backward_batch(shifted, acts_b, join(d_traj, d_logits), out=out)
+        backward_batch(shifted, acts_b, join_rows(d_traj, d_logits), out=out)
         for got, want in zip((*out.weights, *out.biases), (*want_w, *want_b)):
             assert np.array_equal(got, want)
-        fresh = backward_batch(params, acts_a, join(d_traj, d_logits))
+        fresh = backward_batch(params, acts_a, join_rows(d_traj, d_logits))
         assert np.array_equal(fresh.vector, out.vector)
 
 
@@ -1011,10 +1013,15 @@ class TestStepOracle:
         contexts = rng.normal(size=(batch, cfg.input_dim))
         got = forward_batch(params, contexts)
         want = reference_forward(params, contexts)
-        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+        # got's activations end with the output rows, which the reference
+        # does not keep; backward_batch below reads the list as returned.
+        assert len(got[2]) == len(want[2]) + 1
+        want_rows = join_rows(*want[:2])
+        for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2], want_rows)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert all(np.shares_memory(view, got[2][-1]) for view in got[:2])
         d_traj, d_logits = rng.normal(size=got[0].shape), rng.normal(size=got[1].shape)
-        grads = backward_batch(params, got[2], join(d_traj, d_logits))
+        grads = backward_batch(params, got[2], join_rows(d_traj, d_logits))
         want_w, want_b = reference_backward(params, want[2], d_traj, d_logits)
         for a, b in zip((*grads.weights, *grads.biases), (*want_w, *want_b)):
             assert a.tobytes() == b.tobytes()

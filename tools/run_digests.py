@@ -24,7 +24,14 @@ command runs both and compares them:
 
 It prints each line that differs ("- " the other checkout, "+ " this one)
 and a count of identical digests, and exits 1 on any difference, 0 when
-every digest matches. The comparison can also be made by hand:
+every digest matches. Every wtalab process inherits this one's environment,
+so OPENBLAS_CORETYPE set on the command line makes numpy's bundled OpenBLAS
+use that CPU kernel in both checkouts (for example SkylakeX, Haswell or
+Sandybridge; the CPU must support it):
+
+    OPENBLAS_CORETYPE=Haswell python tools/run_digests.py --against ../parent
+
+The comparison can also be made by hand:
 
     python tools/run_digests.py > after.txt
     python tools/run_digests.py --repo ../parent > before.txt

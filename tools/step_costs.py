@@ -8,10 +8,13 @@ N training steps on the first batch of CONFIG's train split (default
 configs/phase_transition.json), each timing forward_batch, batch_objective,
 backward_batch and adam_step, then N of the per-epoch validation evaluate.
 The loss is CONFIG's variant with its schedule's knob at epoch 0, and
-Adam's step count advances as in training. --repo times the wtalab sources
-of another checkout; it calls batch_objective with a variant and a knob, so
-the checkout must be one whose LossConfig holds only the variant. Time an
-older tree with that tree's own copy of this tool. The minflt
+Adam's step count advances as in training; batch_objective takes the output
+rows that forward_batch leaves as the last entry of its activations.
+--repo times the wtalab sources of another checkout; it calls
+batch_objective(outputs, targets, variant, knob), so the checkout must be
+one whose batch_objective takes output rows. Time an older tree, one that
+takes (preds, logits, targets, ...), with that tree's own copy of this
+tool. The minflt
 column is the median change in resource.getrusage's ru_minflt over one call:
 pages the piece touched that were not mapped, such as memory that the
 allocator had handed back to the system after an earlier call.
@@ -114,9 +117,9 @@ def main(argv=None) -> None:
         return result
 
     for _ in range(args.repeats):
-        preds, logits, activations = timed("forward_batch", network.forward_batch, params, batch)
+        activations = timed("forward_batch", network.forward_batch, params, batch)[2]
         objective = timed(
-            "batch_objective", losses.batch_objective, preds, logits, batch_targets, variant, knob
+            "batch_objective", losses.batch_objective, activations[-1], batch_targets, variant, knob
         )
         timed(
             "backward_batch",
